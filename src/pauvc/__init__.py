@@ -38,10 +38,8 @@ from .reductions import (
 )
 from .solvers import (
     PauResult,
-    SetCoverTables,
     include_to_exclude,
     mixed_to_exclude,
-    set_cover_dp,
     solve,
     solve_enum,
     solve_fpt_exclude,
@@ -82,7 +80,6 @@ __all__ = [
     "PauvcError",
     "PreAssignment",
     "Reason",
-    "SetCoverTables",
     "SolveStats",
     "TreeAnswer",
     "VcSolution",
@@ -114,7 +111,6 @@ __all__ = [
     "random_tree",
     "reduce_instance",
     "render_dimacs",
-    "set_cover_dp",
     "solve",
     "solve_enum",
     "solve_fpt_exclude",

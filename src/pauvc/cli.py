@@ -6,7 +6,8 @@ instances with a unique minimum cover), reduce (instance translations),
 and bench (CSV timing table over a directory of instances).
 
 Exit codes: 0 success / feasible / decision-yes, 1 infeasible or
-decision-no, 2 malformed input, 3 a size or time limit was hit.
+decision-no, 2 malformed input, 3 a size, time, memory or recursion limit
+was hit.
 """
 
 from __future__ import annotations
@@ -318,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: resource limit hit ({type(exc).__name__})", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

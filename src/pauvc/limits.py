@@ -17,7 +17,6 @@ ENV_VERTEX_LIMIT = "PAUVC_VERTEX_LIMIT"
 DEFAULT_VERTEX_LIMIT = 512
 DEFAULT_ENUM_VERTEX_LIMIT = 24
 DEFAULT_RESULT_LIMIT = 1 << 20
-DEFAULT_GROUND_LIMIT = 26
 DEFAULT_BRUTE_LIMIT = 24
 
 

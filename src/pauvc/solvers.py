@@ -1,20 +1,47 @@
 """Solvers for minimum pre-assignments that force a unique minimum cover.
 
 Four routes are provided.  :func:`solve_enum` tries every pre-assignment by
-increasing size and is the reference oracle for everything else.  The two
-fixed-parameter strategies branch the graph down to matchings first:
-minimum covers survive only at leaves (forced set + isolated edges), so
-include-model candidates are endpoint selections plus subsets of the forced
-set, and exclude-model candidates come from a set-cover table over the
-forced set (which vertices outside the cover can push a chosen subset in).
-Mixed-model questions are answered in the exclude model; the two are
-equivalent instance by instance.
+increasing size and is the reference oracle for everything else.  The tree
+route is :func:`pau_tree`.  The two fixed-parameter strategies branch the
+graph down to matchings first (take v, or take N(v), for a vertex v of
+degree at least 2).  Every minimum cover extends exactly one leaf of that
+tree: it is the leaf's forced set F plus one endpoint of each of the
+leaf's p isolated edges.  The vertices outside a leaf, neither in F nor
+matched, form an independent set with no neighbour among the matched
+vertices: each left the branching either as a vertex whose neighbours were
+all forced, or as an isolated vertex.  So an outside vertex that is not
+isolated in the graph has all its neighbours in F.
 
-Candidates are tested with the uniqueness probe, cheapest first; ties are
-broken toward the lexicographically smallest vertex list.  The enumeration
-route scans the entire space and therefore returns the global
-lexicographic minimum; the fixed-parameter routes return the deterministic
-minimum over their candidate spaces (the optimum size always agrees).
+Both strategies probe one stream of candidates, ordered by size
+k = 0, 1, 2, ... across all leaves and by sorted vertex list within one
+size, and return the first feasible one.  A leaf's size-k candidates are a
+selection of one endpoint per matching edge (all 2^p of them) together
+with a (k - p)-subset of a per-leaf pool.  The stream is complete: it
+contains the lexicographically smallest minimum feasible pre-assignment.
+
+- Include model: the pool is F.  Let I be feasible with unique cover U,
+  which extends leaf L.  Then I lies inside U, and I holds the endpoint in
+  U of every matching edge of L; otherwise swapping that edge's endpoints
+  gives a second consistent minimum cover.  So I is a selection plus a
+  subset of F, and the size-k stream is exactly the set of such masks.
+- Exclude model: the pool is the outside vertices with a neighbour in F,
+  one per neighbourhood (the lowest id).  Let E be a minimum feasible
+  exclude set with unique cover U, which extends leaf L.  E avoids U.  For
+  a matching edge with endpoint a in U and b outside it, the only way to
+  keep the swapped cover out is a in N(E), and a's one neighbour outside
+  U is b; so E holds the selection of the endpoints outside U.  The rest of
+  E is outside L.  The consistent covers depend only on N(E): they are the
+  minimum covers containing it.  So E has no isolated vertex and no two
+  vertices with the same neighbourhood, as dropping one keeps it
+  feasible; and a vertex of E may be traded for the lowest-id vertex with
+  its neighbourhood, which lies outside L too.  That trade makes the
+  sorted vertex list smaller, so the lexicographically smallest E uses
+  pool vertices only.
+
+So the first feasible candidate has the optimum size and is the witness
+:func:`solve_enum` returns for the same graph.  Mixed-model
+questions are answered in the exclude model; the two are equivalent
+instance by instance.
 """
 
 from __future__ import annotations
@@ -24,28 +51,20 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .graph import Graph, Model, PreAssignment, VertexSet, classify, delete
-from .limits import (
-    DEFAULT_ENUM_VERTEX_LIMIT,
-    DEFAULT_GROUND_LIMIT,
-    check_vertex_limit,
-)
+from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
 from .tree import pau_tree
 from .uniqueness import _check_pre_assignment, is_feasible
 from .vertex_cover import (
     SolveStats,
     _bits,
     _branch_leaves,
-    _enumerate_covers,
     _min_cover,
+    _node,
 )
 
 __all__ = [
     "PauResult",
-    "SetCoverTables",
-    "set_cover_dp",
     "solve_enum",
     "solve_fpt_include",
     "solve_fpt_exclude",
@@ -53,8 +72,6 @@ __all__ = [
     "mixed_to_exclude",
     "solve",
 ]
-
-_INF = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -73,116 +90,6 @@ class PauResult:
         out["unique_cover"] = list(self.unique_cover)
         out["stats"] = self.stats.to_json_dict()
         return out
-
-
-# ---------------------------------------------------------------------------
-# Set cover over subsets of a small ground set.
-
-
-def _sc_tables(gsize: int, sets: Sequence[int]) -> tuple[list[int], list[int]]:
-    """cost[S] = fewest sets covering S, choice[S] = last set used (or -1).
-
-    The update keeps the first set index on ties, so reconstruction is
-    deterministic.  Vectorized for larger tables; both paths are identical.
-    """
-    size = 1 << gsize
-    if gsize >= 10 and sets:
-        idx = np.arange(size, dtype=np.int64)
-        cost = np.full(size, _INF, dtype=np.int64)
-        cost[0] = 0
-        choice = np.full(size, -1, dtype=np.int64)
-        for j, sm in enumerate(sets):
-            touches = (idx & sm) != 0
-            alt = cost[idx & ~sm] + 1
-            better = touches & (alt < cost)
-            cost[better] = alt[better]
-            choice[better] = j
-        return cost.tolist(), choice.tolist()
-    cost = [_INF] * size
-    cost[0] = 0
-    choice = [-1] * size
-    for j, sm in enumerate(sets):
-        for s in range(size):
-            if s & sm:
-                alt = cost[s & ~sm] + 1
-                if alt < cost[s]:
-                    cost[s] = alt
-                    choice[s] = j
-    return cost, choice
-
-
-class SetCoverTables:
-    """Optimal covering cost of every subset of a ground vertex set.
-
-    cost_of gives the fewest sets whose union contains the subset (inf when
-    impossible); family_of returns the indices of one optimal family.
-    """
-
-    def __init__(
-        self,
-        ground: VertexSet,
-        sets: tuple[VertexSet, ...],
-        cost: list[int],
-        choice: list[int],
-        compact_sets: list[int],
-        positions: dict[int, int],
-    ) -> None:
-        self.ground = ground
-        self.sets = sets
-        self._cost = cost
-        self._choice = choice
-        self._compact_sets = compact_sets
-        self._positions = positions
-
-    def _compact(self, subset: VertexSet) -> int:
-        if subset.n != self.ground.n:
-            raise ValueError("subset universe does not match ground set")
-        if not subset <= self.ground:
-            raise ValueError("subset is not contained in the ground set")
-        cm = 0
-        for v in _bits(subset.mask):
-            cm |= 1 << self._positions[v]
-        return cm
-
-    def cost_of(self, subset: VertexSet) -> float:
-        c = self._cost[self._compact(subset)]
-        return float("inf") if c >= _INF else c
-
-    def family_of(self, subset: VertexSet) -> tuple[int, ...] | None:
-        cm = self._compact(subset)
-        if self._cost[cm] >= _INF:
-            return None
-        picked = []
-        while cm:
-            j = self._choice[cm]
-            picked.append(j)
-            cm &= ~self._compact_sets[j]
-        return tuple(sorted(picked))
-
-
-def set_cover_dp(
-    ground: VertexSet,
-    sets: Sequence[VertexSet],
-    *,
-    ground_limit: int = DEFAULT_GROUND_LIMIT,
-) -> SetCoverTables:
-    """Tabulate minimum set covers for all subsets of the ground set.
-
-    Elements of the sets outside the ground set are ignored.  The table has
-    2^|ground| entries, so the ground set is capped (default 26).
-    """
-    check_vertex_limit(len(ground), ground_limit)
-    positions = {v: i for i, v in enumerate(ground)}
-    compact_sets = []
-    for s in sets:
-        if s.n != ground.n:
-            raise ValueError("set universe does not match ground set")
-        cm = 0
-        for v in _bits(s.mask & ground.mask):
-            cm |= 1 << positions[v]
-        compact_sets.append(cm)
-    cost, choice = _sc_tables(len(ground), compact_sets)
-    return SetCoverTables(ground, tuple(sets), cost, choice, compact_sets, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -285,188 +192,110 @@ def solve_enum(
 # Fixed-parameter strategies via branching to matchings.
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _leaf_pool(
+    g: Graph, model: Model, forced: int, pairs: tuple[tuple[int, int], ...]
+) -> list[int]:
+    """The single-bit masks a leaf's candidates draw on beyond a selection."""
+    if model is Model.INCLUDE:
+        return [1 << v for v in _bits(forced)]
+    matched = 0
+    for a, b in pairs:
+        matched |= (1 << a) | (1 << b)
+    pool = []
+    seen: set[int] = set()
+    for u in _bits(g.full_mask & ~forced & ~matched):
+        trace = g.neighbors_mask(u) & forced
+        if trace and trace not in seen:
+            seen.add(trace)
+            pool.append(1 << u)
+    return pool
 
 
-def _first_feasible(
+def _candidate_stream(
     g: Graph,
-    tau: int,
-    candidates: set[int],
     model: Model,
+    leaves: list[tuple[int, tuple[tuple[int, int], ...]]],
     stats: SolveStats,
-) -> tuple[int, int]:
-    """Probe candidate masks cheapest-first; (candidate, unique cover)."""
-    by_size: dict[int, list[int]] = {}
-    for m in candidates:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for size in sorted(by_size):
-        for cand in sorted(by_size[size], key=lambda mm: tuple(_bits(mm))):
-            inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
-            ok, cover, _ = _check_pre_assignment(g.adj, g.n, tau, inc, exc, stats)
-            if ok:
-                return cand, cover
-    raise AssertionError("candidate generation missed every feasible pre-assignment")
+) -> Iterator[int]:
+    """Candidate masks by size, each size sorted by vertex list.
+
+    A leaf with p matching edges first contributes at size p, so its 2^p
+    selections and its pool are built only once the stream gets there.
+    Every generated candidate counts as a search node, so deadlines fire.
+    """
+    expanded: dict[int, tuple[list[int], list[int]]] = {}
+    for k in range(g.n + 1):
+        batch: set[int] = set()
+        for i, (forced, pairs) in enumerate(leaves):
+            if len(pairs) > k:
+                continue
+            if i not in expanded:
+                selections = [0]
+                for a, b in pairs:
+                    selections = [
+                        s | pick for s in selections for pick in (1 << a, 1 << b)
+                    ]
+                expanded[i] = (selections, _leaf_pool(g, model, forced, pairs))
+            selections, pool = expanded[i]
+            for combo in combinations(pool, k - len(pairs)):
+                rest = sum(combo)  # distinct single bits, so the sum is their union
+                for sel in selections:
+                    _node(stats)
+                    batch.add(sel | rest)
+        yield from sorted(batch, key=lambda m: tuple(_bits(m)))
 
 
-def _all_min_cover_masks(g: Graph, tau: int, stats: SolveStats) -> list[int]:
-    masks: list[int] = []
-    _enumerate_covers(g.adj, g.full_mask, 0, tau, masks, 1 << 20, stats)
-    return masks
+def _solve_fpt(
+    g: Graph, model: Model, vertex_limit: int | None, deadline: float | None
+) -> PauResult:
+    check_vertex_limit(g.n, vertex_limit)
+    stats = SolveStats(deadline)
+    started = time.perf_counter()
+    found = _min_cover(g.adj, g.full_mask, stats)
+    assert found is not None
+    tau, _ = found
+    leaves = _branch_leaves(g.adj, g.full_mask, tau, stats)
+    for cand in _candidate_stream(g, model, leaves, stats):
+        inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
+        ok, cover, _ = _check_pre_assignment(g.adj, g.n, tau, inc, exc, stats)
+        if ok:
+            return _result(g, model, inc, exc, cover, stats, started)
+    raise AssertionError("candidate stream missed every feasible pre-assignment")
 
 
 def solve_fpt_include(
     g: Graph,
     *,
-    refined: bool = True,
     vertex_limit: int | None = None,
     deadline: float | None = None,
 ) -> PauResult:
     """Minimum include-model pre-assignment, parameterized by tau.
 
-    A feasible include set lies inside its target cover and must pick one
-    endpoint of every isolated edge of the branching leaf that cover
-    extends, plus any subset of the leaf's forced set.  The unrefined
-    variant enumerates whole minimum covers and all their subsets instead;
-    it is kept for differential testing.
+    A feasible include set lies inside its target cover and holds that
+    cover's endpoint of every isolated edge of the branching leaf the
+    cover extends, plus a subset of the leaf's forced set.  Those masks are
+    probed by size, smallest first.
     """
-    check_vertex_limit(g.n, vertex_limit)
-    stats = SolveStats(deadline)
-    started = time.perf_counter()
-    found = _min_cover(g.adj, g.full_mask, stats)
-    assert found is not None
-    tau, _ = found
-    candidates: set[int] = set()
-    if refined:
-        for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, stats):
-            selections = [0]
-            for a, b in pairs:
-                selections = [
-                    s | pick for s in selections for pick in (1 << a, 1 << b)
-                ]
-            for sel in selections:
-                for sub in _submasks(forced):
-                    candidates.add(sel | sub)
-    else:
-        for cover_mask in _all_min_cover_masks(g, tau, stats):
-            for sub in _submasks(cover_mask):
-                candidates.add(sub)
-    best, cover = _first_feasible(g, tau, candidates, Model.INCLUDE, stats)
-    return _result(g, Model.INCLUDE, best, 0, cover, stats, started)
-
-
-def _exclude_candidates_for_leaf(
-    g: Graph,
-    forced: int,
-    pairs: tuple[tuple[int, int], ...],
-    candidates: set[int],
-) -> None:
-    """Add the set-cover driven exclude candidates of one branching leaf."""
-    positions = {}
-    for i, v in enumerate(_bits(forced)):
-        positions[v] = i
-    gsize = len(positions)
-    matched = 0
-    for a, b in pairs:
-        matched |= (1 << a) | (1 << b)
-    outside = g.full_mask & ~forced & ~matched
-    set_vertices: list[int] = []
-    set_masks: list[int] = []
-    seen_sets: set[int] = set()
-    for u in _bits(outside):
-        cm = 0
-        for w in _bits(g.neighbors_mask(u) & forced):
-            cm |= 1 << positions[w]
-        # Vertices with identical neighborhoods inside the forced set are
-        # interchangeable; keep the lowest id.
-        if cm and cm not in seen_sets:
-            seen_sets.add(cm)
-            set_vertices.append(u)
-            set_masks.append(cm)
-    cost, choice = _sc_tables(gsize, set_masks)
-    family = [0] * (1 << gsize)
-    for s in range(1, 1 << gsize):
-        if cost[s] >= _INF:
-            family[s] = -1
-            continue
-        j = choice[s]
-        prev = family[s & ~set_masks[j]]
-        family[s] = -1 if prev < 0 else prev | (1 << set_vertices[j])
-    for sel in range(1 << len(pairs)):
-        k2 = 0
-        for i, (a, b) in enumerate(pairs):
-            k2 |= 1 << (b if (sel >> i) & 1 == 0 else a)
-        nk2 = 0
-        for v in _bits(k2):
-            nk2 |= g.neighbors_mask(v)
-        wmax = 0
-        for v in _bits(forced & ~nk2):
-            wmax |= 1 << positions[v]
-        for sub in _submasks(wmax):
-            fam = family[sub]
-            if fam >= 0:
-                candidates.add(fam | k2)
+    return _solve_fpt(g, Model.INCLUDE, vertex_limit, deadline)
 
 
 def solve_fpt_exclude(
     g: Graph,
     *,
-    refined: bool = True,
     vertex_limit: int | None = None,
     deadline: float | None = None,
 ) -> PauResult:
     """Minimum exclude-model pre-assignment, parameterized by tau.
 
-    Excluding a vertex forces its whole neighborhood into the cover, so a
-    cheapest exclude set pushing a chosen part of a target cover inside is
-    a minimum set cover over that part.  Per branching leaf, the unmatched
-    endpoints of the isolated edges must be excluded outright and the
-    set-cover table handles the rest; every table value is a candidate,
-    probed cheapest-first.  The unrefined variant runs one table per whole
-    minimum cover instead.
+    Excluding a vertex forces its whole neighbourhood into the cover.  Per
+    branching leaf, a candidate of size k excludes one endpoint of every
+    isolated edge and k - p vertices outside the leaf, at most one per
+    distinct neighbourhood in the forced set (the lowest id).  The stream
+    yields all of them for k = 0, 1, 2, ... and the first feasible one is
+    returned; it contains every minimum exclude set built from such
+    vertices, so the optimum is exact.
     """
-    check_vertex_limit(g.n, vertex_limit)
-    stats = SolveStats(deadline)
-    started = time.perf_counter()
-    found = _min_cover(g.adj, g.full_mask, stats)
-    assert found is not None
-    tau, _ = found
-    candidates: set[int] = set()
-    if refined:
-        for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, stats):
-            _exclude_candidates_for_leaf(g, forced, pairs, candidates)
-    else:
-        for cover_mask in _all_min_cover_masks(g, tau, stats):
-            positions = {v: i for i, v in enumerate(_bits(cover_mask))}
-            set_vertices: list[int] = []
-            set_masks: list[int] = []
-            seen: set[int] = set()
-            for u in _bits(g.full_mask & ~cover_mask):
-                cm = 0
-                for w in _bits(g.neighbors_mask(u) & cover_mask):
-                    cm |= 1 << positions[w]
-                if cm and cm not in seen:
-                    seen.add(cm)
-                    set_vertices.append(u)
-                    set_masks.append(cm)
-            cost, choice = _sc_tables(len(positions), set_masks)
-            for sub in range(1 << len(positions)):
-                if cost[sub] >= _INF:
-                    continue
-                fam = 0
-                s = sub
-                while s:
-                    j = choice[s]
-                    fam |= 1 << set_vertices[j]
-                    s &= ~set_masks[j]
-                candidates.add(fam)
-    best, cover = _first_feasible(g, tau, candidates, Model.EXCLUDE, stats)
-    return _result(g, Model.EXCLUDE, 0, best, cover, stats, started)
+    return _solve_fpt(g, Model.EXCLUDE, vertex_limit, deadline)
 
 
 # ---------------------------------------------------------------------------

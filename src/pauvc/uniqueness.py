@@ -128,6 +128,26 @@ def has_unique_min_vc(
     return unique, VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
+def _probe(
+    g: Graph,
+    pa: PreAssignment,
+    vertex_limit: int | None,
+    stats: SolveStats | None,
+) -> tuple[int, bool, int | None, Reason | None]:
+    """tau(g), then the feasibility verdict, witness and reason of pa."""
+    if pa.n != g.n:
+        raise ValueError("pre-assignment universe does not match graph")
+    check_vertex_limit(g.n, vertex_limit)
+    st = stats if stats is not None else SolveStats()
+    found = _min_cover(g.adj, g.full_mask, st)
+    assert found is not None
+    tau, _ = found
+    ok, witness, reason = _check_pre_assignment(
+        g.adj, g.n, tau, pa.include.mask, pa.exclude.mask, st
+    )
+    return tau, ok, witness, reason
+
+
 def is_feasible(
     g: Graph,
     pa: PreAssignment,
@@ -142,16 +162,7 @@ def is_feasible(
     non-independent exclude set (no cover can avoid both endpoints of an
     edge), no minimum cover consistent at all, or more than one.
     """
-    if pa.n != g.n:
-        raise ValueError("pre-assignment universe does not match graph")
-    check_vertex_limit(g.n, vertex_limit)
-    st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
-    assert found is not None
-    tau, _ = found
-    ok, witness, reason = _check_pre_assignment(
-        g.adj, g.n, tau, pa.include.mask, pa.exclude.mask, st
-    )
+    _, ok, witness, reason = _probe(g, pa, vertex_limit, stats)
     return FeasibilityReport(
         ok, None if witness is None else VertexSet.from_mask(g.n, witness), reason
     )
@@ -173,13 +184,9 @@ def reduce_instance(
     makes this the core of the benchmark instance generator.  Raises
     ValueError when pa is not feasible for g.
     """
-    report = is_feasible(g, pa, vertex_limit=vertex_limit, stats=stats)
-    if not report.feasible:
-        raise ValueError(f"pre-assignment is not feasible ({report.reason.value})")
-    st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
-    assert found is not None
-    tau, _ = found
+    tau, ok, _, reason = _probe(g, pa, vertex_limit, stats)
+    if not ok:
+        raise ValueError(f"pre-assignment is not feasible ({reason.value})")
     neighborhood = 0
     for v in _bits(pa.exclude.mask):
         neighborhood |= g.neighbors_mask(v)

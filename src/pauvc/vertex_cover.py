@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import LimitExceeded
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, _bits
 from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit
 
 __all__ = [
@@ -37,10 +36,11 @@ __all__ = [
 class SolveStats:
     """Counters threaded through a solver run.
 
-    nodes_explored counts branching nodes, uvc_calls counts uniqueness /
-    feasibility probes.  When a deadline (``time.perf_counter`` value) is
-    set, the search checks it cooperatively every 1024 nodes and raises
-    :class:`LimitExceeded` once it passes.
+    nodes_explored counts branching nodes and generated pre-assignment
+    candidates, uvc_calls counts uniqueness / feasibility probes.  When a
+    deadline (``time.perf_counter`` value) is set, the search checks it
+    cooperatively every 1024 nodes and raises :class:`LimitExceeded` once
+    it passes.
     """
 
     __slots__ = ("nodes_explored", "uvc_calls", "elapsed", "deadline")
@@ -81,13 +81,6 @@ class BranchLeaf:
 
     forced: VertexSet
     matching: tuple[tuple[int, int], ...]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _node(stats: SolveStats) -> None:

@@ -80,19 +80,6 @@ def brute_ids(n, edges) -> int:
     raise AssertionError("a maximal independent set always dominates")
 
 
-def brute_set_cover(ground, sets) -> int | None:
-    """Fewest sets covering the ground set, or None when impossible."""
-    ground = frozenset(ground)
-    for k in range(len(sets) + 1):
-        for combo in combinations(range(len(sets)), k):
-            union = set()
-            for j in combo:
-                union |= set(sets[j])
-            if ground <= union:
-                return k
-    return None
-
-
 def all_graphs(n):
     """Every labeled graph on n vertices, as (n, edge-tuple) pairs."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

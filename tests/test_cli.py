@@ -55,6 +55,15 @@ class TestSolve:
     def test_vertex_limit_exit_3(self, p4_file):
         assert main(["solve", "--vertex-limit", "2", p4_file]) == 3
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_error_exit_3(self, p4_file, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr("pauvc.cli.solve", fail)
+        assert main(["solve", p4_file]) == 3
+        assert f"error: resource limit hit ({error.__name__})" in capsys.readouterr().err
+
     def test_vertex_limit_env(self, p4_file, monkeypatch):
         monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "2")
         assert main(["solve", p4_file]) == 3

@@ -1,20 +1,19 @@
-import math
 import random
 import time
 
 import pytest
 
-from oracles import brute_pau_opt, brute_set_cover, random_edges
+from oracles import brute_pau_opt, random_edges
 from pauvc import (
     Graph,
     LimitExceeded,
     Model,
     PreAssignment,
     VertexSet,
+    gnp_graph,
     include_to_exclude,
     is_feasible,
     mixed_to_exclude,
-    set_cover_dp,
     solve,
     solve_enum,
     solve_fpt_exclude,
@@ -85,25 +84,15 @@ class TestFptSolvers:
             n = rng.randint(1, 9)
             edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
             g = Graph(n, edges)
-            want_inc = solve_enum(g, "include").opt_size
-            want_exc = solve_enum(g, "exclude").opt_size
-            check_result(g, "include", solve_fpt_include(g), want_inc)
-            check_result(g, "exclude", solve_fpt_exclude(g), want_exc)
-
-    def test_refined_matches_unrefined(self):
-        rng = random.Random(313)
-        for _ in range(150):
-            n = rng.randint(1, 8)
-            edges = random_edges(n, rng.uniform(0.2, 0.7), rng)
-            g = Graph(n, edges)
-            assert (
-                solve_fpt_include(g).opt_size
-                == solve_fpt_include(g, refined=False).opt_size
-            )
-            assert (
-                solve_fpt_exclude(g).opt_size
-                == solve_fpt_exclude(g, refined=False).opt_size
-            )
+            for model, solver in (
+                ("include", solve_fpt_include),
+                ("exclude", solve_fpt_exclude),
+            ):
+                want = solve_enum(g, model)
+                got = solver(g)
+                check_result(g, model, got, want.opt_size)
+                # both streams reach the lexicographically smallest optimum
+                assert got.pre == want.pre
 
     def test_complete_graphs(self):
         for n in range(3, 9):
@@ -121,59 +110,17 @@ class TestFptSolvers:
             b = solve_fpt_exclude(g)
             assert a.pre == b.pre and a.unique_cover == b.unique_cover
 
-
-class TestSetCoverDp:
-    def test_against_brute(self):
-        rng = random.Random(331)
-        for _ in range(200):
-            n = rng.randint(0, 9)
-            ground = VertexSet(n, range(n))
-            sets = [
-                VertexSet(n, [v for v in range(n) if rng.random() < 0.4])
-                for _ in range(rng.randint(0, 6))
-            ]
-            tables = set_cover_dp(ground, sets)
-            want = brute_set_cover(range(n), [tuple(s) for s in sets])
-            got = tables.cost_of(ground)
-            if want is None:
-                assert math.isinf(got)
-                assert tables.family_of(ground) is None
-            else:
-                assert got == want
-                family = tables.family_of(ground)
-                union = set()
-                for j in family:
-                    union |= set(sets[j])
-                assert set(range(n)) <= union
-                assert len(family) == want
-
-    def test_subset_queries(self):
-        n = 6
-        ground = VertexSet(n, range(n))
-        sets = [VertexSet(n, [0, 1]), VertexSet(n, [2, 3]), VertexSet(n, [1, 2, 4])]
-        tables = set_cover_dp(ground, sets)
-        assert tables.cost_of(VertexSet(n)) == 0
-        assert tables.cost_of(VertexSet(n, [0, 1])) == 1
-        assert tables.cost_of(VertexSet(n, [0, 4])) == 2
-        assert math.isinf(tables.cost_of(VertexSet(n, [5])))
-
-    def test_elements_outside_ground_ignored(self):
-        ground = VertexSet(4, [0, 1])
-        sets = [VertexSet(4, [0, 3]), VertexSet(4, [1, 2])]
-        tables = set_cover_dp(ground, sets)
-        assert tables.cost_of(VertexSet(4, [0, 1])) == 2
-
-    def test_ground_limit(self):
-        n = 30
-        with pytest.raises(LimitExceeded):
-            set_cover_dp(VertexSet(n, range(n)), [], ground_limit=26)
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            set_cover_dp(VertexSet(3, [0]), [VertexSet(4, [0])])
-        tables = set_cover_dp(VertexSet(3, [0, 1]), [])
-        with pytest.raises(ValueError):
-            tables.cost_of(VertexSet(3, [2]))  # not inside the ground set
+    def test_large_tau_streams_in_both_models(self):
+        # tau 30: building every candidate up front ran out of memory here
+        g = gnp_graph(60, 0.05, 0)
+        results = [
+            solver(g, deadline=time.perf_counter() + 60)
+            for solver in (solve_fpt_include, solve_fpt_exclude)
+        ]
+        assert [r.opt_size for r in results] == [4, 4]
+        for r in results:
+            assert len(r.unique_cover) == 30
+            assert is_feasible(g, r.pre).witness == r.unique_cover
 
 
 class TestConversions:

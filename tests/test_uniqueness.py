@@ -12,9 +12,11 @@ from oracles import (
 )
 from pauvc import (
     Graph,
+    LimitExceeded,
     Model,
     PreAssignment,
     Reason,
+    SolveStats,
     VertexSet,
     has_unique_min_vc,
     is_feasible,
@@ -193,6 +195,25 @@ class TestReduceInstance:
             reduced, expected_tau, _ = reduce_instance(g, pa)
             unique, sol = has_unique_min_vc(reduced)
             assert unique and sol.tau == expected_tau, (n, edges, pa)
+
+    def test_one_probe_worth_of_work(self):
+        # reduce_instance finds tau once, as is_feasible does
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        pa = PreAssignment.including(VertexSet(4, [0]))
+        checked, reduced = SolveStats(), SolveStats()
+        is_feasible(p4, pa, stats=checked)
+        reduce_instance(p4, pa, stats=reduced)
+        assert reduced.nodes_explored == checked.nodes_explored
+        assert reduced.uvc_calls == checked.uvc_calls == 1
+
+    def test_checks_universe_and_vertex_limit(self):
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            reduce_instance(g, PreAssignment.including(VertexSet(4, [0])))
+        with pytest.raises(LimitExceeded):
+            reduce_instance(
+                g, PreAssignment.including(VertexSet(3, [0])), vertex_limit=2
+            )
 
     def test_infeasible_rejected(self):
         g = Graph(2, [(0, 1)])
