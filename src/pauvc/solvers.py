@@ -36,7 +36,10 @@ contains the lexicographically smallest minimum feasible pre-assignment.
   feasible; and a vertex of E may be traded for the lowest-id vertex with
   its neighbourhood, which lies outside L too.  That trade makes the
   sorted vertex list smaller, so the lexicographically smallest E uses
-  pool vertices only.
+  pool vertices only.  A candidate with a member u whose neighbourhood
+  the rest of it already covers is skipped unprobed: dropping u keeps the
+  same consistent covers, so were it feasible, the stream would have
+  stopped one size earlier.
 
 So the first feasible candidate has the optimum size and is the witness
 :func:`solve_enum` returns for the same graph.  Mixed-model
@@ -245,6 +248,19 @@ def _candidate_stream(
         yield from sorted(batch, key=lambda m: tuple(_bits(m)))
 
 
+def _has_redundant_member(adj: tuple[int, ...], cand: int) -> bool:
+    """Whether some u in cand has N(u) inside the neighbourhood of the rest."""
+    members = list(_bits(cand))
+    for u in members:
+        rest = 0
+        for x in members:
+            if x != u:
+                rest |= adj[x]
+        if not adj[u] & ~rest:
+            return True
+    return False
+
+
 def _solve_fpt(
     g: Graph, model: Model, vertex_limit: int | None, deadline: float | None
 ) -> PauResult:
@@ -256,6 +272,8 @@ def _solve_fpt(
     tau, _ = found
     leaves = _branch_leaves(g.adj, g.full_mask, tau, stats)
     for cand in _candidate_stream(g, model, leaves, stats):
+        if model is Model.EXCLUDE and _has_redundant_member(g.adj, cand):
+            continue
         inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
         ok, cover, _ = _check_pre_assignment(g.adj, g.n, tau, inc, exc, stats)
         if ok:

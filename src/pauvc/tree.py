@@ -1,17 +1,45 @@
-"""Polynomial-ish solver for pre-assignments on trees.
+"""Linear-time solver for pre-assignments on trees.
 
-A subtree either already has a unique minimum cover (cost 0) or some
-vertex of an optimal pre-assignment can be committed first: committing v
-in the include model keeps the instance minimum-consistent exactly when
-the rest of the tree still covers with one vertex fewer, and in the
-exclude model exactly when deleting the closed neighborhood costs |N(v)|
-cover vertices.  Either commitment splits the tree into independent
-components, so the optimum is 1 plus the component optima, minimized over
-all admissible first commitments.  Components repeat across branches,
-hence the memo on vertex subsets.
+Root the tree at vertex 0 and write T_v for the subtree of v.  For a status
+b of v (0: out of the cover, 1: in it), m_b(v) is the size of a smallest
+cover of T_v in which v has status b:
 
-Cover counts are tracked capped at two: the solver only ever needs
-"unique or not", and the cap keeps the per-subtree check linear.
+    m_0(v) = sum over children w of m_1(w)
+    m_1(v) = 1 + sum over children w of min(m_0(w), m_1(w))
+
+Restriction argument: a minimum cover C of the whole tree, restricted to
+T_v, is a smallest cover of T_v for v's status in C.  Otherwise a smaller
+one with the same status of v could replace it: the only edge leaving T_v
+is v's edge to its parent, whose coverage depends on v alone, so the
+result would be a smaller cover of the tree.  Hence the minimum covers of
+the tree are assembled from smallest subtree covers, and counting them
+composes.  Let c_b(v) be the number of covers of T_v of size m_b(v) with v
+of status b that agree with the pins inside T_v, capped at 2 (the solver
+only asks "exactly one or not", and capped products and sums stay exact
+under that question):
+
+    c_0(v) = product over children w of c_1(w)
+    c_1(v) = product over children w of s(w),
+             s(w) = sum of c_b(w) over the b with m_b(w) = min(m_0(w), m_1(w))
+
+Pinning v comes after its children are merged: in the include model it
+sets c_0(v) = 0, in the exclude model c_1(v) = 0.  The table of T_v maps
+each reachable pair (c_0, c_1) to the fewest pins inside T_v that reach it,
+with one witness.  A child enters its parent only through the pair
+(c_1(w), s(w)), so its table is projected onto that pair first.  The pair
+(0, 0) is dropped, since it stays (0, 0) up to the root.  At the root,
+tau = min(m_0, m_1), and a pin set is feasible exactly when the sum of c_b
+over the b with m_b = tau is 1; the cheapest such entry is the optimum.
+
+A table has at most eight entries, so merging a child takes O(1) table
+steps and the pass is linear in table steps; a witness is a bit mask, so
+each union also costs O(n/64) machine words.  Among entries with equal pin
+counts the table keeps the lexicographically smaller sorted vertex list:
+the lowest vertex two masks do not share lies in the smaller one.  Two
+candidates for one entry that agree outside a subtree compare as their
+parts inside it do, so keeping the smaller part is exact, and the answer
+is the lexicographically smallest optimum.  Mixed-model instances are
+answered in the exclude model, which has the same optimum.
 """
 
 from __future__ import annotations
@@ -33,149 +61,99 @@ class TreeAnswer:
     witness: PreAssignment
 
 
-def _components(adj: tuple[int, ...], mask: int) -> list[int]:
-    out = []
-    rest = mask
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v] & mask
-            frontier = grown & ~comp
-            comp |= frontier
-        out.append(comp)
-        rest &= ~comp
-    return out
+def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
+    """Store (cost, mask) at key unless the entry there is at least as good.
 
-
-def _cover_info(adj: tuple[int, ...], mask: int) -> tuple[int, int, int]:
-    """(tau, count capped at 2, one minimum cover) of a connected subtree."""
-    root = (mask & -mask).bit_length() - 1
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for w in _bits(adj[v] & mask):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    # inc: best cover of the subtree at v that contains v; exc: one that
-    # does not (children then have no choice).
-    inc: dict[int, tuple[int, int, int]] = {}
-    exc: dict[int, tuple[int, int, int]] = {}
-    for v in reversed(order):
-        isz, icnt, imask = 1, 1, 1 << v
-        esz, ecnt, emask = 0, 1, 0
-        for w in _bits(adj[v] & mask):
-            if w == parent[v]:
-                continue
-            ws, wc, wm = inc[w]
-            xs, xc, xm = exc[w]
-            if ws < xs:
-                isz += ws
-                icnt = min(2, icnt * wc)
-                imask |= wm
-            elif xs < ws:
-                isz += xs
-                icnt = min(2, icnt * xc)
-                imask |= xm
-            else:
-                isz += ws
-                icnt = 2
-                imask |= wm
-            esz += ws
-            ecnt = min(2, ecnt * wc)
-            emask |= wm
-        inc[v] = (isz, icnt, imask)
-        exc[v] = (esz, ecnt, emask)
-    isz, icnt, imask = inc[root]
-    esz, ecnt, emask = exc[root]
-    if isz < esz:
-        return isz, icnt, imask
-    if esz < isz:
-        return esz, ecnt, emask
-    return isz, 2, imask
+    Fewer pins win; with as many pins, the smaller sorted vertex list wins,
+    which is the mask holding the lowest vertex the two do not share.
+    """
+    old = table.get(key)
+    if old is not None:
+        if cost > old[0]:
+            return
+        diff = mask ^ old[1]
+        if cost == old[0] and not mask & diff & -diff:
+            return
+    table[key] = (cost, mask)
 
 
 def pau_tree(
     t: Graph,
     model: Model | str,
     *,
-    memoize: bool = True,
     stats: SolveStats | None = None,
 ) -> TreeAnswer:
     """Optimum pre-assignment for a connected tree under the given model.
 
     Raises ValueError when the graph is not a connected tree.  The witness
-    is deterministic, preferring lexicographically smaller vertex lists
-    among equal-cost branch choices.  Mixed-model instances are answered
-    in the exclude model, which has the same optimum.
+    is the optimum pre-assignment with the lexicographically smallest
+    sorted vertex list, the one :func:`solve_enum` returns.  Mixed-model
+    instances are answered in the exclude model, which has the same
+    optimum.  Each vertex counts as one search node, so a deadline in
+    ``stats`` is honoured.
     """
     model = Model(model)
     if t.n == 0 or classify(t).kind is not GraphKind.TREE:
         raise ValueError("input graph is not a connected tree")
     if model is Model.MIXED:
-        sub = pau_tree(t, Model.EXCLUDE, memoize=memoize, stats=stats)
+        sub = pau_tree(t, Model.EXCLUDE, stats=stats)
         wrapped = PreAssignment.mixed(VertexSet(t.n), sub.witness.exclude)
         return TreeAnswer(sub.tau, sub.opt, wrapped)
     if stats is None:
         stats = SolveStats()
-    adj = t.adj
     include = model is Model.INCLUDE
-    vc_memo: dict[int, tuple[int, int, int]] = {}
-    memo: dict[int, tuple[int, int]] = {}
-
-    def cover_info(mask: int) -> tuple[int, int, int]:
-        got = vc_memo.get(mask)
-        if got is None:
-            got = vc_memo[mask] = _cover_info(adj, mask)
-        return got
-
-    def best_for(mask: int) -> tuple[int, int]:
-        """(optimum size, witness mask) for one connected subtree."""
-        if memoize and mask in memo:
-            return memo[mask]
+    adj = t.adj
+    n = t.n
+    children: list[list[int]] = [[] for _ in range(n)]
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in _bits(adj[v]):
+            if w != parent[v]:
+                parent[w] = v
+                children[v].append(w)
+                order.append(w)
+    m0 = [0] * n
+    m1 = [0] * n
+    tables: list[dict | None] = [None] * n
+    for v in reversed(order):
         _node(stats)
-        tau, count, _ = cover_info(mask)
-        if count == 1:
-            answer = (0, 0)
-        elif mask.bit_count() == 2:
-            answer = (1, mask & -mask)
-        else:
-            best: tuple[int, tuple[int, ...], int] | None = None
-            for v in _bits(mask):
-                if include:
-                    rest = mask & ~(1 << v)
-                    need = tau - 1
-                else:
-                    nv = adj[v] & mask
-                    rest = mask & ~(1 << v) & ~nv
-                    need = tau - nv.bit_count()
-                if need < 0:
-                    continue
-                comps = _components(adj, rest)
-                if sum(cover_info(c)[0] for c in comps) != need:
-                    continue
-                total = 1
-                witness = 1 << v
-                for c in comps:
-                    sub_opt, sub_witness = best_for(c)
-                    total += sub_opt
-                    witness |= sub_witness
-                entry = (total, tuple(_bits(witness)), witness)
-                if best is None or entry[:2] < best[:2]:
-                    best = entry
-            assert best is not None, "every ambiguous subtree has a branch"
-            answer = (best[0], best[2])
-        if memoize:
-            memo[mask] = answer
-        return answer
-
-    full = t.full_mask
-    tau, _, _ = cover_info(full)
-    opt, witness_mask = best_for(full)
-    members = VertexSet.from_mask(t.n, witness_mask)
+        out_size, in_size = 0, 1
+        table = {(1, 1): (0, 0)}
+        for w in children[v]:
+            w0, w1 = m0[w], m1[w]
+            lo = min(w0, w1)
+            out_size += w1
+            in_size += lo
+            projected: dict = {}
+            for (b0, b1), (cost, mask) in tables[w].items():
+                s = min(2, (b0 if w0 == lo else 0) + (b1 if w1 == lo else 0))
+                if b1 or s:
+                    _offer(projected, (b1, s), cost, mask)
+            tables[w] = None
+            merged: dict = {}
+            for (a0, a1), (cost, mask) in table.items():
+                for (b1, s), (wcost, wmask) in projected.items():
+                    key = (min(2, a0 * b1), min(2, a1 * s))
+                    if key != (0, 0):
+                        _offer(merged, key, cost + wcost, mask | wmask)
+            table = merged
+        pinned = dict(table)
+        for (c0, c1), (cost, mask) in table.items():
+            key = (0, c1) if include else (c0, 0)
+            if key != (0, 0):
+                _offer(pinned, key, cost + 1, mask | 1 << v)
+        tables[v] = pinned
+        m0[v], m1[v] = out_size, in_size
+    tau = min(m0[0], m1[0])
+    final: dict = {}
+    for (c0, c1), (cost, mask) in tables[0].items():
+        if (c0 if m0[0] == tau else 0) + (c1 if m1[0] == tau else 0) == 1:
+            _offer(final, (1, 1), cost, mask)
+    # Pinning a minimum cover (include) or its complement (exclude) is
+    # always feasible, so some entry counts exactly one cover.
+    opt, witness = final[1, 1]
+    members = VertexSet.from_mask(n, witness)
     if include:
         pre = PreAssignment.including(members)
     else:
@@ -207,7 +185,9 @@ def count_rooted_i_subtrees(t: Graph, root: int) -> int:
     Starting from the whole tree, any internal vertex other than the root
     may be deleted, keeping the component that still contains the root.
     Counted up to rooted isomorphism, this is exactly the number of
-    distinct subproblem shapes the tree solver can meet below the root.
+    distinct subproblem shapes the paper's branching tree algorithm can
+    meet below the root; its bound of 2^(n/2) gives that algorithm's
+    O(1.4143^n) running time.
     """
     if t.n == 0 or classify(t).kind is not GraphKind.TREE:
         raise ValueError("input graph is not a connected tree")

@@ -1,7 +1,7 @@
 """Slow, independent reference implementations for cross-checking.
 
-Everything here works on plain (n, edges) pairs with sets and itertools,
-deliberately sharing no code with the package under test.
+Everything here works on plain (n, edges) pairs with sets, itertools and
+bit masks, deliberately sharing no code with the package under test.
 """
 
 from __future__ import annotations
@@ -95,3 +95,128 @@ def random_edges(n, p, rng):
         for v in range(u + 1, n)
         if rng.random() < p
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's exponential tree algorithm, kept as a differential oracle for
+# the linear-time tree solver.  It works on adjacency bit masks of its own.
+
+
+def _mask_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_components(adj, mask):
+    out = []
+    rest = mask
+    while rest:
+        comp = rest & -rest
+        frontier = comp
+        while frontier:
+            grown = 0
+            for v in _mask_bits(frontier):
+                grown |= adj[v] & mask
+            frontier = grown & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def _subtree_cover(adj, mask):
+    """(tau, number of minimum covers capped at 2) of a connected subtree."""
+    root = (mask & -mask).bit_length() - 1
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in _mask_bits(adj[v] & mask):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    inc = {}  # v -> (size, count) of the best cover of T_v holding v
+    exc = {}  # v -> (size, count) of the best cover of T_v avoiding v
+    for v in reversed(order):
+        isz, icnt = 1, 1
+        esz, ecnt = 0, 1
+        for w in _mask_bits(adj[v] & mask):
+            if w == parent[v]:
+                continue
+            (ws, wc), (xs, xc) = inc[w], exc[w]
+            isz += min(ws, xs)
+            if ws == xs:
+                icnt = 2
+            else:
+                icnt = min(2, icnt * (wc if ws < xs else xc))
+            esz += ws
+            ecnt = min(2, ecnt * wc)
+        inc[v] = (isz, icnt)
+        exc[v] = (esz, ecnt)
+    (isz, icnt), (esz, ecnt) = inc[root], exc[root]
+    if isz != esz:
+        return min(isz, esz), icnt if isz < esz else ecnt
+    return isz, 2
+
+
+def branching_tree_pau(n, edges, model):
+    """(tau, optimum, witness mask) of a tree by branching on first pins.
+
+    A subtree with a unique minimum cover needs no pin.  Otherwise some pin
+    v comes first: in the include model the rest must still cover with
+    tau - 1 vertices, in the exclude model deleting N[v] must cost exactly
+    |N(v)|.  Either splits the tree into independent components, solved
+    recursively with a memo on vertex subsets.  O(1.4143^n) by the paper's
+    rooted-subtree bound.  Among optimal pin sets the witness has the
+    lexicographically smallest sorted vertex list.
+    """
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    include = model == "include"
+    covers = {}
+    memo = {}
+
+    def cover(mask):
+        if mask not in covers:
+            covers[mask] = _subtree_cover(adj, mask)
+        return covers[mask]
+
+    def best_for(mask):
+        if mask in memo:
+            return memo[mask]
+        tau, count = cover(mask)
+        if count == 1:
+            answer = (0, 0)
+        elif mask.bit_count() == 2:
+            answer = (1, mask & -mask)
+        else:
+            best = None
+            for v in _mask_bits(mask):
+                if include:
+                    rest = mask & ~(1 << v)
+                    need = tau - 1
+                else:
+                    nv = adj[v] & mask
+                    rest = mask & ~(1 << v) & ~nv
+                    need = tau - nv.bit_count()
+                comps = _mask_components(adj, rest)
+                if need < 0 or sum(cover(c)[0] for c in comps) != need:
+                    continue
+                total, witness = 1, 1 << v
+                for c in comps:
+                    sub_opt, sub_witness = best_for(c)
+                    total += sub_opt
+                    witness |= sub_witness
+                entry = (total, tuple(_mask_bits(witness)), witness)
+                if best is None or entry[:2] < best[:2]:
+                    best = entry
+            answer = (best[0], best[2])
+        memo[mask] = answer
+        return answer
+
+    full = (1 << n) - 1
+    opt, witness = best_for(full)
+    return cover(full)[0], opt, witness

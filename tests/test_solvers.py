@@ -4,6 +4,7 @@ import time
 import pytest
 
 from oracles import brute_pau_opt, random_edges
+import pauvc.solvers
 from pauvc import (
     Graph,
     LimitExceeded,
@@ -14,6 +15,7 @@ from pauvc import (
     include_to_exclude,
     is_feasible,
     mixed_to_exclude,
+    random_tree,
     solve,
     solve_enum,
     solve_fpt_exclude,
@@ -217,6 +219,35 @@ class TestDispatcher:
                 want = brute_pau_opt(n1, e1, model) + brute_pau_opt(n2, e2, model)
                 result = solve(g, model, "fpt")
                 check_result(g, model, result, want)
+
+    def test_forest_components_take_tree_route(self, monkeypatch):
+        calls = []
+        real_pau_tree = pauvc.solvers.pau_tree
+
+        def counting_pau_tree(t, model, **kwargs):
+            calls.append(t.n)
+            return real_pau_tree(t, model, **kwargs)
+
+        monkeypatch.setattr(pauvc.solvers, "pau_tree", counting_pau_tree)
+        rng = random.Random(367)
+        for _ in range(40):
+            parts = rng.randint(2, 4)
+            sizes = [rng.randint(1, 14 // parts) for _ in range(parts)]
+            perm = list(range(sum(sizes)))
+            rng.shuffle(perm)
+            edges = []
+            offset = 0
+            for size in sizes:
+                part = random_tree(size, rng.randint(0, 2 ** 32 - 1))
+                for u, v in part.edges():
+                    edges.append((perm[u + offset], perm[v + offset]))
+                offset += size
+            g = Graph(offset, edges)
+            for model in MODELS:
+                calls.clear()
+                result = solve(g, model, "auto")
+                assert sorted(calls) == sorted(sizes)
+                check_result(g, model, result, solve_enum(g, model).opt_size)
 
     def test_mixed_reported_as_mixed(self):
         g = Graph(2, [(0, 1)])

@@ -1,11 +1,14 @@
 import random
+import time
 
 import pytest
 
-from oracles import brute_pau_opt, brute_tau
+from oracles import branching_tree_pau, brute_pau_opt, brute_tau
 from pauvc import (
     Graph,
+    LimitExceeded,
     Model,
+    SolveStats,
     count_rooted_i_subtrees,
     is_feasible,
     pau_tree,
@@ -42,7 +45,9 @@ class TestPauTree:
             n = rng.randint(10, 13)
             t = random_tree_edges(n, rng)
             for model in MODELS:
-                assert pau_tree(t, model).opt == solve_enum(t, model).opt_size
+                answer = pau_tree(t, model)
+                want = solve_enum(t, model)
+                assert (answer.opt, answer.witness) == (want.opt_size, want.pre)
 
     def test_base_cases(self):
         single = Graph(1, [])
@@ -82,15 +87,19 @@ class TestPauTree:
         assert a.witness.model is Model.MIXED
         assert not a.witness.include
 
-    def test_memoize_flag_same_answers(self):
+    def test_against_branching_oracle(self):
         rng = random.Random(421)
-        for _ in range(30):
-            n = rng.randint(1, 8)
+        for _ in range(40):
+            n = rng.randint(15, 20)
             t = random_tree_edges(n, rng)
             for model in ("include", "exclude"):
-                fast = pau_tree(t, model)
-                slow = pau_tree(t, model, memoize=False)
-                assert (fast.opt, fast.witness) == (slow.opt, slow.witness)
+                tau, opt, witness = branching_tree_pau(n, t.edges(), model)
+                answer = pau_tree(t, model)
+                got = (answer.tau, answer.opt, answer.witness.size())
+                assert got == (tau, opt, opt), (t.edges(), model)
+                assert is_feasible(t, answer.witness).feasible
+                members = answer.witness.include | answer.witness.exclude
+                assert members.mask == witness
 
     def test_rejects_non_trees(self):
         with pytest.raises(ValueError):
@@ -99,6 +108,25 @@ class TestPauTree:
             pau_tree(Graph(4, [(0, 1), (2, 3)]), "include")  # forest
         with pytest.raises(ValueError):
             pau_tree(Graph(0, []), "include")
+
+
+class TestTreeScale:
+    def test_ten_thousand_vertices_without_recursion(self):
+        n = 10_000
+        path = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        for t in (path, random_tree(n, 3), random_tree(n, 4)):
+            answers = [pau_tree(t, model) for model in MODELS]
+            assert len({(a.tau, a.opt) for a in answers}) == 1
+            assert all(a.witness.size() == a.opt for a in answers)
+        # an even path has n/2 + 1 minimum covers; pinning an end fixes one
+        path_answer = pau_tree(path, "include")
+        assert (path_answer.tau, path_answer.opt) == (n // 2, 1)
+
+    def test_expired_deadline_raises(self):
+        t = random_tree(2048, 5)
+        for model in ("include", "exclude"):
+            with pytest.raises(LimitExceeded):
+                pau_tree(t, model, stats=SolveStats(time.perf_counter() - 1))
 
 
 class TestRootedISubtrees:
