@@ -1,11 +1,15 @@
 """Uniqueness of minimum vertex covers and pre-assignment feasibility.
 
 A pre-assignment is feasible when exactly one minimum vertex cover is
-consistent with it.  Both checks reduce to bounded cover searches: a second
-minimum cover avoiding v exists iff the graph minus the closed neighborhood
-of v still has a cover of size tau - deg(v), and a pre-assignment pins the
-instance down iff the graph minus the forced vertices has a unique minimum
-cover of the matching residual size.
+consistent with it.  Both checks reduce to bounded cover searches.  A
+pre-assignment pins the instance down iff the graph minus the forced
+vertices has a unique minimum cover of the matching residual size.  A known
+minimum cover C is unique iff no search off C's path finds another: walk
+the take-v / take-N(v) branching tree along the branches C takes, and at
+each step search the other branch once for a cover that still reaches tau.
+Every other minimum cover leaves C's path at some first step and lives in
+that step's other branch, so one search per step decides uniqueness, and
+each search runs on the residual graph of the path so far.
 """
 
 from __future__ import annotations
@@ -59,20 +63,38 @@ def _unique_min_cover(
 ) -> bool:
     """True iff the given minimum cover of the active subgraph is unique.
 
-    A different minimum cover avoids some v of this one, and then it must
-    contain N(v); so one exists iff for some v the graph minus N[v] still
-    has a cover of size tau - deg(v).
+    Walks the cover down one path of the take-v / take-N(v) branching tree,
+    always on a lowest-id maximum-degree vertex v: the path follows the
+    cover's branch, and the other branch gets one bounded search for a
+    cover that still reaches tau.  A hit is a second minimum cover, since
+    it disagrees with the given one on v.  Conversely, every other minimum
+    cover disagrees with the given one on the first path vertex where their
+    branches part, so that step's search finds one.  None follows the whole
+    path: the vertices the path takes form a cover inside the given one,
+    hence all of it, and a minimum cover containing them is the given one.
     """
-    scan = cover
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        v = low.bit_length() - 1
-        nb = adj[v] & active
-        rest = active & ~nb & ~low
-        if _bounded_cover(adj, rest, tau - nb.bit_count(), stats) is not None:
+    k = tau
+    while True:
+        best_v = -1
+        best_d = 0
+        scan = active
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & active).bit_count()
+            if d > best_d:
+                best_d = d
+                best_v = v
+        if best_v < 0:
+            return True
+        bit = 1 << best_v
+        nb = adj[best_v] & active
+        taken = (active ^ bit, k - 1)
+        skipped = (active & ~(nb | bit), k - nb.bit_count())
+        (active, k), other = (taken, skipped) if cover & bit else (skipped, taken)
+        if _bounded_cover(adj, *other, stats) is not None:
             return False
-    return True
 
 
 def _check_pre_assignment(

@@ -193,15 +193,26 @@ def _min_cover(
     stats: SolveStats,
     upper: int | None = None,
 ) -> tuple[int, int] | None:
-    """(tau, cover mask) of the active subgraph; None when tau > upper."""
-    k = _matching_lb(adj, active)
+    """(tau, cover mask) of the active subgraph; None when tau > upper.
+
+    Searches downward: a greedy dive with the whole budget finds a first
+    cover, and each further search asks for a cover one smaller than the
+    best so far.  Searches above tau stop at their first leaf, so only the
+    last one, which fails at tau - 1, has to refute.  When the best cover
+    reaches the greedy packing bound no smaller cover exists, and that
+    refutation is skipped too.
+    """
     cap = active.bit_count() if upper is None else min(upper, active.bit_count())
-    while k <= cap:
-        cover = _bounded_cover(adj, active, k, stats)
-        if cover is not None:
-            return k, cover
-        k += 1
-    return None
+    best = _bounded_cover(adj, active, cap, stats)
+    if best is None:
+        return None
+    floor = _matching_lb(adj, active)
+    while best.bit_count() > floor:
+        smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats)
+        if smaller is None:
+            break
+        best = smaller
+    return best.bit_count(), best
 
 
 def _lex_min_cover(adj: tuple[int, ...], n: int, tau: int, stats: SolveStats) -> int:
@@ -259,7 +270,9 @@ def min_vertex_cover_bipartite(
 ) -> VcSolution:
     """Minimum vertex cover of a bipartite graph via maximum matching.
 
-    Finds a maximum matching with augmenting paths and extracts the cover
+    Finds a maximum matching with single-path augmentation (Kuhn's
+    algorithm, one depth-first search per free left vertex, iterative so
+    long paths cannot exhaust the call stack) and extracts the cover
     from the alternating-reachability split, so tau equals the matching
     size.  The returned cover is deterministic but not the lexicographic
     minimum; sizes always agree with :func:`min_vertex_cover`.
@@ -278,20 +291,34 @@ def min_vertex_cover_bipartite(
 
     match: dict[int, int] = {}  # vertex -> matched partner, both directions
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for w in _bits(g.neighbors_mask(u)):
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match or augment(match[w], visited):
-                match[u] = w
-                match[w] = u
-                return True
-        return False
+    def augment(root: int) -> None:
+        # Depth-first search for an augmenting path from a free left vertex,
+        # on an explicit stack: stack[i] is the left vertex at depth i and
+        # path[i] the right vertex it currently tries.
+        visited: set[int] = set()
+        stack = [(root, _bits(g.neighbors_mask(root)))]
+        path: list[int] = []
+        while stack:
+            for w in stack[-1][1]:
+                if w in visited:
+                    continue
+                visited.add(w)
+                path.append(w)
+                if w not in match:
+                    for (u, _), x in zip(stack, path):
+                        match[u] = x
+                        match[x] = u
+                    return
+                stack.append((match[w], _bits(g.neighbors_mask(match[w]))))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
 
     for u in _bits(left.mask):
         if u not in match:
-            augment(u, set())
+            augment(u)
     nu = sum(1 for v in match if v in left)
 
     # Alternating reachability from the unmatched left vertices.

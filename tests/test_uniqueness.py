@@ -8,6 +8,7 @@ from oracles import (
     brute_feasible,
     brute_min_covers,
     brute_tau,
+    consistent,
     random_edges,
 )
 from pauvc import (
@@ -18,8 +19,10 @@ from pauvc import (
     Reason,
     SolveStats,
     VertexSet,
+    gnp_graph,
     has_unique_min_vc,
     is_feasible,
+    min_vertex_cover,
     reduce_instance,
 )
 
@@ -61,6 +64,48 @@ class TestHasUniqueMinVc:
         empty = Graph(0, [])
         unique, sol = has_unique_min_vc(empty)
         assert unique and sol.tau == 0
+
+
+class TestAgainstBruteForce:
+    """The downward tau search and the second-cover walk on mid-size graphs.
+
+    Pre-assignments are drawn as the dense benchmark draws them: a subset of
+    one minimum cover (include) or of its complement (exclude), so every
+    check is minimum-consistent and reaches the uniqueness walk.
+    """
+
+    def test_random_graphs(self):
+        rng = random.Random(307)
+        for _ in range(150):
+            n = rng.randint(9, 14)
+            edges = random_edges(n, rng.uniform(0.2, 0.6), rng)
+            g = Graph(n, edges)
+            covers = brute_min_covers(n, edges)
+            tau = len(covers[0])
+            unique, sol = has_unique_min_vc(g)
+            assert unique == (len(covers) == 1) and sol.tau == tau, (n, edges)
+            assert frozenset(sol.cover) in covers
+            assert min_vertex_cover(g, bound=tau - 1) is None
+            assert min_vertex_cover(g, bound=tau).tau == tau
+            for _ in range(6):
+                chosen = rng.choice(covers)
+                if rng.random() < 0.5:
+                    pool, make = sorted(chosen), PreAssignment.including
+                else:
+                    pool = [v for v in range(n) if v not in chosen]
+                    make = PreAssignment.excluding
+                if not pool:
+                    continue
+                picked = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+                pa = make(VertexSet(n, picked))
+                inc, exc = set(pa.include), set(pa.exclude)
+                hits = [c for c in covers if consistent(c, inc, exc)]
+                report = is_feasible(g, pa)
+                assert report.feasible == (len(hits) == 1), (n, edges, pa)
+                if report.feasible:
+                    assert frozenset(report.witness) == hits[0]
+                else:
+                    assert report.reason is Reason.NOT_UNIQUE
 
 
 class TestIsFeasible:
@@ -149,6 +194,16 @@ class TestIsFeasible:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
             is_feasible(g, PreAssignment.including(VertexSet(4, [0])))
+
+    def test_dense_feasible_probe_work(self):
+        # tau 36; the upward tau search plus one bounded search per cover
+        # vertex explored 1,041 nodes here, the downward search and the
+        # single walk 285.
+        g = gnp_graph(50, 0.25, 0)
+        pa = PreAssignment.including(VertexSet(50, [22, 27, 34, 41, 42]))
+        stats = SolveStats()
+        assert is_feasible(g, pa, stats=stats).feasible
+        assert stats.nodes_explored <= 1041 // 2
 
 
 class TestReduceInstance:

@@ -112,6 +112,18 @@ class TestBipartite:
         sol = min_vertex_cover_bipartite(g, classify(g).parts)
         assert sol.tau == 3
 
+    def test_long_path_split_by_parity(self):
+        # Each failed augmenting search from vertex 2i walks back through
+        # all earlier pairs, so a recursive search overflows the call stack.
+        n = 3000
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        even = g.vertex_set(range(0, n, 2))
+        odd = g.vertex_set(range(1, n, 2))
+        for parts in ((even, odd), (odd, even)):
+            sol = min_vertex_cover_bipartite(g, parts)
+            assert sol.tau == 1500
+            assert is_vertex_cover(g, sol.cover)
+
 
 class TestEnumerate:
     def test_exhaustive_small(self):
