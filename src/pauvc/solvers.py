@@ -12,7 +12,7 @@ vertices: each left the branching either as a vertex whose neighbours were
 all forced, or as an isolated vertex.  So an outside vertex that is not
 isolated in the graph has all its neighbours in F.
 
-Both strategies probe one stream of candidates, ordered by size
+Both strategies decide one stream of candidates, ordered by size
 k = 0, 1, 2, ... across all leaves and by sorted vertex list within one
 size, and return the first feasible one.  A leaf's size-k candidates are a
 selection of one endpoint per matching edge (all 2^p of them) together
@@ -36,10 +36,20 @@ contains the lexicographically smallest minimum feasible pre-assignment.
   feasible; and a vertex of E may be traded for the lowest-id vertex with
   its neighbourhood, which lies outside L too.  That trade makes the
   sorted vertex list smaller, so the lexicographically smallest E uses
-  pool vertices only.  A candidate with a member u whose neighbourhood
-  the rest of it already covers is skipped unprobed: dropping u keeps the
-  same consistent covers, so were it feasible, the stream would have
-  stopped one size earlier.
+  pool vertices only.
+
+No candidate needs a search.  The leaves partition the minimum covers, and
+the covers extending leaf L' = (F', p edges) are F' plus one endpoint per
+edge, never a vertex outside F' and the matched set M'.  So the number of
+minimum covers consistent with a candidate is a sum over leaves.  An
+include set I meets a cover of L' only if I lies inside F' | M' and holds
+no edge whole; then each edge I touches has its endpoint fixed and each
+other edge is free, so L' adds 2^(edges I does not touch).  An exclude set
+E avoids a cover of L' only if E misses F' and holds no edge whole; then
+each edge E touches must take its other endpoint, and L' again adds 2^(edges
+E does not touch).  The candidate is feasible iff the sum is exactly 1, and
+the one cover is F' plus the endpoints in I, or F' plus the endpoints
+outside E.
 
 So the first feasible candidate has the optimum size and is the witness
 :func:`solve_enum` returns for the same graph.  Mixed-model
@@ -195,15 +205,24 @@ def solve_enum(
 # Fixed-parameter strategies via branching to matchings.
 
 
-def _leaf_pool(
-    g: Graph, model: Model, forced: int, pairs: tuple[tuple[int, int], ...]
-) -> list[int]:
+_LeafRow = tuple[int, int, tuple[int, ...]]
+
+
+def _leaf_table(
+    leaves: list[tuple[int, tuple[tuple[int, int], ...]]],
+) -> list[_LeafRow]:
+    """Per leaf: the forced mask, the matched mask and each edge's two bits."""
+    table = []
+    for forced, pairs in leaves:
+        edges = tuple((1 << a) | (1 << b) for a, b in pairs)
+        table.append((forced, sum(edges), edges))
+    return table
+
+
+def _leaf_pool(g: Graph, model: Model, forced: int, matched: int) -> list[int]:
     """The single-bit masks a leaf's candidates draw on beyond a selection."""
     if model is Model.INCLUDE:
         return [1 << v for v in _bits(forced)]
-    matched = 0
-    for a, b in pairs:
-        matched |= (1 << a) | (1 << b)
     pool = []
     seen: set[int] = set()
     for u in _bits(g.full_mask & ~forced & ~matched):
@@ -215,10 +234,7 @@ def _leaf_pool(
 
 
 def _candidate_stream(
-    g: Graph,
-    model: Model,
-    leaves: list[tuple[int, tuple[tuple[int, int], ...]]],
-    stats: SolveStats,
+    g: Graph, model: Model, table: list[_LeafRow], stats: SolveStats
 ) -> Iterator[int]:
     """Candidate masks by size, each size sorted by vertex list.
 
@@ -229,18 +245,19 @@ def _candidate_stream(
     expanded: dict[int, tuple[list[int], list[int]]] = {}
     for k in range(g.n + 1):
         batch: set[int] = set()
-        for i, (forced, pairs) in enumerate(leaves):
-            if len(pairs) > k:
+        for i, (forced, matched, edges) in enumerate(table):
+            if len(edges) > k:
                 continue
             if i not in expanded:
                 selections = [0]
-                for a, b in pairs:
+                for e in edges:
+                    low = e & -e
                     selections = [
-                        s | pick for s in selections for pick in (1 << a, 1 << b)
+                        s | pick for s in selections for pick in (low, e ^ low)
                     ]
-                expanded[i] = (selections, _leaf_pool(g, model, forced, pairs))
+                expanded[i] = (selections, _leaf_pool(g, model, forced, matched))
             selections, pool = expanded[i]
-            for combo in combinations(pool, k - len(pairs)):
+            for combo in combinations(pool, k - len(edges)):
                 rest = sum(combo)  # distinct single bits, so the sum is their union
                 for sel in selections:
                     _node(stats)
@@ -248,17 +265,26 @@ def _candidate_stream(
         yield from sorted(batch, key=lambda m: tuple(_bits(m)))
 
 
-def _has_redundant_member(adj: tuple[int, ...], cand: int) -> bool:
-    """Whether some u in cand has N(u) inside the neighbourhood of the rest."""
-    members = list(_bits(cand))
-    for u in members:
-        rest = 0
-        for x in members:
-            if x != u:
-                rest |= adj[x]
-        if not adj[u] & ~rest:
-            return True
-    return False
+def _decide(table: list[_LeafRow], model: Model, cand: int) -> int | None:
+    """The unique minimum cover consistent with cand, or None if not unique.
+
+    Counts the consistent minimum covers leaf by leaf, as the module
+    docstring derives, and stops as soon as the count passes 1.
+    """
+    found = None
+    for forced, matched, edges in table:
+        if model is Model.INCLUDE:
+            if cand & ~(forced | matched):
+                continue
+        elif cand & forced:
+            continue
+        if any(cand & e == e for e in edges):
+            continue
+        touched = cand & matched
+        if found is not None or touched.bit_count() < len(edges):
+            return None
+        found = forced | (touched if model is Model.INCLUDE else matched ^ touched)
+    return found
 
 
 def _solve_fpt(
@@ -270,13 +296,12 @@ def _solve_fpt(
     found = _min_cover(g.adj, g.full_mask, stats)
     assert found is not None
     tau, _ = found
-    leaves = _branch_leaves(g.adj, g.full_mask, tau, stats)
-    for cand in _candidate_stream(g, model, leaves, stats):
-        if model is Model.EXCLUDE and _has_redundant_member(g.adj, cand):
-            continue
-        inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
-        ok, cover, _ = _check_pre_assignment(g.adj, g.n, tau, inc, exc, stats)
-        if ok:
+    table = _leaf_table(_branch_leaves(g.adj, g.full_mask, tau, stats))
+    for cand in _candidate_stream(g, model, table, stats):
+        stats.uvc_calls += 1
+        cover = _decide(table, model, cand)
+        if cover is not None:
+            inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
             return _result(g, model, inc, exc, cover, stats, started)
     raise AssertionError("candidate stream missed every feasible pre-assignment")
 
@@ -292,7 +317,8 @@ def solve_fpt_include(
     A feasible include set lies inside its target cover and holds that
     cover's endpoint of every isolated edge of the branching leaf the
     cover extends, plus a subset of the leaf's forced set.  Those masks are
-    probed by size, smallest first.
+    decided by size, smallest first, by counting their consistent covers
+    over the branching leaves.
     """
     return _solve_fpt(g, Model.INCLUDE, vertex_limit, deadline)
 

@@ -37,7 +37,9 @@ class SolveStats:
     """Counters threaded through a solver run.
 
     nodes_explored counts branching nodes and generated pre-assignment
-    candidates, uvc_calls counts uniqueness / feasibility probes.  When a
+    candidates.  uvc_calls counts feasibility decisions: one per probe
+    search, and on the fixed-parameter route one per stream candidate,
+    each decided by counting its covers over the branching leaves.  When a
     deadline (``time.perf_counter`` value) is set, the search checks it
     cooperatively every 1024 nodes and raises :class:`LimitExceeded` once
     it passes.
@@ -271,11 +273,13 @@ def min_vertex_cover_bipartite(
     """Minimum vertex cover of a bipartite graph via maximum matching.
 
     Finds a maximum matching with single-path augmentation (Kuhn's
-    algorithm, one depth-first search per free left vertex, iterative so
-    long paths cannot exhaust the call stack) and extracts the cover
-    from the alternating-reachability split, so tau equals the matching
-    size.  The returned cover is deterministic but not the lexicographic
-    minimum; sizes always agree with :func:`min_vertex_cover`.
+    algorithm: a greedy matching first, then one depth-first search per
+    still-free left vertex, iterative so long paths cannot exhaust the
+    call stack) and extracts the Koenig cover from the vertices that
+    alternating paths reach from the free left vertices, so tau equals the
+    matching size.  That cover is the same for every maximum matching, so
+    it is deterministic, but it is not the lexicographic minimum; sizes
+    always agree with :func:`min_vertex_cover`.
     """
     left, right = parts
     if left.n != g.n or right.n != g.n:
@@ -316,6 +320,16 @@ def min_vertex_cover_bipartite(
                 if path:
                     path.pop()
 
+    # Greedy start: each left vertex takes its lowest free neighbour, so
+    # augmenting searches run only for the left vertices still free.
+    taken = 0
+    for u in _bits(left.mask):
+        free = g.neighbors_mask(u) & ~taken
+        if free:
+            w = (free & -free).bit_length() - 1
+            match[u] = w
+            match[w] = u
+            taken |= 1 << w
     for u in _bits(left.mask):
         if u not in match:
             augment(u)

@@ -10,6 +10,7 @@ from pauvc import (
     LimitExceeded,
     Model,
     PreAssignment,
+    SolveStats,
     VertexSet,
     gnp_graph,
     include_to_exclude,
@@ -113,16 +114,51 @@ class TestFptSolvers:
             assert a.pre == b.pre and a.unique_cover == b.unique_cover
 
     def test_large_tau_streams_in_both_models(self):
-        # tau 30: building every candidate up front ran out of memory here
+        # tau 30: building every candidate up front ran out of memory here.
+        # A residual search per candidate explored 29,011 (include) and
+        # 45,829 (exclude) nodes; counting covers over the leaves needs
+        # about 18,800 and 17,400.
         g = gnp_graph(60, 0.05, 0)
         results = [
             solver(g, deadline=time.perf_counter() + 60)
             for solver in (solve_fpt_include, solve_fpt_exclude)
         ]
         assert [r.opt_size for r in results] == [4, 4]
+        assert list(results[0].pre.include) == [2, 4, 17, 39]
+        assert list(results[1].pre.exclude) == [12, 15, 27, 39]
         for r in results:
             assert len(r.unique_cover) == 30
             assert is_feasible(g, r.pre).witness == r.unique_cover
+            assert r.stats.nodes_explored <= 25_000
+
+    def test_leaf_count_matches_probe(self):
+        # Every candidate of both streams, feasible or not, gets the same
+        # verdict and witness from the leaf count as from the search.  A
+        # candidate's own leaf always counts exactly one cover, so random
+        # masks are decided too, to reach leaves with untouched edges.
+        solvers = pauvc.solvers
+        rng = random.Random(331)
+        verdicts = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
+            g = Graph(n, edges)
+            stats = SolveStats()
+            tau, _ = solvers._min_cover(g.adj, g.full_mask, stats)
+            leaves = solvers._branch_leaves(g.adj, g.full_mask, tau, stats)
+            table = solvers._leaf_table(leaves)
+            for model in (Model.INCLUDE, Model.EXCLUDE):
+                stream = solvers._candidate_stream(g, model, table, stats)
+                masks = [rng.getrandbits(n) for _ in range(20)]
+                for cand in [*stream, *masks]:
+                    inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
+                    ok, cover, _ = solvers._check_pre_assignment(
+                        g.adj, n, tau, inc, exc, stats
+                    )
+                    got = solvers._decide(table, model, cand)
+                    assert got == (cover if ok else None), (n, edges, model, cand)
+                    verdicts[ok] += 1
+        assert min(verdicts.values()) >= 100
 
 
 class TestConversions:

@@ -1,7 +1,9 @@
 import random
 import time
 
+import networkx as nx
 import pytest
+from networkx.algorithms import bipartite
 
 from oracles import all_graphs, brute_min_covers, brute_tau, random_edges
 from pauvc import (
@@ -112,9 +114,37 @@ class TestBipartite:
         sol = min_vertex_cover_bipartite(g, classify(g).parts)
         assert sol.tau == 3
 
+    def test_koenig_cover_matches_networkx(self):
+        # The cover is the Koenig cover of the unmatched-left alternating
+        # reach, which does not depend on the maximum matching found; pin
+        # it against networkx's cover of a Hopcroft-Karp matching.
+        rng = random.Random(109)
+        for _ in range(300):
+            n = rng.randint(2, 16)
+            side = [rng.random() < 0.5 for _ in range(n)]
+            p = rng.uniform(0.1, 0.6)
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if side[u] != side[v] and rng.random() < p
+            ]
+            g = Graph(n, edges)
+            left = [v for v in range(n) if side[v]]
+            right = [v for v in range(n) if not side[v]]
+            parts = (g.vertex_set(left), g.vertex_set(right))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(edges)
+            matching = bipartite.hopcroft_karp_matching(nxg, top_nodes=left)
+            want = bipartite.to_vertex_cover(nxg, matching, top_nodes=left)
+            sol = min_vertex_cover_bipartite(g, parts)
+            assert set(sol.cover) == want, (n, edges, left)
+
     def test_long_path_split_by_parity(self):
-        # Each failed augmenting search from vertex 2i walks back through
-        # all earlier pairs, so a recursive search overflows the call stack.
+        # With the even vertices on the left, a fresh search started
+        # at vertex 2i walks back through all earlier pairs; the greedy pass
+        # matches every left vertex first, so no augmenting search runs.
         n = 3000
         g = Graph(n, [(i, i + 1) for i in range(n - 1)])
         even = g.vertex_set(range(0, n, 2))
