@@ -62,7 +62,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, Model, PreAssignment, VertexSet, classify, delete
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
@@ -209,7 +209,7 @@ _LeafRow = tuple[int, int, tuple[int, ...]]
 
 
 def _leaf_table(
-    leaves: list[tuple[int, tuple[tuple[int, int], ...]]],
+    leaves: Iterable[tuple[int, tuple[tuple[int, int], ...]]],
 ) -> list[_LeafRow]:
     """Per leaf: the forced mask, the matched mask and each edge's two bits."""
     table = []

@@ -25,6 +25,7 @@ from .vertex_cover import (
     _bits,
     _bounded_cover,
     _min_cover,
+    _pick,
 )
 
 __all__ = [
@@ -75,17 +76,7 @@ def _unique_min_cover(
     """
     k = tau
     while True:
-        best_v = -1
-        best_d = 0
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & active).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
+        best_v, _ = _pick(adj, active)
         if best_v < 0:
             return True
         bit = 1 << best_v

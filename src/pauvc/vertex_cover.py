@@ -1,25 +1,26 @@
 """Exact minimum vertex cover: search, enumeration, and branching skeletons.
 
-All search runs on raw bit masks over the original vertex ids; a subproblem
-is just the pair (neighbor masks, active mask), so recursion never copies
-the graph.  The bounded search branches on a lowest-id maximum-degree
-vertex (take it, or take its whole neighborhood), folds degree-1 vertices
-away eagerly, and prunes with a greedy matching lower bound.
-
-:func:`branch_to_matchings` exposes the same branching with the degree-1
-rule switched off, stopping as soon as the residual graph is a disjoint
-union of edges.  Those leaves drive the fixed-parameter pre-assignment
-solvers; completeness requires that every minimum cover extend some leaf,
-which the degree-1 shortcut would break.
+Every search runs on bit masks over the original vertex ids, so a
+subproblem is just an active mask, and keeps its open subproblems on an
+explicit stack, so no graph is too deep for it.  There is one branching
+kernel: take a lowest-id maximum-degree vertex v (:func:`_pick`) or its
+whole neighborhood N(v), pruned by a greedy packing bound.
+:func:`_branch_leaves` branches until only isolated edges remain; its
+leaves drive the fixed-parameter solvers, :func:`branch_to_matchings` and
+:func:`enumerate_min_vertex_covers`, and every minimum cover must extend
+one, so it folds no degree-1 vertex.  :func:`_bounded_cover` needs only one
+cover and folds them, so it keeps its own scan, which finds the branching
+vertex, folds pendants and drops isolated vertices in one pass.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import LimitExceeded
-from .graph import Graph, VertexSet, _bits
+from .graph import Graph, VertexSet, _bits, classify
 from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit
 
 __all__ = [
@@ -123,69 +124,85 @@ def _matching_lb(adj: tuple[int, ...], active: int) -> int:
     return lb
 
 
+def _pick(adj: tuple[int, ...], active: int) -> tuple[int, int]:
+    """Lowest-id maximum-degree vertex of the active subgraph, with its degree.
+
+    Returns (-1, 0) when the active subgraph has no edge.
+    """
+    best_v = -1
+    best_d = 0
+    scan = active
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        v = low.bit_length() - 1
+        d = (adj[v] & active).bit_count()
+        if d > best_d:
+            best_d = d
+            best_v = v
+    return best_v, best_d
+
+
 def _bounded_cover(
     adj: tuple[int, ...], active: int, k: int, stats: SolveStats
 ) -> int | None:
-    """Mask of a vertex cover of size <= k of the active subgraph, or None."""
-    _node(stats)
-    if k < 0:
-        return None
-    cover = 0
-    while True:
-        best_v = -1
-        best_d = 0
-        pendant = -1
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & active).bit_count()
-            if d == 0:
-                active ^= low
-            elif d > best_d:
-                best_d = d
-                best_v = v
-                if d == 1 and pendant < 0:
-                    pendant = v
-            elif d == 1 and pendant < 0:
-                pendant = v
-        if best_d == 0:
-            return cover
-        if k <= 0:
-            return None
-        if best_d == 1:
-            # Only isolated edges remain; take the lower endpoint of each.
-            picked = 0
+    """Mask of a vertex cover of size <= k of the active subgraph, or None.
+
+    Depth-first over the take-v / take-N(v) tree, take-v first, returning
+    the first cover found; a stack entry holds a subproblem and the cover
+    its path has taken so far.
+    """
+    stack = [(active, k, 0)]
+    while stack:
+        active, k, cover = stack.pop()
+        _node(stats)
+        while k >= 0:
+            best_v = -1
+            best_d = 0
+            pendant = -1
             scan = active
             while scan:
                 low = scan & -scan
+                scan ^= low
                 v = low.bit_length() - 1
-                partner = adj[v] & active
-                picked |= low
-                scan &= ~(low | partner)
-                active &= ~(low | partner)
-            if picked.bit_count() > k:
-                return None
-            return cover | picked
-        if pendant >= 0:
-            # Degree-1 rule: its single neighbor covers at least as much.
-            nb = adj[pendant] & active
-            cover |= nb
-            k -= 1
-            active &= ~(nb | (1 << pendant))
-            continue
-        break
-    if k < _matching_lb(adj, active):
-        return None
-    bit = 1 << best_v
-    nb = adj[best_v] & active
-    rest = _bounded_cover(adj, active ^ bit, k - 1, stats)
-    if rest is not None:
-        return cover | bit | rest
-    rest = _bounded_cover(adj, active & ~(nb | bit), k - nb.bit_count(), stats)
-    if rest is not None:
-        return cover | nb | rest
+                d = (adj[v] & active).bit_count()
+                if d == 0:
+                    active ^= low
+                    continue
+                if d > best_d:
+                    best_d = d
+                    best_v = v
+                if d == 1 and pendant < 0:
+                    pendant = v
+            if best_d == 0:
+                return cover
+            if k == 0:
+                break
+            if best_d == 1:
+                # Only isolated edges remain; take the lower endpoint of each.
+                picked = 0
+                scan = active
+                while scan:
+                    low = scan & -scan
+                    v = low.bit_length() - 1
+                    picked |= low
+                    scan &= ~(low | (adj[v] & active))
+                if picked.bit_count() <= k:
+                    return cover | picked
+                break
+            if pendant >= 0:
+                # Degree-1 rule: its single neighbor covers at least as much.
+                nb = adj[pendant] & active
+                cover |= nb
+                k -= 1
+                active &= ~(nb | (1 << pendant))
+                continue
+            if k >= _matching_lb(adj, active):
+                bit = 1 << best_v
+                nb = adj[best_v] & active
+                stack.append((active & ~(nb | bit), k - nb.bit_count(), cover | nb))
+                stack.append((active ^ bit, k - 1, cover | bit))
+            break
     return None
 
 
@@ -217,23 +234,25 @@ def _min_cover(
     return best.bit_count(), best
 
 
-def _lex_min_cover(adj: tuple[int, ...], n: int, tau: int, stats: SolveStats) -> int:
-    """The lexicographically smallest minimum cover (by sorted vertex list).
+def _lex_min_cover(
+    adj: tuple[int, ...], active: int, tau: int, stats: SolveStats
+) -> int:
+    """The lexicographically smallest minimum cover of the active subgraph.
 
-    Walks the vertices in ascending order, keeping v in the cover whenever
-    some minimum cover extends the decisions so far with v included.
+    Walks the active vertices in ascending order, keeping v in the cover
+    whenever some minimum cover extends the decisions so far with v
+    included.
     """
-    full = (1 << n) - 1
     in_mask = 0
     out_mask = 0
     out_nb = 0
-    for v in range(n):
+    for v in _bits(active):
         if in_mask.bit_count() == tau:
             break
         forced = in_mask | (1 << v) | out_nb
-        active = full & ~forced & ~out_mask
+        rest = active & ~forced & ~out_mask
         target = tau - forced.bit_count()
-        if target >= 0 and _bounded_cover(adj, active, target, stats) is not None:
+        if target >= 0 and _bounded_cover(adj, rest, target, stats) is not None:
             in_mask |= 1 << v
         else:
             out_mask |= 1 << v
@@ -250,17 +269,28 @@ def min_vertex_cover(
 ) -> VcSolution | None:
     """Compute tau(g) and the lexicographically smallest minimum cover.
 
-    With a bound, returns None as soon as tau(g) exceeds it (the decision
+    Solves per connected component, in place on g's neighbor masks.  With
+    a bound, returns None as soon as tau(g) exceeds it (the decision
     variant).  Ties among equal-size covers are broken toward the smallest
-    sorted vertex list, so repeated runs are reproducible.
+    sorted vertex list, so repeated runs are reproducible.  The
+    lexicographic minimum composes over components: the lowest vertex where
+    two unions differ lies in one component.
     """
     check_vertex_limit(g.n, vertex_limit)
-    st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st, upper=bound)
-    if found is None:
+    if bound is not None and bound < 0:
         return None
-    tau, _ = found
-    cover = _lex_min_cover(g.adj, g.n, tau, st)
+    st = stats if stats is not None else SolveStats()
+    tau = 0
+    cover = 0
+    for comp in classify(g).components:
+        if len(comp) < 2:
+            continue
+        upper = None if bound is None else bound - tau
+        found = _min_cover(g.adj, comp.mask, st, upper=upper)
+        if found is None:
+            return None
+        tau += found[0]
+        cover |= _lex_min_cover(g.adj, comp.mask, found[0], st)
     return VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
@@ -362,122 +392,21 @@ def min_vertex_cover_bipartite(
     return VcSolution(nu, VertexSet.from_mask(g.n, cover_mask))
 
 
-def _enumerate_covers(
-    adj: tuple[int, ...],
-    active: int,
-    forced: int,
-    budget: int,
-    out: list[int],
-    cap: int,
-    stats: SolveStats,
-) -> None:
-    _node(stats)
-    if budget < 0:
-        return
-    # Isolated vertices never sit in a minimum cover.
-    scan = active
-    best_v = -1
-    best_d = 1
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & active).bit_count()
-        if d == 0:
-            active ^= low
-        elif d > best_d:
-            best_d = d
-            best_v = v
-    if not active:
-        if budget == 0:
-            if len(out) >= cap:
-                raise LimitExceeded(f"more than {cap} minimum covers")
-            out.append(forced)
-        return
-    if best_v < 0:
-        # Max degree 1: a disjoint union of edges, each contributing either
-        # endpoint.  Expand all combinations within the remaining budget.
-        pairs = []
-        scan = active
-        while scan:
-            low = scan & -scan
-            v = low.bit_length() - 1
-            partner = adj[v] & active
-            pairs.append((low, partner))
-            scan &= ~(low | partner)
-        if budget != len(pairs):
-            return
-        combos = [forced]
-        for low, partner in pairs:
-            combos = [c | pick for c in combos for pick in (low, partner)]
-        if len(out) + len(combos) > cap:
-            raise LimitExceeded(f"more than {cap} minimum covers")
-        out.extend(combos)
-        return
-    if budget < _matching_lb(adj, active):
-        return
-    bit = 1 << best_v
-    nb = adj[best_v] & active
-    _enumerate_covers(adj, active ^ bit, forced | bit, budget - 1, out, cap, stats)
-    _enumerate_covers(
-        adj,
-        active & ~(nb | bit),
-        forced | nb,
-        budget - nb.bit_count(),
-        out,
-        cap,
-        stats,
-    )
-
-
-def enumerate_min_vertex_covers(
-    g: Graph,
-    *,
-    vertex_limit: int | None = None,
-    max_results: int = DEFAULT_RESULT_LIMIT,
-    stats: SolveStats | None = None,
-) -> list[VertexSet]:
-    """All minimum vertex covers, sorted by their vertex lists.
-
-    Branching partitions the covers by membership of a maximum-degree
-    vertex, so each cover appears exactly once.  Raises LimitExceeded when
-    more than max_results covers exist.
-    """
-    check_vertex_limit(g.n, vertex_limit)
-    st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
-    assert found is not None
-    tau, _ = found
-    masks: list[int] = []
-    _enumerate_covers(g.adj, g.full_mask, 0, tau, masks, max_results, st)
-    masks.sort(key=lambda m: tuple(_bits(m)))
-    return [VertexSet.from_mask(g.n, m) for m in masks]
-
-
 def _branch_leaves(
     adj: tuple[int, ...], full: int, tau: int, stats: SolveStats
-) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Leaves (forced mask, isolated edges) of the take-v / take-N(v) tree.
 
-    Branches only on degree >= 2 vertices and keeps exactly the leaves
-    whose forced set plus one endpoint per isolated edge reaches tau.
+    Branches only on degree >= 2 vertices, depth-first with the take-v
+    branch first, and yields exactly the leaves whose forced set plus one
+    endpoint per isolated edge reaches tau.
     """
-    leaves: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-
-    def rec(active: int, forced: int) -> None:
+    stack = [(full, 0)]
+    while stack:
+        active, forced = stack.pop()
         _node(stats)
-        best_v = -1
-        best_d = 1
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & active).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        if best_v < 0:
+        best_v, best_d = _pick(adj, active)
+        if best_d < 2:
             pairs = []
             scan = active
             while scan:
@@ -490,17 +419,48 @@ def _branch_leaves(
                 else:
                     scan ^= low
             if forced.bit_count() + len(pairs) == tau:
-                leaves.append((forced, tuple(pairs)))
-            return
+                yield forced, tuple(pairs)
+            continue
         if forced.bit_count() + _matching_lb(adj, active) > tau:
-            return
+            continue
         bit = 1 << best_v
         nb = adj[best_v] & active
-        rec(active ^ bit, forced | bit)
-        rec(active & ~(nb | bit), forced | nb)
+        stack.append((active & ~(nb | bit), forced | nb))
+        stack.append((active ^ bit, forced | bit))
 
-    rec(full, 0)
-    return leaves
+
+def enumerate_min_vertex_covers(
+    g: Graph,
+    *,
+    vertex_limit: int | None = None,
+    max_results: int = DEFAULT_RESULT_LIMIT,
+    stats: SolveStats | None = None,
+) -> list[VertexSet]:
+    """All minimum vertex covers, sorted by their vertex lists.
+
+    Expands the branching leaves: each leaf's covers are its forced set
+    plus one endpoint of each matched edge, and the leaves partition the
+    minimum covers, so each cover appears exactly once.  Raises
+    LimitExceeded when more than max_results covers exist, before
+    expanding the leaf that passes the cap.
+    """
+    check_vertex_limit(g.n, vertex_limit)
+    st = stats if stats is not None else SolveStats()
+    found = _min_cover(g.adj, g.full_mask, st)
+    assert found is not None
+    tau, _ = found
+    total = 0
+    masks: list[int] = []
+    for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st):
+        total += 1 << len(pairs)
+        if total > max_results:
+            raise LimitExceeded(f"more than {max_results} minimum covers")
+        combos = [forced]
+        for a, b in pairs:
+            combos = [c | (1 << x) for c in combos for x in (a, b)]
+        masks.extend(combos)
+    masks.sort(key=lambda m: tuple(_bits(m)))
+    return [VertexSet.from_mask(g.n, m) for m in masks]
 
 
 def branch_to_matchings(
@@ -521,8 +481,7 @@ def branch_to_matchings(
     found = _min_cover(g.adj, g.full_mask, st)
     assert found is not None
     tau, _ = found
-    leaves = _branch_leaves(g.adj, g.full_mask, tau, st)
     return [
         BranchLeaf(VertexSet.from_mask(g.n, forced), pairs)
-        for forced, pairs in leaves
+        for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st)
     ]

@@ -205,6 +205,22 @@ class TestIsFeasible:
         assert is_feasible(g, pa, stats=stats).feasible
         assert stats.nodes_explored <= 1041 // 2
 
+    def test_long_triangle_chain_no_recursion_limit(self, monkeypatch):
+        # Triangle i is joined to triangle i + 1 by the edge (3i+2, 3i+3);
+        # the tau search branches about once per triangle along the chain.
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "5000")
+        k = 1000
+        edges = []
+        for i in range(k):
+            b = 3 * i
+            edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
+            if i + 1 < k:
+                edges.append((b + 2, b + 3))
+        g = Graph(3 * k, edges)
+        inc = VertexSet(3 * k, [3 * i + j for i in range(k) for j in (0, 1)])
+        report = is_feasible(g, PreAssignment.including(inc))
+        assert report.feasible and report.witness == inc
+
 
 class TestReduceInstance:
     def test_complete_graph_exclude_collapses(self):

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -13,10 +15,15 @@ from pauvc import (
     branch_to_matchings,
     classify,
     enumerate_min_vertex_covers,
+    gnp_graph,
     is_vertex_cover,
     min_vertex_cover,
     min_vertex_cover_bipartite,
 )
+
+
+def triangle(b):
+    return [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
 
 
 def lex_min_cover(n, edges):
@@ -74,17 +81,30 @@ class TestMinVertexCover:
 
     def test_deadline_enforced(self):
         # Deadline checks run every 1024 nodes, so the instance must burn
-        # well past that; disjoint 5-cycles defeat the packing bound and
-        # explore hundreds of thousands of nodes.
+        # well past that: 5-cycles defeat the packing bound, and chaining
+        # them keeps the graph one component, which is searched whole.
         edges = []
         for i in range(16):
             b = 5 * i
             edges += [(b + j, b + (j + 1) % 5) for j in range(5)]
-        g = Graph(80, edges)
+        chain = edges + [(5 * i - 5, 5 * i) for i in range(1, 16)]
+        g = Graph(80, chain)
         stats = SolveStats(deadline=time.perf_counter() - 1.0)
         with pytest.raises(LimitExceeded):
             min_vertex_cover(g, stats=stats)
         assert stats.nodes_explored < 100_000
+        # Apart, the same cycles are 16 small components.
+        stats = SolveStats()
+        assert min_vertex_cover(Graph(80, edges), stats=stats).tau == 48
+        assert stats.nodes_explored < 1_000
+
+    def test_many_components_no_recursion_limit(self, monkeypatch):
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "5000")
+        k = 1000
+        g = Graph(3 * k, [e for i in range(k) for e in triangle(3 * i)])
+        sol = min_vertex_cover(g)
+        assert sol.tau == 2 * k
+        assert set(sol.cover) == {3 * i + j for i in range(k) for j in (0, 1)}
 
 
 class TestBipartite:
@@ -165,14 +185,27 @@ class TestEnumerate:
                 assert got == want, (n, edges)
 
     def test_random_medium(self):
+        # Random graphs with n <= 8, then seeded gnp graphs with n <= 14:
+        # the covers are the brute-force list and also exactly the
+        # expanded leaves of branch_to_matchings.
         rng = random.Random(107)
+        graphs = []
         for _ in range(300):
             n = rng.randint(1, 8)
-            edges = random_edges(n, rng.uniform(0.1, 0.8), rng)
-            g = Graph(n, edges)
+            graphs.append(Graph(n, random_edges(n, rng.uniform(0.1, 0.8), rng)))
+        for seed in range(60):
+            graphs.append(gnp_graph(9 + seed % 6, 0.15 + 0.1 * (seed % 5), seed))
+        for g in graphs:
+            n, edges = g.n, g.edges()
             got = [tuple(sorted(c)) for c in enumerate_min_vertex_covers(g)]
             want = sorted(tuple(sorted(c)) for c in brute_min_covers(n, edges))
             assert got == want, (n, edges)
+            expanded = sorted(
+                tuple(sorted([*leaf.forced, *pick]))
+                for leaf in branch_to_matchings(g)
+                for pick in itertools.product(*leaf.matching)
+            )
+            assert got == expanded, (n, edges)
 
     def test_disjoint_edges_count(self):
         # k disjoint edges: every choice of one endpoint per edge is minimum.
@@ -184,6 +217,19 @@ class TestEnumerate:
         g = Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
         with pytest.raises(LimitExceeded):
             enumerate_min_vertex_covers(g, max_results=100)
+
+    def test_result_cap_checked_before_expanding(self):
+        # The first leaf of 22 disjoint triangles already holds 2^22 covers,
+        # past the default cap; the cap must fire before they are built.
+        g = Graph(66, [e for i in range(22) for e in triangle(3 * i)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded):
+                enumerate_min_vertex_covers(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestBranchToMatchings:
