@@ -45,7 +45,7 @@ from .solvers import (
     solve_fpt_exclude,
     solve_fpt_include,
 )
-from .tree import TreeAnswer, count_rooted_i_subtrees, pau_tree
+from .tree import TreeAnswer, pau_tree
 from .uniqueness import (
     FeasibilityReport,
     Reason,
@@ -89,7 +89,6 @@ __all__ = [
     "build_bipartite_gadget",
     "build_gc",
     "classify",
-    "count_rooted_i_subtrees",
     "cover_to_assignment",
     "delete",
     "enumerate_1in3",

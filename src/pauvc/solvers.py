@@ -169,7 +169,8 @@ def solve_enum(
     check_vertex_limit(g.n, vertex_limit)
     stats = SolveStats(deadline)
     started = time.perf_counter()
-    found = _min_cover(g.adj, g.full_mask, stats)
+    refuted: dict[int, int] = {}
+    found = _min_cover(g.adj, g.full_mask, stats, refuted)
     assert found is not None
     tau, _ = found
     n = g.n
@@ -181,7 +182,7 @@ def solve_enum(
                 for exc in combinations(rest, k - len(inc)):
                     exc_mask = _mask_of(exc)
                     ok, cover, _ = _check_pre_assignment(
-                        g.adj, n, tau, inc_mask, exc_mask, stats
+                        g.adj, n, tau, inc_mask, exc_mask, stats, refuted
                     )
                     if ok:
                         return _result(
@@ -194,7 +195,7 @@ def solve_enum(
                     (mask, 0) if model is Model.INCLUDE else (0, mask)
                 )
                 ok, cover, _ = _check_pre_assignment(
-                    g.adj, n, tau, inc_mask, exc_mask, stats
+                    g.adj, n, tau, inc_mask, exc_mask, stats, refuted
                 )
                 if ok:
                     return _result(g, model, inc_mask, exc_mask, cover, stats, started)
@@ -293,7 +294,7 @@ def _solve_fpt(
     check_vertex_limit(g.n, vertex_limit)
     stats = SolveStats(deadline)
     started = time.perf_counter()
-    found = _min_cover(g.adj, g.full_mask, stats)
+    found = _min_cover(g.adj, g.full_mask, stats, {})
     assert found is not None
     tau, _ = found
     table = _leaf_table(_branch_leaves(g.adj, g.full_mask, tau, stats))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from .graph import Graph, GraphKind, Model, PreAssignment, VertexSet, classify
 from .vertex_cover import SolveStats, _bits, _node
 
-__all__ = ["TreeAnswer", "pau_tree", "count_rooted_i_subtrees"]
+__all__ = ["TreeAnswer", "pau_tree"]
 
 
 @dataclass(frozen=True)
@@ -159,60 +159,3 @@ def pau_tree(
     else:
         pre = PreAssignment.excluding(members)
     return TreeAnswer(tau, opt, pre)
-
-
-def _ahu_code(adj: tuple[int, ...], mask: int, root: int) -> str:
-    """Canonical form of the rooted tree induced on mask."""
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for w in _bits(adj[v] & mask):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    code: dict[int, str] = {}
-    for v in reversed(order):
-        children = sorted(
-            code[w] for w in _bits(adj[v] & mask) if w != parent[v]
-        )
-        code[v] = "(" + "".join(children) + ")"
-    return code[root]
-
-
-def count_rooted_i_subtrees(t: Graph, root: int) -> int:
-    """Count induced-subtree shapes reachable by trimming around the root.
-
-    Starting from the whole tree, any internal vertex other than the root
-    may be deleted, keeping the component that still contains the root.
-    Counted up to rooted isomorphism, this is exactly the number of
-    distinct subproblem shapes the paper's branching tree algorithm can
-    meet below the root; its bound of 2^(n/2) gives that algorithm's
-    O(1.4143^n) running time.
-    """
-    if t.n == 0 or classify(t).kind is not GraphKind.TREE:
-        raise ValueError("input graph is not a connected tree")
-    if not 0 <= root < t.n:
-        raise ValueError(f"root {root} out of range")
-    adj = t.adj
-    full = t.full_mask
-    seen = {full}
-    stack = [full]
-    codes = set()
-    while stack:
-        mask = stack.pop()
-        codes.add(_ahu_code(adj, mask, root))
-        for v in _bits(mask & ~(1 << root)):
-            if (adj[v] & mask).bit_count() >= 2:
-                rest = mask & ~(1 << v)
-                comp = 1 << root
-                frontier = comp
-                while frontier:
-                    grown = 0
-                    for w in _bits(frontier):
-                        grown |= adj[w] & rest
-                    frontier = grown & ~comp
-                    comp |= frontier
-                if comp not in seen:
-                    seen.add(comp)
-                    stack.append(comp)
-    return len(codes)

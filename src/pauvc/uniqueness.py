@@ -9,7 +9,9 @@ the take-v / take-N(v) branching tree along the branches C takes, and at
 each step search the other branch once for a cover that still reaches tau.
 Every other minimum cover leaves C's path at some first step and lives in
 that step's other branch, so one search per step decides uniqueness, and
-each search runs on the residual graph of the path so far.
+each search runs on the residual graph of the path so far.  The tau search,
+the residual search and the uniqueness walk of one call share one table of
+refuted subproblems.
 """
 
 from __future__ import annotations
@@ -60,7 +62,12 @@ class FeasibilityReport:
 
 
 def _unique_min_cover(
-    adj: tuple[int, ...], active: int, tau: int, cover: int, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    tau: int,
+    cover: int,
+    stats: SolveStats,
+    refuted: dict[int, int],
 ) -> bool:
     """True iff the given minimum cover of the active subgraph is unique.
 
@@ -84,7 +91,7 @@ def _unique_min_cover(
         taken = (active ^ bit, k - 1)
         skipped = (active & ~(nb | bit), k - nb.bit_count())
         (active, k), other = (taken, skipped) if cover & bit else (skipped, taken)
-        if _bounded_cover(adj, *other, stats) is not None:
+        if _bounded_cover(adj, *other, stats, refuted) is not None:
             return False
 
 
@@ -95,6 +102,7 @@ def _check_pre_assignment(
     inc_mask: int,
     exc_mask: int,
     stats: SolveStats,
+    refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
     """Feasibility of (include, exclude) masks given tau of the full graph."""
     stats.uvc_calls += 1
@@ -114,10 +122,10 @@ def _check_pre_assignment(
     if target < 0:
         return False, None, Reason.NOT_MINIMUM_CONSISTENT
     active = ((1 << n) - 1) & ~forced & ~exc_mask
-    cover = _bounded_cover(adj, active, target, stats)
+    cover = _bounded_cover(adj, active, target, stats, refuted)
     if cover is None:
         return False, None, Reason.NOT_MINIMUM_CONSISTENT
-    if not _unique_min_cover(adj, active, target, cover, stats):
+    if not _unique_min_cover(adj, active, target, cover, stats, refuted):
         return False, None, Reason.NOT_UNIQUE
     return True, cover | forced, None
 
@@ -134,10 +142,11 @@ def has_unique_min_vc(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
+    refuted: dict[int, int] = {}
+    found = _min_cover(g.adj, g.full_mask, st, refuted)
     assert found is not None
     tau, cover = found
-    unique = _unique_min_cover(g.adj, g.full_mask, tau, cover, st)
+    unique = _unique_min_cover(g.adj, g.full_mask, tau, cover, st, refuted)
     return unique, VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
@@ -152,11 +161,12 @@ def _probe(
         raise ValueError("pre-assignment universe does not match graph")
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
+    refuted: dict[int, int] = {}
+    found = _min_cover(g.adj, g.full_mask, st, refuted)
     assert found is not None
     tau, _ = found
     ok, witness, reason = _check_pre_assignment(
-        g.adj, g.n, tau, pa.include.mask, pa.exclude.mask, st
+        g.adj, g.n, tau, pa.include.mask, pa.exclude.mask, st, refuted
     )
     return tau, ok, witness, reason
 

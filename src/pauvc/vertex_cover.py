@@ -4,13 +4,17 @@ Every search runs on bit masks over the original vertex ids, so a
 subproblem is just an active mask, and keeps its open subproblems on an
 explicit stack, so no graph is too deep for it.  There is one branching
 kernel: take a lowest-id maximum-degree vertex v (:func:`_pick`) or its
-whole neighborhood N(v), pruned by a greedy packing bound.
-:func:`_branch_leaves` branches until only isolated edges remain; its
-leaves drive the fixed-parameter solvers, :func:`branch_to_matchings` and
-:func:`enumerate_min_vertex_covers`, and every minimum cover must extend
-one, so it folds no degree-1 vertex.  :func:`_bounded_cover` needs only one
-cover and folds them, so it keeps its own scan, which finds the branching
-vertex, folds pendants and drops isolated vertices in one pass.
+whole neighborhood N(v), pruned by a greedy clique-partition bound
+(:func:`_clique_lb`).  :func:`_branch_leaves` branches until only isolated
+edges remain; its leaves drive the fixed-parameter solvers,
+:func:`branch_to_matchings` and :func:`enumerate_min_vertex_covers`, and
+every minimum cover must extend one, so it folds no degree-1 vertex.
+:func:`_bounded_cover` needs only one cover and folds them, so it keeps its
+own scan, which finds the branching vertex, folds pendants and drops
+isolated vertices in one pass.  It also records the subproblems it refutes
+in a table that one public call shares across all its searches on one
+graph; the table only skips subtrees that hold no cover within budget, so
+it never changes a returned cover.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ class BranchLeaf:
     matching: tuple[tuple[int, int], ...]
 
 
+# Entries one table of refuted subproblems may hold; past it the table is
+# only read.  An entry took about 90 bytes on a 120-vertex graph, so a full
+# table holds about 24 MB there.
+_REFUTED_CAP = 1 << 18
+
+
 def _node(stats: SolveStats) -> None:
     stats.nodes_explored += 1
     if stats.deadline is not None and stats.nodes_explored & 1023 == 0:
@@ -93,35 +103,27 @@ def _node(stats: SolveStats) -> None:
             raise LimitExceeded("time cap exceeded")
 
 
-def _matching_lb(adj: tuple[int, ...], active: int) -> int:
-    """Greedy lower bound on the cover size.
+def _clique_lb(adj: tuple[int, ...], active: int) -> int:
+    """Greedy clique-partition lower bound on the cover size.
 
-    Packs vertex-disjoint triangles first (each needs two cover vertices)
-    and then matching edges (one each).  Still a valid bound: the packed
-    subgraphs are vertex disjoint.
+    Splits the active vertices into cliques, each grown from the lowest
+    free vertex through its lowest free common neighbours.  A cover misses
+    at most one vertex of each clique, so its size is at least |active|
+    minus the number of cliques.  On triangle-free graphs the cliques are a
+    greedy matching plus singletons, so there it equals the matching bound.
     """
-    lb = 0
+    cliques = 0
     free = active
-    scan = active
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        if free & low == 0:
-            continue
-        v = low.bit_length() - 1
-        nb = adj[v] & free & ~low
-        if not nb:
-            continue
-        u_bit = nb & -nb
-        u = u_bit.bit_length() - 1
-        third = adj[v] & adj[u] & free & ~low & ~u_bit
-        if third:
-            free &= ~(low | u_bit | (third & -third))
-            lb += 2
-        else:
-            free &= ~(low | u_bit)
-            lb += 1
-    return lb
+    while free:
+        low = free & -free
+        free ^= low
+        common = adj[low.bit_length() - 1] & free
+        while common:
+            u_bit = common & -common
+            free ^= u_bit
+            common &= adj[u_bit.bit_length() - 1]
+        cliques += 1
+    return active.bit_count() - cliques
 
 
 def _pick(adj: tuple[int, ...], active: int) -> tuple[int, int]:
@@ -144,17 +146,35 @@ def _pick(adj: tuple[int, ...], active: int) -> tuple[int, int]:
 
 
 def _bounded_cover(
-    adj: tuple[int, ...], active: int, k: int, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    k: int,
+    stats: SolveStats,
+    refuted: dict[int, int],
 ) -> int | None:
     """Mask of a vertex cover of size <= k of the active subgraph, or None.
 
     Depth-first over the take-v / take-N(v) tree, take-v first, returning
     the first cover found; a stack entry holds a subproblem and the cover
-    its path has taken so far.
+    its path has taken so far.  Under the two children of each branching
+    node lies a marker (cover -1): popping it means neither child held a
+    cover, so that node's active mask and budget go into ``refuted``, which
+    maps an active mask to the largest budget known to admit no cover.
+    Subproblems it already refutes are skipped when popped.  A skipped
+    subtree holds no cover within budget and the order is unchanged, so the
+    table never changes the cover returned, only the nodes visited.  It may
+    serve every search on one adjacency, and stops growing at _REFUTED_CAP
+    entries.
     """
     stack = [(active, k, 0)]
     while stack:
         active, k, cover = stack.pop()
+        if cover < 0:
+            if len(refuted) < _REFUTED_CAP and refuted.get(active, -1) < k:
+                refuted[active] = k
+            continue
+        if refuted.get(active, -1) >= k:
+            continue
         _node(stats)
         while k >= 0:
             best_v = -1
@@ -197,9 +217,10 @@ def _bounded_cover(
                 k -= 1
                 active &= ~(nb | (1 << pendant))
                 continue
-            if k >= _matching_lb(adj, active):
+            if k >= _clique_lb(adj, active):
                 bit = 1 << best_v
                 nb = adj[best_v] & active
+                stack.append((active, k, -1))
                 stack.append((active & ~(nb | bit), k - nb.bit_count(), cover | nb))
                 stack.append((active ^ bit, k - 1, cover | bit))
             break
@@ -210,6 +231,7 @@ def _min_cover(
     adj: tuple[int, ...],
     active: int,
     stats: SolveStats,
+    refuted: dict[int, int],
     upper: int | None = None,
 ) -> tuple[int, int] | None:
     """(tau, cover mask) of the active subgraph; None when tau > upper.
@@ -218,16 +240,16 @@ def _min_cover(
     cover, and each further search asks for a cover one smaller than the
     best so far.  Searches above tau stop at their first leaf, so only the
     last one, which fails at tau - 1, has to refute.  When the best cover
-    reaches the greedy packing bound no smaller cover exists, and that
-    refutation is skipped too.
+    reaches the clique-partition bound no smaller cover exists, and that
+    refutation is skipped too.  All the searches share ``refuted``.
     """
     cap = active.bit_count() if upper is None else min(upper, active.bit_count())
-    best = _bounded_cover(adj, active, cap, stats)
+    best = _bounded_cover(adj, active, cap, stats, refuted)
     if best is None:
         return None
-    floor = _matching_lb(adj, active)
+    floor = _clique_lb(adj, active)
     while best.bit_count() > floor:
-        smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats)
+        smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats, refuted)
         if smaller is None:
             break
         best = smaller
@@ -235,7 +257,11 @@ def _min_cover(
 
 
 def _lex_min_cover(
-    adj: tuple[int, ...], active: int, tau: int, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    tau: int,
+    stats: SolveStats,
+    refuted: dict[int, int],
 ) -> int:
     """The lexicographically smallest minimum cover of the active subgraph.
 
@@ -252,7 +278,9 @@ def _lex_min_cover(
         forced = in_mask | (1 << v) | out_nb
         rest = active & ~forced & ~out_mask
         target = tau - forced.bit_count()
-        if target >= 0 and _bounded_cover(adj, rest, target, stats) is not None:
+        if target >= 0 and (
+            _bounded_cover(adj, rest, target, stats, refuted) is not None
+        ):
             in_mask |= 1 << v
         else:
             out_mask |= 1 << v
@@ -277,20 +305,21 @@ def min_vertex_cover(
     two unions differ lies in one component.
     """
     check_vertex_limit(g.n, vertex_limit)
-    if bound is not None and bound < 0:
+    if bound is not None and _clique_lb(g.adj, g.full_mask) > bound:
         return None
     st = stats if stats is not None else SolveStats()
+    refuted: dict[int, int] = {}
     tau = 0
     cover = 0
     for comp in classify(g).components:
         if len(comp) < 2:
             continue
         upper = None if bound is None else bound - tau
-        found = _min_cover(g.adj, comp.mask, st, upper=upper)
+        found = _min_cover(g.adj, comp.mask, st, refuted, upper=upper)
         if found is None:
             return None
         tau += found[0]
-        cover |= _lex_min_cover(g.adj, comp.mask, found[0], st)
+        cover |= _lex_min_cover(g.adj, comp.mask, found[0], st, refuted)
     return VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
@@ -421,7 +450,7 @@ def _branch_leaves(
             if forced.bit_count() + len(pairs) == tau:
                 yield forced, tuple(pairs)
             continue
-        if forced.bit_count() + _matching_lb(adj, active) > tau:
+        if forced.bit_count() + _clique_lb(adj, active) > tau:
             continue
         bit = 1 << best_v
         nb = adj[best_v] & active
@@ -446,7 +475,7 @@ def enumerate_min_vertex_covers(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
+    found = _min_cover(g.adj, g.full_mask, st, {})
     assert found is not None
     tau, _ = found
     total = 0
@@ -478,7 +507,7 @@ def branch_to_matchings(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st)
+    found = _min_cover(g.adj, g.full_mask, st, {})
     assert found is not None
     tau, _ = found
     return [

@@ -220,3 +220,58 @@ def branching_tree_pau(n, edges, model):
     full = (1 << n) - 1
     opt, witness = best_for(full)
     return cover(full)[0], opt, witness
+
+
+def _ahu_code(adj, mask, root):
+    """Canonical form of the rooted tree induced on mask."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in _mask_bits(adj[v] & mask):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    code = {}
+    for v in reversed(order):
+        children = sorted(
+            code[w] for w in _mask_bits(adj[v] & mask) if w != parent[v]
+        )
+        code[v] = "(" + "".join(children) + ")"
+    return code[root]
+
+
+def count_rooted_i_subtrees(n, edges, root):
+    """Count induced-subtree shapes reachable by trimming around the root.
+
+    Starting from the whole tree, any internal vertex other than the root
+    may be deleted, keeping the component that still contains the root.
+    Counted up to rooted isomorphism, this is exactly the number of
+    distinct subproblem shapes the paper's branching tree algorithm can
+    meet below the root; its bound of 2^(n/2) gives that algorithm's
+    O(1.4143^n) running time.
+    """
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    if n == 0 or len(edges) != n - 1 or len(_mask_components(adj, full)) != 1:
+        raise ValueError("input graph is not a connected tree")
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
+    seen = {full}
+    stack = [full]
+    codes = set()
+    while stack:
+        mask = stack.pop()
+        codes.add(_ahu_code(adj, mask, root))
+        for v in _mask_bits(mask & ~(1 << root)):
+            if (adj[v] & mask).bit_count() >= 2:
+                rest = mask & ~(1 << v)
+                comp = next(
+                    c for c in _mask_components(adj, rest) if c >> root & 1
+                )
+                if comp not in seen:
+                    seen.add(comp)
+                    stack.append(comp)
+    return len(codes)

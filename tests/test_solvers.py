@@ -144,7 +144,8 @@ class TestFptSolvers:
             edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
             g = Graph(n, edges)
             stats = SolveStats()
-            tau, _ = solvers._min_cover(g.adj, g.full_mask, stats)
+            refuted = {}
+            tau, _ = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
             leaves = solvers._branch_leaves(g.adj, g.full_mask, tau, stats)
             table = solvers._leaf_table(leaves)
             for model in (Model.INCLUDE, Model.EXCLUDE):
@@ -153,7 +154,7 @@ class TestFptSolvers:
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, n, tau, inc, exc, stats
+                        g.adj, n, tau, inc, exc, stats, refuted
                     )
                     got = solvers._decide(table, model, cand)
                     assert got == (cover if ok else None), (n, edges, model, cand)

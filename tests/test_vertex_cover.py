@@ -11,14 +11,19 @@ from oracles import all_graphs, brute_min_covers, brute_tau, random_edges
 from pauvc import (
     Graph,
     LimitExceeded,
+    PreAssignment,
     SolveStats,
+    VertexSet,
     branch_to_matchings,
     classify,
     enumerate_min_vertex_covers,
     gnp_graph,
+    is_feasible,
     is_vertex_cover,
     min_vertex_cover,
     min_vertex_cover_bipartite,
+    solve,
+    vertex_cover,
 )
 
 
@@ -105,6 +110,95 @@ class TestMinVertexCover:
         sol = min_vertex_cover(g)
         assert sol.tau == 2 * k
         assert set(sol.cover) == {3 * i + j for i in range(k) for j in (0, 1)}
+
+    def test_bound_below_tau_refuted_by_whole_graph(self):
+        # Three components: searched one at a time, a bound of tau - 1 is
+        # refuted only at the last one, but the clique bound of the whole
+        # graph already reaches tau.
+        g = gnp_graph(17, 0.15, 334)
+        tau = min_vertex_cover(g).tau
+        assert len(classify(g).components) > 1
+        stats = SolveStats()
+        assert min_vertex_cover(g, bound=tau - 1, stats=stats) is None
+        assert stats.nodes_explored == 0
+
+
+def _subgraph(n, edges, active):
+    """The active subgraph relabelled to 0..m-1, as (m, edges)."""
+    ids = {v: i for i, v in enumerate(v for v in range(n) if active >> v & 1)}
+    return len(ids), [(ids[u], ids[v]) for u, v in edges if u in ids and v in ids]
+
+
+class TestSearchKernel:
+    def test_clique_bound_below_cover_number(self):
+        rng = random.Random(211)
+        for seed in range(200):
+            n = rng.randint(1, 14)
+            g = gnp_graph(n, rng.uniform(0.1, 0.9), seed)
+            edges = g.edges()
+            for _ in range(3):
+                active = rng.getrandbits(n) | rng.getrandbits(n)
+                lb = vertex_cover._clique_lb(g.adj, active)
+                assert lb <= brute_tau(*_subgraph(n, edges, active)), (seed, active)
+
+    def test_prefilled_table_returns_the_same_cover(self):
+        rng = random.Random(223)
+        saved = 0
+        for seed in range(80):
+            g = gnp_graph(rng.randint(6, 22), rng.uniform(0.15, 0.6), seed)
+            tau = min_vertex_cover(g).tau
+            actives = [g.full_mask, g.full_mask & ~rng.getrandbits(g.n)]
+            for active, k in itertools.product(actives, (tau - 2, tau - 1, tau)):
+                fresh_stats = SolveStats()
+                fresh = vertex_cover._bounded_cover(
+                    g.adj, active, k, fresh_stats, {}
+                )
+                refuted = {}
+                for earlier in (k + 1, tau - 1):
+                    vertex_cover._bounded_cover(
+                        g.adj, active, earlier, SolveStats(), refuted
+                    )
+                stats = SolveStats()
+                got = vertex_cover._bounded_cover(g.adj, active, k, stats, refuted)
+                assert got == fresh, (seed, active, k)
+                saved += fresh_stats.nodes_explored - stats.nodes_explored
+        assert saved > 0
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_answers_do_not_depend_on_the_cap(self, monkeypatch, cap):
+        rng = random.Random(227)
+        cases = []
+        for seed in range(40):
+            n = rng.randint(6, 16)
+            g = gnp_graph(n, rng.uniform(0.2, 0.6), seed)
+            chosen = VertexSet(n, [v for v in range(n) if rng.random() < 0.3])
+            cases.append((g, PreAssignment.including(chosen)))
+
+        def answers():
+            out = []
+            for g, pa in cases:
+                report = is_feasible(g, pa)
+                out.append((report.feasible, report.witness, report.reason))
+                for model in ("include", "exclude"):
+                    r = solve(g, model)
+                    out.append((r.pre.include, r.pre.exclude, r.unique_cover))
+            return out
+        expected = answers()
+        monkeypatch.setattr(vertex_cover, "_REFUTED_CAP", cap)
+        assert answers() == expected
+        g = gnp_graph(40, 0.4, 0)
+        refuted = {}
+        vertex_cover._min_cover(g.adj, g.full_mask, SolveStats(), refuted)
+        assert len(refuted) <= cap
+
+    def test_tau_search_node_count(self):
+        # gnp(80, 0.25): tau 65, where a triangle-plus-edge packing stays
+        # near 2n/3 and prunes only deep in the tree.
+        g = gnp_graph(80, 0.25, 2)
+        stats = SolveStats()
+        tau, _ = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
+        assert tau == 65
+        assert stats.nodes_explored < 4_500
 
 
 class TestBipartite:
