@@ -66,8 +66,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, Model, PreAssignment, VertexSet, classify, delete
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
-from .tree import pau_tree
-from .uniqueness import _check_pre_assignment, is_feasible
+from .tree import pau_tree, unique_tree_cover
+from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
     SolveStats,
     _bits,
@@ -393,22 +393,21 @@ def _solve_connected(
     g: Graph,
     model: Model,
     algo: str,
-    is_tree: bool,
     enum_vertex_limit: int,
     vertex_limit: int | None,
     deadline: float | None,
 ) -> PauResult:
     if algo == "enum":
         return solve_enum(g, model, vertex_limit=enum_vertex_limit, deadline=deadline)
-    if algo == "tree" or (algo == "auto" and is_tree):
+    if algo == "tree" or (algo == "auto" and g.m == g.n - 1):  # g is connected
         stats = SolveStats(deadline)
-        started = time.perf_counter()
         answer = pau_tree(g, model, stats=stats)
-        report = is_feasible(g, answer.witness, vertex_limit=vertex_limit, stats=stats)
-        if not report.feasible:
+        pins = answer.witness
+        cover = unique_tree_cover(g, pins.include.mask, pins.exclude.mask, stats)
+        if cover is None:
             raise AssertionError("tree solver produced an infeasible witness")
-        stats.elapsed = time.perf_counter() - started
-        return PauResult(model, answer.opt, answer.witness, report.witness, stats)
+        cover_set = VertexSet.from_mask(g.n, cover)
+        return PauResult(model, answer.opt, pins, cover_set, stats)
     if model is Model.INCLUDE:
         return solve_fpt_include(g, vertex_limit=vertex_limit, deadline=deadline)
     result = solve_fpt_exclude(g, vertex_limit=vertex_limit, deadline=deadline)
@@ -436,7 +435,8 @@ def solve(
     strategy.  Disconnected graphs are solved per component and the
     answers concatenated (sizes add, witnesses merge).  Mixed-model
     instances are solved in the equivalent exclude model and reported with
-    an empty include set.
+    an empty include set.  vertex_limit caps the fixed-parameter routes and
+    enum_vertex_limit the enumeration; the linear tree route has no cap.
     """
     model = Model(model)
     if algo not in ("auto", "enum", "fpt", "tree"):
@@ -446,9 +446,8 @@ def solve(
         return _trivial_result(g, model, started)
     parts = classify(g)
     if len(parts.components) == 1:
-        is_tree = parts.kind.value == "tree"
         result = _solve_connected(
-            g, model, algo, is_tree, enum_vertex_limit, vertex_limit, deadline
+            g, model, algo, enum_vertex_limit, vertex_limit, deadline
         )
         result.stats.elapsed = time.perf_counter() - started
         return result
@@ -460,9 +459,8 @@ def solve(
     for comp in parts.components:
         sub, old_to_new = delete(g, comp.complement())
         new_to_old = {i: v for v, i in old_to_new.items()}
-        sub_is_tree = classify(sub).kind.value == "tree"
         r = _solve_connected(
-            sub, model, algo, sub_is_tree, enum_vertex_limit, vertex_limit, deadline
+            sub, model, algo, enum_vertex_limit, vertex_limit, deadline
         )
         opt += r.opt_size
         for v in r.pre.include:

@@ -40,16 +40,18 @@ candidates for one entry that agree outside a subtree compare as their
 parts inside it do, so keeping the smaller part is exact, and the answer
 is the lexicographically smallest optimum.  Mixed-model instances are
 answered in the exclude model, which has the same optimum.
+:func:`unique_tree_cover` checks one pin set with the same recurrences
+and no tables, so it checks the table code rather than repeating it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphKind, Model, PreAssignment, VertexSet, classify
+from .graph import Graph, Model, PreAssignment, VertexSet
 from .vertex_cover import SolveStats, _bits, _node
 
-__all__ = ["TreeAnswer", "pau_tree"]
+__all__ = ["TreeAnswer", "pau_tree", "unique_tree_cover"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,57 @@ def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
     table[key] = (cost, mask)
 
 
+def _root(t: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """BFS order from 0, parents, children; ValueError unless t is a tree."""
+    n, adj = t.n, t.adj
+    if n == 0 or t.m != n - 1:
+        raise ValueError("input graph is not a connected tree")
+    order, parent, children, seen = [0], [-1] * n, [[] for _ in range(n)], 1
+    for v in order:
+        fresh = adj[v] & ~seen
+        seen |= fresh
+        children[v] = list(_bits(fresh))
+        for w in children[v]:
+            parent[w] = v
+        order += children[v]
+    if len(order) != n:
+        raise ValueError("input graph is not a connected tree")
+    return order, parent, children
+
+
+def unique_tree_cover(
+    t: Graph, include: int, exclude: int, stats: SolveStats
+) -> int | None:
+    """The unique minimum cover of tree t consistent with the pin masks, or None.
+
+    Counts c_0, c_1 bottom up, then rebuilds the cover top down: a child of
+    an out-vertex is in it, any other vertex takes the one status b with
+    m_b = min(m_0, m_1) and c_b >= 1.  Counts one ``stats.uvc_calls``.
+    """
+    order, parent, _ = _root(t)
+    stats.uvc_calls += 1
+    m0, m1, c0, c1 = [0] * t.n, [1] * t.n, [1] * t.n, [1] * t.n
+    for v in _bits(include):
+        c0[v] = 0
+    for v in _bits(exclude):
+        c1[v] = 0  # pinning before the merge: the capped products keep a 0
+    for v in reversed(order[1:]):
+        p, lo = parent[v], min(m0[v], m1[v])
+        m0[p] += m1[v]
+        m1[p] += lo
+        c0[p] = min(2, c0[p] * c1[v])
+        s = (c0[v] if m0[v] == lo else 0) + (c1[v] if m1[v] == lo else 0)
+        c1[p] = min(2, c1[p] * s)
+    tau = min(m0[0], m1[0])
+    if (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0) != 1:
+        return None
+    cover = 0
+    for v in order:  # the root is vertex 0
+        if (v and not cover >> parent[v] & 1) or not (c0[v] and m0[v] <= m1[v]):
+            cover |= 1 << v
+    return cover
+
+
 def pau_tree(
     t: Graph,
     model: Model | str,
@@ -93,8 +146,6 @@ def pau_tree(
     ``stats`` is honoured.
     """
     model = Model(model)
-    if t.n == 0 or classify(t).kind is not GraphKind.TREE:
-        raise ValueError("input graph is not a connected tree")
     if model is Model.MIXED:
         sub = pau_tree(t, Model.EXCLUDE, stats=stats)
         wrapped = PreAssignment.mixed(VertexSet(t.n), sub.witness.exclude)
@@ -102,17 +153,8 @@ def pau_tree(
     if stats is None:
         stats = SolveStats()
     include = model is Model.INCLUDE
-    adj = t.adj
+    order, _, children = _root(t)
     n = t.n
-    children: list[list[int]] = [[] for _ in range(n)]
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for w in _bits(adj[v]):
-            if w != parent[v]:
-                parent[w] = v
-                children[v].append(w)
-                order.append(w)
     m0 = [0] * n
     m1 = [0] * n
     tables: list[dict | None] = [None] * n

@@ -24,6 +24,12 @@ def p4_file(tmp_path):
     return write(tmp_path / "p4.col", render_dimacs(Graph(4, [(0, 1), (1, 2), (2, 3)])))
 
 
+@pytest.fixture
+def c4_file(tmp_path):
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return write(tmp_path / "c4.col", render_dimacs(c4))
+
+
 class TestSolve:
     def test_exclude_k4(self, k4_file, capsys):
         assert main(["solve", "--model", "exclude", k4_file]) == 0
@@ -52,8 +58,10 @@ class TestSolve:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.col")]) == 2
 
-    def test_vertex_limit_exit_3(self, p4_file):
-        assert main(["solve", "--vertex-limit", "2", p4_file]) == 3
+    def test_vertex_limit_exit_3(self, c4_file, p4_file):
+        assert main(["solve", "--vertex-limit", "2", c4_file]) == 3
+        # the cap guards the exponential routes only; trees take the linear one
+        assert main(["solve", "--vertex-limit", "2", p4_file]) == 0
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_error_exit_3(self, p4_file, monkeypatch, capsys, error):
@@ -64,11 +72,11 @@ class TestSolve:
         assert main(["solve", p4_file]) == 3
         assert f"error: resource limit hit ({error.__name__})" in capsys.readouterr().err
 
-    def test_vertex_limit_env(self, p4_file, monkeypatch):
+    def test_vertex_limit_env(self, c4_file, monkeypatch):
         monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "2")
-        assert main(["solve", p4_file]) == 3
+        assert main(["solve", c4_file]) == 3
         monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "100")
-        assert main(["solve", p4_file]) == 0
+        assert main(["solve", c4_file]) == 0
 
     def test_algo_selector(self, p4_file, capsys):
         for algo in ("auto", "enum", "fpt", "tree"):

@@ -9,16 +9,24 @@ from oracles import (
     brute_tau,
     count_rooted_i_subtrees,
 )
+import pauvc.solvers
 from pauvc import (
     Graph,
     LimitExceeded,
     Model,
+    PreAssignment,
     SolveStats,
+    TreeAnswer,
+    VertexSet,
     is_feasible,
+    is_vertex_cover,
+    min_vertex_cover,
     pau_tree,
     random_tree,
+    solve,
     solve_enum,
 )
+from pauvc.tree import unique_tree_cover
 
 MODELS = ("include", "exclude", "mixed")
 
@@ -113,6 +121,95 @@ class TestPauTree:
         with pytest.raises(ValueError):
             pau_tree(Graph(0, []), "include")
 
+    def test_rejects_cycles_with_tree_edge_counts(self):
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        plus_isolated = Graph(4, triangle)  # m = n - 1, but disconnected
+        plus_pendant = Graph(4, triangle + [(2, 3)])
+        for g in (plus_isolated, plus_pendant):
+            for model in MODELS:
+                with pytest.raises(ValueError):
+                    pau_tree(g, model)
+            with pytest.raises(ValueError):
+                unique_tree_cover(g, 0, 0, SolveStats())
+
+
+def _pins(n, rng, p):
+    return sum(1 << v for v in range(n) if rng.random() < p)
+
+
+def _verdict(t, include, exclude):
+    """is_feasible's witness mask for the pins, or None when infeasible."""
+    pa = PreAssignment.mixed(
+        VertexSet.from_mask(t.n, include), VertexSet.from_mask(t.n, exclude)
+    )
+    report = is_feasible(t, pa)
+    return report.witness.mask if report.feasible else None
+
+
+class TestUniqueTreeCover:
+    def test_agrees_with_is_feasible(self):
+        rng = random.Random(433)
+        checked = 0
+        for i in range(60):
+            n = rng.randint(280, 300) if i % 20 == 0 else rng.randint(1, 60)
+            t = random_tree_edges(n, rng)
+            cover = min_vertex_cover(t).cover.mask
+            for model in ("include", "exclude"):
+                witness = pau_tree(t, model).witness
+                inside = cover if model == "include" else t.full_mask & ~cover
+                pin_sets = [
+                    witness.include.mask | witness.exclude.mask,
+                    inside & _pins(n, rng, 0.3),
+                    inside & _pins(n, rng, 0.7),
+                    _pins(n, rng, 0.1),
+                    _pins(n, rng, 0.4),
+                ]
+                for pins in pin_sets:
+                    include, exclude = (pins, 0) if model == "include" else (0, pins)
+                    got = unique_tree_cover(t, include, exclude, SolveStats())
+                    assert got == _verdict(t, include, exclude), (t.edges(), pins)
+                    checked += 1
+            include = _pins(n, rng, 0.15)
+            exclude = _pins(n, rng, 0.15) & ~include
+            both = unique_tree_cover(t, include, exclude, SolveStats())
+            assert both == _verdict(t, include, exclude)
+            # a vertex pinned both ways admits no cover
+            assert unique_tree_cover(t, 1, 1, SolveStats()) is None
+        assert checked == 600
+
+    def test_one_decision_per_call(self):
+        stats = SolveStats()
+        t = random_tree(50, 7)
+        unique_tree_cover(t, 0, 0, stats)
+        assert (stats.uvc_calls, stats.nodes_explored) == (1, 0)
+
+    def test_dropping_a_pin_from_a_witness_is_rejected(self):
+        rng = random.Random(439)
+        for _ in range(40):
+            n = rng.randint(2, 80)
+            t = random_tree_edges(n, rng)
+            for model in ("include", "exclude"):
+                answer = pau_tree(t, model)
+                pins = answer.witness.include.mask | answer.witness.exclude.mask
+                if answer.opt == 0:
+                    continue
+                for v in answer.witness.include | answer.witness.exclude:
+                    fewer = pins & ~(1 << v)
+                    include, exclude = (fewer, 0) if model == "include" else (0, fewer)
+                    assert unique_tree_cover(t, include, exclude, SolveStats()) is None
+
+    def test_solve_rejects_a_wrong_witness(self, monkeypatch):
+        def wrong_pau_tree(t, model, **kwargs):
+            right = pau_tree(t, model, **kwargs)
+            empty = VertexSet(t.n)
+            return TreeAnswer(right.tau, 0, PreAssignment(Model(model), empty, empty))
+
+        monkeypatch.setattr(pauvc.solvers, "pau_tree", wrong_pau_tree)
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])  # two minimum covers
+        for model in MODELS:
+            with pytest.raises(AssertionError):
+                solve(p4, model)
+
 
 class TestTreeScale:
     def test_ten_thousand_vertices_without_recursion(self):
@@ -125,6 +222,27 @@ class TestTreeScale:
         # an even path has n/2 + 1 minimum covers; pinning an end fixes one
         path_answer = pau_tree(path, "include")
         assert (path_answer.tau, path_answer.opt) == (n // 2, 1)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_solve_ten_thousand_vertices(self, seed):
+        t = random_tree(10_000, seed)
+        for model in MODELS:
+            answer = pau_tree(t, model)
+            started = time.perf_counter()
+            result = solve(t, model)
+            assert time.perf_counter() - started < 5.0
+            assert result.opt_size == answer.opt
+            assert len(result.unique_cover) == answer.tau
+            assert is_vertex_cover(t, result.unique_cover)
+            assert result.stats.uvc_calls == 1
+
+    def test_solve_is_not_vertex_capped(self):
+        # 600 vertices is over the 512 default that caps the exponential routes
+        t = random_tree(600, 0)
+        for model in MODELS:
+            result = solve(t, model)
+            assert result.opt_size == pau_tree(t, model).opt
+            assert result.stats.nodes_explored == t.n
 
     def test_expired_deadline_raises(self):
         t = random_tree(2048, 5)
