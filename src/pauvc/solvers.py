@@ -66,8 +66,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, Model, PreAssignment, VertexSet, classify, delete
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
-from .tree import pau_tree, unique_tree_cover
-from .uniqueness import _check_pre_assignment
+from .tree import pau_tree
+from .uniqueness import _check_pre_assignment, is_feasible
 from .vertex_cover import (
     SolveStats,
     _bits,
@@ -138,18 +138,10 @@ def _result(
     started: float,
 ) -> PauResult:
     pre = PreAssignment(
-        model,
-        VertexSet.from_mask(g.n, inc_mask),
-        VertexSet.from_mask(g.n, exc_mask),
+        model, VertexSet.from_mask(g.n, inc_mask), VertexSet.from_mask(g.n, exc_mask)
     )
     stats.elapsed = time.perf_counter() - started
-    return PauResult(
-        model,
-        pre.size(),
-        pre,
-        VertexSet.from_mask(g.n, cover),
-        stats,
-    )
+    return PauResult(model, pre.size(), pre, VertexSet.from_mask(g.n, cover), stats)
 
 
 def solve_enum(
@@ -382,13 +374,6 @@ def mixed_to_exclude(g: Graph, pa: PreAssignment, ustar: VertexSet) -> VertexSet
 # The dispatcher.
 
 
-def _trivial_result(g: Graph, model: Model, started: float) -> PauResult:
-    stats = SolveStats()
-    stats.elapsed = time.perf_counter() - started
-    empty = VertexSet(g.n)
-    return PauResult(model, 0, PreAssignment(model, empty, empty), empty, stats)
-
-
 def _solve_connected(
     g: Graph,
     model: Model,
@@ -402,12 +387,10 @@ def _solve_connected(
     if algo == "tree" or (algo == "auto" and g.m == g.n - 1):  # g is connected
         stats = SolveStats(deadline)
         answer = pau_tree(g, model, stats=stats)
-        pins = answer.witness
-        cover = unique_tree_cover(g, pins.include.mask, pins.exclude.mask, stats)
-        if cover is None:
+        report = is_feasible(g, answer.witness, stats=stats)  # linear on a tree
+        if not report.feasible:
             raise AssertionError("tree solver produced an infeasible witness")
-        cover_set = VertexSet.from_mask(g.n, cover)
-        return PauResult(model, answer.opt, pins, cover_set, stats)
+        return PauResult(model, answer.opt, answer.witness, report.witness, stats)
     if model is Model.INCLUDE:
         return solve_fpt_include(g, vertex_limit=vertex_limit, deadline=deadline)
     result = solve_fpt_exclude(g, vertex_limit=vertex_limit, deadline=deadline)
@@ -443,7 +426,7 @@ def solve(
         raise ValueError(f"unknown algo {algo!r}")
     started = time.perf_counter()
     if g.n == 0:
-        return _trivial_result(g, model, started)
+        return _result(g, model, 0, 0, 0, SolveStats(), started)
     parts = classify(g)
     if len(parts.components) == 1:
         result = _solve_connected(
@@ -452,17 +435,13 @@ def solve(
         result.stats.elapsed = time.perf_counter() - started
         return result
     stats = SolveStats(deadline)
-    inc_mask = 0
-    exc_mask = 0
-    cover_mask = 0
-    opt = 0
+    inc_mask = exc_mask = cover_mask = 0
     for comp in parts.components:
         sub, old_to_new = delete(g, comp.complement())
         new_to_old = {i: v for v, i in old_to_new.items()}
         r = _solve_connected(
             sub, model, algo, enum_vertex_limit, vertex_limit, deadline
         )
-        opt += r.opt_size
         for v in r.pre.include:
             inc_mask |= 1 << new_to_old[v]
         for v in r.pre.exclude:
@@ -470,10 +449,4 @@ def solve(
         for v in r.unique_cover:
             cover_mask |= 1 << new_to_old[v]
         stats.merge(r.stats)
-    pre = PreAssignment(
-        model,
-        VertexSet.from_mask(g.n, inc_mask),
-        VertexSet.from_mask(g.n, exc_mask),
-    )
-    stats.elapsed = time.perf_counter() - started
-    return PauResult(model, opt, pre, VertexSet.from_mask(g.n, cover_mask), stats)
+    return _result(g, model, inc_mask, exc_mask, cover_mask, stats, started)

@@ -40,8 +40,8 @@ candidates for one entry that agree outside a subtree compare as their
 parts inside it do, so keeping the smaller part is exact, and the answer
 is the lexicographically smallest optimum.  Mixed-model instances are
 answered in the exclude model, which has the same optimum.
-:func:`unique_tree_cover` checks one pin set with the same recurrences
-and no tables, so it checks the table code rather than repeating it.
+:func:`count_tree_covers` counts the covers of one pin set with no tables;
+``is_feasible`` uses it on trees, so it checks the table code's witnesses.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from .graph import Graph, Model, PreAssignment, VertexSet
 from .vertex_cover import SolveStats, _bits, _node
 
-__all__ = ["TreeAnswer", "pau_tree", "unique_tree_cover"]
+__all__ = ["TreeAnswer", "count_tree_covers", "pau_tree"]
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
     table[key] = (cost, mask)
 
 
-def _root(t: Graph) -> tuple[list[int], list[int], list[list[int]]]:
-    """BFS order from 0, parents, children; ValueError unless t is a tree."""
+def _root(t: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """BFS order from 0, parents, children; None unless t is a connected tree."""
     n, adj = t.n, t.adj
     if n == 0 or t.m != n - 1:
-        raise ValueError("input graph is not a connected tree")
+        return None
     order, parent, children, seen = [0], [-1] * n, [[] for _ in range(n)], 1
     for v in order:
         fresh = adj[v] & ~seen
@@ -92,21 +92,24 @@ def _root(t: Graph) -> tuple[list[int], list[int], list[list[int]]]:
         for w in children[v]:
             parent[w] = v
         order += children[v]
-    if len(order) != n:
-        raise ValueError("input graph is not a connected tree")
-    return order, parent, children
+    return (order, parent, children) if len(order) == n else None
 
 
-def unique_tree_cover(
+def count_tree_covers(
     t: Graph, include: int, exclude: int, stats: SolveStats
-) -> int | None:
-    """The unique minimum cover of tree t consistent with the pin masks, or None.
+) -> tuple[int, int, int | None] | None:
+    """Count the minimum covers of t consistent with the pin masks.
 
-    Counts c_0, c_1 bottom up, then rebuilds the cover top down: a child of
-    an out-vertex is in it, any other vertex takes the one status b with
-    m_b = min(m_0, m_1) and c_b >= 1.  Counts one ``stats.uvc_calls``.
+    Returns None unless t is a connected tree, else tau(t), the count
+    capped at 2, and the cover when the count is 1.  Counts c_0, c_1 bottom
+    up, then rebuilds the cover top down: a child of an out-vertex is in
+    it, any other vertex takes the one status b with m_b = min(m_0, m_1)
+    and c_b >= 1.  Counts one ``stats.uvc_calls`` and no search nodes.
     """
-    order, parent, _ = _root(t)
+    rooted = _root(t)
+    if rooted is None:
+        return None
+    order, parent, _ = rooted
     stats.uvc_calls += 1
     m0, m1, c0, c1 = [0] * t.n, [1] * t.n, [1] * t.n, [1] * t.n
     for v in _bits(include):
@@ -121,13 +124,12 @@ def unique_tree_cover(
         s = (c0[v] if m0[v] == lo else 0) + (c1[v] if m1[v] == lo else 0)
         c1[p] = min(2, c1[p] * s)
     tau = min(m0[0], m1[0])
-    if (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0) != 1:
-        return None
+    count = min(2, (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0))
     cover = 0
     for v in order:  # the root is vertex 0
         if (v and not cover >> parent[v] & 1) or not (c0[v] and m0[v] <= m1[v]):
             cover |= 1 << v
-    return cover
+    return tau, count, cover if count == 1 else None
 
 
 def pau_tree(
@@ -150,13 +152,14 @@ def pau_tree(
         sub = pau_tree(t, Model.EXCLUDE, stats=stats)
         wrapped = PreAssignment.mixed(VertexSet(t.n), sub.witness.exclude)
         return TreeAnswer(sub.tau, sub.opt, wrapped)
-    if stats is None:
-        stats = SolveStats()
+    stats = stats if stats is not None else SolveStats()
     include = model is Model.INCLUDE
-    order, _, children = _root(t)
+    rooted = _root(t)
+    if rooted is None:
+        raise ValueError("input graph is not a connected tree")
+    order, _, children = rooted
     n = t.n
-    m0 = [0] * n
-    m1 = [0] * n
+    m0, m1 = [0] * n, [0] * n
     tables: list[dict | None] = [None] * n
     for v in reversed(order):
         _node(stats)

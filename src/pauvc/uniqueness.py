@@ -11,7 +11,7 @@ Every other minimum cover leaves C's path at some first step and lives in
 that step's other branch, so one search per step decides uniqueness, and
 each search runs on the residual graph of the path so far.  The tau search,
 the residual search and the uniqueness walk of one call share one table of
-refuted subproblems.
+refuted subproblems.  On a connected tree a linear count decides instead.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from enum import Enum
 
 from .graph import Graph, Model, PreAssignment, VertexSet, delete
 from .limits import check_vertex_limit
+from .tree import count_tree_covers
 from .vertex_cover import (
     SolveStats,
     VcSolution,
@@ -95,6 +96,16 @@ def _unique_min_cover(
             return False
 
 
+def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason | None:
+    """The reason no cover at all is consistent with the pins, if one shows."""
+    if inc_mask & exc_mask:
+        return Reason.OVERLAP
+    for v in _bits(exc_mask):
+        if adj[v] & exc_mask:
+            return Reason.EXCLUDE_NOT_INDEPENDENT
+    return None
+
+
 def _check_pre_assignment(
     adj: tuple[int, ...],
     n: int,
@@ -106,16 +117,11 @@ def _check_pre_assignment(
 ) -> tuple[bool, int | None, Reason | None]:
     """Feasibility of (include, exclude) masks given tau of the full graph."""
     stats.uvc_calls += 1
-    if inc_mask & exc_mask:
-        return False, None, Reason.OVERLAP
-    scan = exc_mask
+    conflict = _pin_conflict(adj, inc_mask, exc_mask)
+    if conflict is not None:
+        return False, None, conflict
     neighborhood = 0
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        v = low.bit_length() - 1
-        if adj[v] & exc_mask:
-            return False, None, Reason.EXCLUDE_NOT_INDEPENDENT
+    for v in _bits(exc_mask):
         neighborhood |= adj[v]
     forced = inc_mask | neighborhood
     target = tau - forced.bit_count()
@@ -159,15 +165,21 @@ def _probe(
     """tau(g), then the feasibility verdict, witness and reason of pa."""
     if pa.n != g.n:
         raise ValueError("pre-assignment universe does not match graph")
-    check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
+    inc, exc = pa.include.mask, pa.exclude.mask
+    counted = count_tree_covers(g, inc, exc, st)
+    if counted is not None:
+        tau, count, witness = counted
+        reason = _pin_conflict(g.adj, inc, exc)
+        if reason is None and count != 1:
+            reason = Reason.NOT_UNIQUE if count else Reason.NOT_MINIMUM_CONSISTENT
+        return tau, reason is None, witness, reason
+    check_vertex_limit(g.n, vertex_limit)
     refuted: dict[int, int] = {}
     found = _min_cover(g.adj, g.full_mask, st, refuted)
     assert found is not None
     tau, _ = found
-    ok, witness, reason = _check_pre_assignment(
-        g.adj, g.n, tau, pa.include.mask, pa.exclude.mask, st, refuted
-    )
+    ok, witness, reason = _check_pre_assignment(g.adj, g.n, tau, inc, exc, st, refuted)
     return tau, ok, witness, reason
 
 
@@ -183,7 +195,8 @@ def is_feasible(
     Consistent means containing every include vertex and avoiding every
     exclude vertex.  Failures carry a reason: overlapping sets, a
     non-independent exclude set (no cover can avoid both endpoints of an
-    edge), no minimum cover consistent at all, or more than one.
+    edge), no minimum cover consistent at all, or more than one.  On a
+    connected tree a linear count decides, and no vertex cap applies.
     """
     _, ok, witness, reason = _probe(g, pa, vertex_limit, stats)
     return FeasibilityReport(

@@ -5,8 +5,10 @@ import pytest
 
 from oracles import (
     branching_tree_pau,
+    brute_min_covers,
     brute_pau_opt,
     brute_tau,
+    consistent,
     count_rooted_i_subtrees,
 )
 import pauvc.solvers
@@ -15,6 +17,7 @@ from pauvc import (
     LimitExceeded,
     Model,
     PreAssignment,
+    Reason,
     SolveStats,
     TreeAnswer,
     VertexSet,
@@ -23,10 +26,11 @@ from pauvc import (
     min_vertex_cover,
     pau_tree,
     random_tree,
+    reduce_instance,
     solve,
     solve_enum,
 )
-from pauvc.tree import unique_tree_cover
+from pauvc.tree import count_tree_covers
 
 MODELS = ("include", "exclude", "mixed")
 
@@ -129,31 +133,43 @@ class TestPauTree:
             for model in MODELS:
                 with pytest.raises(ValueError):
                     pau_tree(g, model)
-            with pytest.raises(ValueError):
-                unique_tree_cover(g, 0, 0, SolveStats())
+            assert count_tree_covers(g, 0, 0, SolveStats()) is None
 
 
 def _pins(n, rng, p):
     return sum(1 << v for v in range(n) if rng.random() < p)
 
 
-def _verdict(t, include, exclude):
-    """is_feasible's witness mask for the pins, or None when infeasible."""
+def _members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def _searched(t, tau, include, exclude):
+    """The cover-search verdict that graphs other than trees get."""
+    ok, cover, reason = pauvc.solvers._check_pre_assignment(
+        t.adj, t.n, tau, include, exclude, SolveStats(), {}
+    )
+    return (cover if ok else None), reason
+
+
+def _counted(t, include, exclude):
+    """is_feasible's verdict, which on a tree is the linear count."""
     pa = PreAssignment.mixed(
         VertexSet.from_mask(t.n, include), VertexSet.from_mask(t.n, exclude)
     )
     report = is_feasible(t, pa)
-    return report.witness.mask if report.feasible else None
+    return (report.witness.mask if report.feasible else None), report.reason
 
 
-class TestUniqueTreeCover:
-    def test_agrees_with_is_feasible(self):
+class TestTreeFeasibility:
+    def test_agrees_with_cover_search(self):
         rng = random.Random(433)
         checked = 0
         for i in range(60):
             n = rng.randint(280, 300) if i % 20 == 0 else rng.randint(1, 60)
             t = random_tree_edges(n, rng)
-            cover = min_vertex_cover(t).cover.mask
+            solution = min_vertex_cover(t)
+            tau, cover = solution.tau, solution.cover.mask
             for model in ("include", "exclude"):
                 witness = pau_tree(t, model).witness
                 inside = cover if model == "include" else t.full_mask & ~cover
@@ -166,22 +182,49 @@ class TestUniqueTreeCover:
                 ]
                 for pins in pin_sets:
                     include, exclude = (pins, 0) if model == "include" else (0, pins)
-                    got = unique_tree_cover(t, include, exclude, SolveStats())
-                    assert got == _verdict(t, include, exclude), (t.edges(), pins)
+                    got = _counted(t, include, exclude)
+                    want = _searched(t, tau, include, exclude)
+                    assert got == want, (t.edges(), pins)
                     checked += 1
             include = _pins(n, rng, 0.15)
             exclude = _pins(n, rng, 0.15) & ~include
-            both = unique_tree_cover(t, include, exclude, SolveStats())
-            assert both == _verdict(t, include, exclude)
+            assert _counted(t, include, exclude) == _searched(t, tau, include, exclude)
             # a vertex pinned both ways admits no cover
-            assert unique_tree_cover(t, 1, 1, SolveStats()) is None
+            assert count_tree_covers(t, 1, 1, SolveStats())[1:] == (0, None)
         assert checked == 600
 
+    def test_counts_against_brute_force(self):
+        rng = random.Random(443)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            t = random_tree_edges(n, rng)
+            covers = brute_min_covers(n, t.edges())
+            include = _pins(n, rng, 0.2)
+            exclude = _pins(n, rng, 0.2) & ~include
+            tau, count, cover = count_tree_covers(t, include, exclude, SolveStats())
+            inc, exc = _members(include), _members(exclude)
+            hits = [c for c in covers if consistent(c, inc, exc)]
+            assert (tau, count) == (len(covers[0]), min(2, len(hits)))
+            assert cover == (sum(1 << v for v in hits[0]) if len(hits) == 1 else None)
+
     def test_one_decision_per_call(self):
-        stats = SolveStats()
         t = random_tree(50, 7)
-        unique_tree_cover(t, 0, 0, stats)
+        stats = SolveStats()
+        count_tree_covers(t, 0, 0, stats)
         assert (stats.uvc_calls, stats.nodes_explored) == (1, 0)
+        stats = SolveStats()
+        is_feasible(t, PreAssignment.including(VertexSet(t.n)), stats=stats)
+        assert (stats.uvc_calls, stats.nodes_explored) == (1, 0)
+
+    def test_trees_are_not_vertex_capped(self):
+        t = random_tree(600, 0)
+        witness = pau_tree(t, "exclude").witness
+        assert is_feasible(t, witness, vertex_limit=2).feasible
+        reduced, expected_tau, _ = reduce_instance(t, witness, vertex_limit=2)
+        assert expected_tau == min_vertex_cover(reduced, vertex_limit=t.n).tau
+        forest = Graph(t.n, t.edges()[1:])  # not a tree: the capped search
+        with pytest.raises(LimitExceeded):
+            is_feasible(forest, PreAssignment.including(VertexSet(t.n)))
 
     def test_dropping_a_pin_from_a_witness_is_rejected(self):
         rng = random.Random(439)
@@ -196,7 +239,7 @@ class TestUniqueTreeCover:
                 for v in answer.witness.include | answer.witness.exclude:
                     fewer = pins & ~(1 << v)
                     include, exclude = (fewer, 0) if model == "include" else (0, fewer)
-                    assert unique_tree_cover(t, include, exclude, SolveStats()) is None
+                    assert _counted(t, include, exclude) == (None, Reason.NOT_UNIQUE)
 
     def test_solve_rejects_a_wrong_witness(self, monkeypatch):
         def wrong_pau_tree(t, model, **kwargs):
