@@ -435,7 +435,9 @@ def solve(
         result.stats.elapsed = time.perf_counter() - started
         return result
     stats = SolveStats(deadline)
-    inc_mask = exc_mask = cover_mask = 0
+    inc_mask = 0
+    exc_mask = 0
+    cover_mask = 0
     for comp in parts.components:
         sub, old_to_new = delete(g, comp.complement())
         new_to_old = {i: v for v, i in old_to_new.items()}

@@ -152,14 +152,16 @@ def pau_tree(
         sub = pau_tree(t, Model.EXCLUDE, stats=stats)
         wrapped = PreAssignment.mixed(VertexSet(t.n), sub.witness.exclude)
         return TreeAnswer(sub.tau, sub.opt, wrapped)
-    stats = stats if stats is not None else SolveStats()
+    if stats is None:
+        stats = SolveStats()
     include = model is Model.INCLUDE
     rooted = _root(t)
     if rooted is None:
         raise ValueError("input graph is not a connected tree")
     order, _, children = rooted
     n = t.n
-    m0, m1 = [0] * n, [0] * n
+    m0 = [0] * n
+    m1 = [0] * n
     tables: list[dict | None] = [None] * n
     for v in reversed(order):
         _node(stats)
