@@ -17,49 +17,38 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import LimitExceeded, ParseError
-from .graph import Model, PreAssignment, parse_dimacs, render_dimacs
+from .graph import Graph, PreAssignment, parse_dimacs, render_dimacs
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, ENV_VERTEX_LIMIT
 from .random_graphs import gnp_graph, random_tree
 from .reductions import build_bipartite_gadget, build_gc, parse_dimacs_cnf
-from .solvers import solve
+from .solvers import PauResult, solve
 from .uniqueness import has_unique_min_vc, is_feasible, reduce_instance
 from .vertex_cover import SolveStats
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _CSV_HEADER = "instance,n,m,tau,model,algo,opt_size,nodes,elapsed_ms,agrees"
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; seed and inputs pin down outputs."""
+def _deadline(time_cap: float | None) -> float | None:
+    if time_cap is None:
+        return None
+    if time_cap <= 0:
+        raise ValueError("time cap must be positive")
+    return time.perf_counter() + time_cap
 
-    command: str
-    model: str = "exclude"
-    algo: str = "auto"
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    family: str = "gnp"
-    n: int = 12
-    p: float = 0.3
-    k: int | None = None
-    vertex_limit: int | None = None
-    time_cap: float | None = None
-    enum_limit: int = DEFAULT_ENUM_VERTEX_LIMIT
-    json_output: bool = False
-    kind: str | None = None
-    directory: str | None = None
 
-    def deadline(self) -> float | None:
-        if self.time_cap is None:
-            return None
-        if self.time_cap <= 0:
-            raise ValueError("time cap must be positive")
-        return time.perf_counter() + self.time_cap
+def _solve(g: Graph, args: argparse.Namespace) -> PauResult:
+    return solve(
+        g,
+        args.model,
+        args.algo,
+        vertex_limit=args.vertex_limit,
+        enum_vertex_limit=args.enum_limit,
+        deadline=_deadline(args.time_cap),
+    )
 
 
 def _read(path: str) -> str:
@@ -76,8 +65,8 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _print_result(cfg: RunConfig, result) -> None:
-    if cfg.json_output:
+def _print_result(args: argparse.Namespace, result) -> None:
+    if args.json:
         print(json.dumps(result.to_json_dict(), sort_keys=True))
         return
     print(f"model        {result.model.value}")
@@ -90,32 +79,24 @@ def _print_result(cfg: RunConfig, result) -> None:
     print(f"elapsed_s    {stats.elapsed:.6f}")
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    g = parse_dimacs(_read(cfg.input))
-    result = solve(
-        g,
-        cfg.model,
-        cfg.algo,
-        vertex_limit=cfg.vertex_limit,
-        enum_vertex_limit=cfg.enum_limit,
-        deadline=cfg.deadline(),
-    )
-    _print_result(cfg, result)
-    if cfg.k is not None and result.opt_size > cfg.k:
+def cmd_solve(args: argparse.Namespace) -> int:
+    result = _solve(parse_dimacs(_read(args.graph)), args)
+    _print_result(args, result)
+    if args.k is not None and result.opt_size > args.k:
         return 1
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    g = parse_dimacs(_read(cfg.input))
+def cmd_check(args: argparse.Namespace) -> int:
+    g = parse_dimacs(_read(args.graph))
     try:
-        data = json.loads(_read(cfg.output))  # second positional path
+        data = json.loads(_read(args.pre))
     except json.JSONDecodeError as exc:
         raise ParseError(f"pre-assignment file: {exc}") from None
     pre = PreAssignment.from_json_dict(data, g.n)
-    stats = SolveStats(cfg.deadline())
-    report = is_feasible(g, pre, vertex_limit=cfg.vertex_limit, stats=stats)
-    if cfg.json_output:
+    stats = SolveStats(_deadline(args.time_cap))
+    report = is_feasible(g, pre, vertex_limit=args.vertex_limit, stats=stats)
+    if args.json:
         payload = {
             "feasible": report.feasible,
             "reason": None if report.reason is None else report.reason.value,
@@ -129,89 +110,76 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if report.feasible else 1
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    if cfg.input is not None:
-        g = parse_dimacs(_read(cfg.input))
-    elif cfg.family == "tree":
-        g = random_tree(cfg.n, cfg.seed)
+def cmd_generate(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        g = parse_dimacs(_read(args.input))
+    elif args.family == "tree":
+        g = random_tree(args.n, args.seed)
     else:
-        g = gnp_graph(cfg.n, cfg.p, cfg.seed)
-    result = solve(
-        g,
-        cfg.model,
-        cfg.algo,
-        vertex_limit=cfg.vertex_limit,
-        enum_vertex_limit=cfg.enum_limit,
-        deadline=cfg.deadline(),
-    )
+        g = gnp_graph(args.n, args.p, args.seed)
+    result = _solve(g, args)
     reduced, expected_tau, _ = reduce_instance(g, result.pre)
     unique, solution = has_unique_min_vc(reduced)
     if not unique or solution.tau != expected_tau:
         raise AssertionError("generated instance failed verification")
     meta = {
         "expected_tau": expected_tau,
-        "source_seed": cfg.seed,
+        "source_seed": args.seed,
         "pre_assignment": result.pre.to_json_dict(),
     }
-    _write(cfg.output, render_dimacs(reduced))
-    _write(cfg.output + ".json", _dump_json(meta))
+    _write(args.output, render_dimacs(reduced))
+    _write(args.output + ".json", _dump_json(meta))
     print(
-        f"wrote {cfg.output}: n={reduced.n} m={reduced.m} "
+        f"wrote {args.output}: n={reduced.n} m={reduced.m} "
         f"expected_tau={expected_tau}"
     )
     return 0
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    if cfg.kind == "fcp":
-        cnf = parse_dimacs_cnf(_read(cfg.input))
+def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.kind == "fcp":
+        cnf = parse_dimacs_cnf(_read(args.input))
         g, labeling = build_gc(cnf)
         meta = labeling.to_json_dict()
     else:
-        src = parse_dimacs(_read(cfg.input))
+        src = parse_dimacs(_read(args.input))
         g = build_bipartite_gadget(src)
         meta = {
             "original_n": src.n,
             "pendant": {str(v): src.n + v for v in range(src.n)},
         }
-    _write(cfg.output, render_dimacs(g))
-    _write(cfg.output + ".json", _dump_json(meta))
-    print(f"wrote {cfg.output}: n={g.n} m={g.m}")
+    _write(args.output, render_dimacs(g))
+    _write(args.output + ".json", _dump_json(meta))
+    print(f"wrote {args.output}: n={g.n} m={g.m}")
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     names = sorted(
         name
-        for name in os.listdir(cfg.directory)
-        if os.path.isfile(os.path.join(cfg.directory, name))
+        for name in os.listdir(args.directory)
+        if os.path.isfile(os.path.join(args.directory, name))
         and not name.endswith(".json")
     )
     print(_CSV_HEADER)
     for name in names:
-        path = os.path.join(cfg.directory, name)
+        path = os.path.join(args.directory, name)
         try:
             g = parse_dimacs(_read(path))
-            result = solve(
-                g,
-                cfg.model,
-                cfg.algo,
-                vertex_limit=cfg.vertex_limit,
-                enum_vertex_limit=cfg.enum_limit,
-                deadline=cfg.deadline(),
-            )
+            result = _solve(g, args)
             tau = len(result.unique_cover)
             agrees = ""
-            if cfg.algo != "enum" and g.n <= cfg.enum_limit:
-                reference = solve(g, cfg.model, "enum", deadline=cfg.deadline())
+            if args.algo != "enum" and g.n <= args.enum_limit:
+                deadline = _deadline(args.time_cap)
+                reference = solve(g, args.model, "enum", deadline=deadline)
                 agrees = "true" if reference.opt_size == result.opt_size else "false"
             print(
-                f"{name},{g.n},{g.m},{tau},{cfg.model},{cfg.algo},"
+                f"{name},{g.n},{g.m},{tau},{args.model},{args.algo},"
                 f"{result.opt_size},{result.stats.nodes_explored},"
                 f"{result.stats.elapsed * 1000.0:.3f},{agrees}"
             )
         except (ParseError, ValueError, LimitExceeded, OSError):
-            print(f"{name},,,,{cfg.model},{cfg.algo},,,,error")
+            print(f"{name},,,,{args.model},{args.algo},,,,error")
     return 0
 
 
@@ -284,27 +252,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in ("model", "algo", "seed", "family", "n", "p", "k",
-                  "vertex_limit", "time_cap", "enum_limit", "kind",
-                  "directory", "output"):
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(cfg, field, value)
-    if args.command in ("solve", "check"):
-        cfg.input = args.graph
-    else:
-        cfg.input = getattr(args, "input", None)
-    if args.command == "check":
-        cfg.output = args.pre
-    cfg.json_output = bool(getattr(args, "json", False))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _config_from_args(args)
     handlers = {
         "solve": cmd_solve,
         "check": cmd_check,
@@ -313,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": cmd_bench,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -375,35 +375,45 @@ class Classification:
     parts: tuple[VertexSet, VertexSet] | None
 
 
+def _components(adj: tuple[int, ...], active: int) -> Iterator[int]:
+    """Connected components of the active subgraph as masks, lowest vertex first."""
+    while active:
+        comp = frontier = active & -active
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & active & ~comp
+            comp |= frontier
+        active &= ~comp
+        yield comp
+
+
 def classify(g: Graph) -> Classification:
-    """Classify g as a tree, forest, bipartite graph, or general graph."""
-    n = g.n
-    color = [-1] * n
+    """Classify g as a tree, forest, bipartite graph, or general graph.
+
+    The 2-coloring puts each component's lowest vertex in parts[0] and
+    colors by the parity of the distance from it.
+    """
+    adj = g.adj
     components: list[VertexSet] = []
+    part0 = 0
     bipartite = True
-    acyclic = True
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        comp_mask = 0
-        comp_edges = 0
-        while queue:
-            u = queue.pop()
-            comp_mask |= 1 << u
-            comp_edges += g.degree(u)
-            for w in _bits(g.neighbors_mask(u)):
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
-        comp_edges //= 2
-        if comp_edges != comp_mask.bit_count() - 1:
-            acyclic = False
-        components.append(VertexSet.from_mask(n, comp_mask))
-    if acyclic:
+    for comp in _components(adj, g.full_mask):
+        components.append(VertexSet.from_mask(g.n, comp))
+        layer = seen = comp & -comp
+        even = True
+        while layer:
+            if even:
+                part0 |= layer
+            reach = 0
+            for v in _bits(layer):
+                bipartite = bipartite and not adj[v] & layer
+                reach |= adj[v]
+            layer = reach & ~seen
+            seen |= layer
+            even = not even
+    if g.m == g.n - len(components):  # every component is a tree
         kind = GraphKind.TREE if len(components) == 1 else GraphKind.FOREST
     elif bipartite:
         kind = GraphKind.BIPARTITE
@@ -411,10 +421,9 @@ def classify(g: Graph) -> Classification:
         kind = GraphKind.GENERAL
     parts = None
     if bipartite:
-        part0 = sum(1 << v for v in range(n) if color[v] == 0)
         parts = (
-            VertexSet.from_mask(n, part0),
-            VertexSet.from_mask(n, ((1 << n) - 1) & ~part0),
+            VertexSet.from_mask(g.n, part0),
+            VertexSet.from_mask(g.n, g.full_mask & ~part0),
         )
     return Classification(kind, tuple(components), parts)
 

@@ -52,9 +52,10 @@ the one cover is F' plus the endpoints in I, or F' plus the endpoints
 outside E.
 
 So the first feasible candidate has the optimum size and is the witness
-:func:`solve_enum` returns for the same graph.  Mixed-model
-questions are answered in the exclude model; the two are equivalent
-instance by instance.
+:func:`solve_enum` returns for the same graph.  Mixed-model questions are
+answered in the exclude model; the two are equivalent instance by
+instance.  Every route works on a graph's neighbour masks over an active
+mask, so :func:`solve` runs it on each connected component in place.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, Model, PreAssignment, VertexSet, classify, delete
+from .graph import Graph, Model, PreAssignment, VertexSet, _components
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
-from .tree import pau_tree
-from .uniqueness import _check_pre_assignment, is_feasible
+from .tree import _tree_pass, count_tree_covers
+from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
     SolveStats,
     _bits,
@@ -109,39 +110,73 @@ class PauResult:
 # Exhaustive search over pre-assignments, smallest first.
 
 
-def _mask_of(vertices: Sequence[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _include_prefixes(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All vertex tuples of size <= k in lexicographic tuple order."""
+def _include_prefixes(vertices: list[int], k: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of at most k ascending vertices, in lexicographic order."""
 
     def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
         yield prefix
         if len(prefix) < k:
-            for v in range(start, n):
-                yield from rec(prefix + (v,), v + 1)
+            for i in range(start, len(vertices)):
+                yield from rec(prefix + (vertices[i],), i + 1)
 
     return rec((), 0)
 
 
+_Pins = tuple[int, int, int]  # include mask, exclude mask, the unique cover
+
+
 def _result(
-    g: Graph,
-    model: Model,
-    inc_mask: int,
-    exc_mask: int,
-    cover: int,
-    stats: SolveStats,
-    started: float,
+    g: Graph, model: Model, pins: _Pins, stats: SolveStats, started: float
 ) -> PauResult:
-    pre = PreAssignment(
-        model, VertexSet.from_mask(g.n, inc_mask), VertexSet.from_mask(g.n, exc_mask)
-    )
+    inc, exc, cover = (VertexSet.from_mask(g.n, mask) for mask in pins)
+    pre = PreAssignment(model, inc, exc)
     stats.elapsed = time.perf_counter() - started
-    return PauResult(model, pre.size(), pre, VertexSet.from_mask(g.n, cover), stats)
+    return PauResult(model, pre.size(), pre, cover, stats)
+
+
+def _whole_graph(
+    g: Graph,
+    route: Callable[[tuple[int, ...], int, Model, SolveStats], _Pins],
+    model: Model,
+    vertex_limit: int | None,
+    deadline: float | None,
+) -> PauResult:
+    """Run one route on all of g as a single active set."""
+    check_vertex_limit(g.n, vertex_limit)
+    stats = SolveStats(deadline)
+    started = time.perf_counter()
+    return _result(g, model, route(g.adj, g.full_mask, model, stats), stats, started)
+
+
+def _solve_enum(
+    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
+) -> _Pins:
+    """The first feasible pre-assignment of the active subgraph by size.
+
+    Within a size, include sets come in lexicographic order, each followed
+    by its exclude sets in lexicographic order.  The include model takes
+    only include sets of the whole size, the exclude model only the empty one.
+    """
+    refuted: dict[int, int] = {}
+    found = _min_cover(adj, active, stats, refuted)
+    assert found is not None
+    tau, _ = found
+    vertices = list(_bits(active))
+    for k in range(len(vertices) + 1):
+        prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
+        for inc in prefixes:
+            if model is Model.INCLUDE and len(inc) < k:
+                continue
+            inc_mask = sum(1 << v for v in inc)
+            rest = [v for v in vertices if not inc_mask >> v & 1]
+            for exc in combinations(rest, k - len(inc)):
+                exc_mask = sum(1 << v for v in exc)
+                ok, cover, _ = _check_pre_assignment(
+                    adj, active, tau, inc_mask, exc_mask, stats, refuted
+                )
+                if ok:
+                    return inc_mask, exc_mask, cover
+    raise AssertionError("no feasible pre-assignment found, which cannot happen")
 
 
 def solve_enum(
@@ -157,41 +192,7 @@ def solve_enum(
     set before exclude set for the mixed model), so the returned witness is
     the lexicographically smallest minimum feasible pre-assignment.
     """
-    model = Model(model)
-    check_vertex_limit(g.n, vertex_limit)
-    stats = SolveStats(deadline)
-    started = time.perf_counter()
-    refuted: dict[int, int] = {}
-    found = _min_cover(g.adj, g.full_mask, stats, refuted)
-    assert found is not None
-    tau, _ = found
-    n = g.n
-    for k in range(n + 1):
-        if model is Model.MIXED:
-            for inc in _include_prefixes(n, k):
-                inc_mask = _mask_of(inc)
-                rest = [v for v in range(n) if not (inc_mask >> v) & 1]
-                for exc in combinations(rest, k - len(inc)):
-                    exc_mask = _mask_of(exc)
-                    ok, cover, _ = _check_pre_assignment(
-                        g.adj, n, tau, inc_mask, exc_mask, stats, refuted
-                    )
-                    if ok:
-                        return _result(
-                            g, model, inc_mask, exc_mask, cover, stats, started
-                        )
-        else:
-            for combo in combinations(range(n), k):
-                mask = _mask_of(combo)
-                inc_mask, exc_mask = (
-                    (mask, 0) if model is Model.INCLUDE else (0, mask)
-                )
-                ok, cover, _ = _check_pre_assignment(
-                    g.adj, n, tau, inc_mask, exc_mask, stats, refuted
-                )
-                if ok:
-                    return _result(g, model, inc_mask, exc_mask, cover, stats, started)
-    raise AssertionError("no feasible pre-assignment found, which cannot happen")
+    return _whole_graph(g, _solve_enum, Model(model), vertex_limit, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +213,16 @@ def _leaf_table(
     return table
 
 
-def _leaf_pool(g: Graph, model: Model, forced: int, matched: int) -> list[int]:
+def _leaf_pool(
+    adj: tuple[int, ...], active: int, model: Model, forced: int, matched: int
+) -> list[int]:
     """The single-bit masks a leaf's candidates draw on beyond a selection."""
     if model is Model.INCLUDE:
         return [1 << v for v in _bits(forced)]
     pool = []
     seen: set[int] = set()
-    for u in _bits(g.full_mask & ~forced & ~matched):
-        trace = g.neighbors_mask(u) & forced
+    for u in _bits(active & ~forced & ~matched):
+        trace = adj[u] & forced
         if trace and trace not in seen:
             seen.add(trace)
             pool.append(1 << u)
@@ -227,7 +230,11 @@ def _leaf_pool(g: Graph, model: Model, forced: int, matched: int) -> list[int]:
 
 
 def _candidate_stream(
-    g: Graph, model: Model, table: list[_LeafRow], stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    model: Model,
+    table: list[_LeafRow],
+    stats: SolveStats,
 ) -> Iterator[int]:
     """Candidate masks by size, each size sorted by vertex list.
 
@@ -236,7 +243,7 @@ def _candidate_stream(
     Every generated candidate counts as a search node, so deadlines fire.
     """
     expanded: dict[int, tuple[list[int], list[int]]] = {}
-    for k in range(g.n + 1):
+    for k in range(active.bit_count() + 1):
         batch: set[int] = set()
         for i, (forced, matched, edges) in enumerate(table):
             if len(edges) > k:
@@ -248,7 +255,8 @@ def _candidate_stream(
                     selections = [
                         s | pick for s in selections for pick in (low, e ^ low)
                     ]
-                expanded[i] = (selections, _leaf_pool(g, model, forced, matched))
+                pool = _leaf_pool(adj, active, model, forced, matched)
+                expanded[i] = (selections, pool)
             selections, pool = expanded[i]
             for combo in combinations(pool, k - len(edges)):
                 rest = sum(combo)  # distinct single bits, so the sum is their union
@@ -281,21 +289,21 @@ def _decide(table: list[_LeafRow], model: Model, cand: int) -> int | None:
 
 
 def _solve_fpt(
-    g: Graph, model: Model, vertex_limit: int | None, deadline: float | None
-) -> PauResult:
-    check_vertex_limit(g.n, vertex_limit)
-    stats = SolveStats(deadline)
-    started = time.perf_counter()
-    found = _min_cover(g.adj, g.full_mask, stats, {})
+    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
+) -> _Pins:
+    """The first feasible candidate of the active subgraph's stream.
+
+    The mixed model is answered in the exclude model.
+    """
+    found = _min_cover(adj, active, stats, {})
     assert found is not None
     tau, _ = found
-    table = _leaf_table(_branch_leaves(g.adj, g.full_mask, tau, stats))
-    for cand in _candidate_stream(g, model, table, stats):
+    table = _leaf_table(_branch_leaves(adj, active, tau, stats))
+    for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1
         cover = _decide(table, model, cand)
         if cover is not None:
-            inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
-            return _result(g, model, inc, exc, cover, stats, started)
+            return (cand, 0, cover) if model is Model.INCLUDE else (0, cand, cover)
     raise AssertionError("candidate stream missed every feasible pre-assignment")
 
 
@@ -313,7 +321,7 @@ def solve_fpt_include(
     decided by size, smallest first, by counting their consistent covers
     over the branching leaves.
     """
-    return _solve_fpt(g, Model.INCLUDE, vertex_limit, deadline)
+    return _whole_graph(g, _solve_fpt, Model.INCLUDE, vertex_limit, deadline)
 
 
 def solve_fpt_exclude(
@@ -332,7 +340,7 @@ def solve_fpt_exclude(
     returned; it contains every minimum exclude set built from such
     vertices, so the optimum is exact.
     """
-    return _solve_fpt(g, Model.EXCLUDE, vertex_limit, deadline)
+    return _whole_graph(g, _solve_fpt, Model.EXCLUDE, vertex_limit, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +382,18 @@ def mixed_to_exclude(g: Graph, pa: PreAssignment, ustar: VertexSet) -> VertexSet
 # The dispatcher.
 
 
-def _solve_connected(
-    g: Graph,
-    model: Model,
-    algo: str,
-    enum_vertex_limit: int,
-    vertex_limit: int | None,
-    deadline: float | None,
-) -> PauResult:
-    if algo == "enum":
-        return solve_enum(g, model, vertex_limit=enum_vertex_limit, deadline=deadline)
-    if algo == "tree" or (algo == "auto" and g.m == g.n - 1):  # g is connected
-        stats = SolveStats(deadline)
-        answer = pau_tree(g, model, stats=stats)
-        report = is_feasible(g, answer.witness, stats=stats)  # linear on a tree
-        if not report.feasible:
-            raise AssertionError("tree solver produced an infeasible witness")
-        return PauResult(model, answer.opt, answer.witness, report.witness, stats)
-    if model is Model.INCLUDE:
-        return solve_fpt_include(g, vertex_limit=vertex_limit, deadline=deadline)
-    result = solve_fpt_exclude(g, vertex_limit=vertex_limit, deadline=deadline)
-    if model is Model.EXCLUDE:
-        return result
-    pre = PreAssignment.mixed(VertexSet(g.n), result.pre.exclude)
-    return PauResult(
-        Model.MIXED, result.opt_size, pre, result.unique_cover, result.stats
-    )
+def _solve_tree(
+    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
+) -> _Pins | None:
+    """The tree pass's optimum, checked by the linear count; None off trees."""
+    found = _tree_pass(adj, active, model is Model.INCLUDE, stats)
+    if found is None:
+        return None
+    pins = (found[1], 0) if model is Model.INCLUDE else (0, found[1])
+    _, count, cover = count_tree_covers(adj, active, *pins, stats)
+    if count != 1:
+        raise AssertionError("tree solver produced an infeasible witness")
+    return (*pins, cover)
 
 
 def solve(
@@ -413,42 +407,35 @@ def solve(
 ) -> PauResult:
     """Solve one instance with the chosen strategy.
 
-    algo "auto" routes trees to the tree solver and everything else to the
-    fixed-parameter solver for the model; "enum", "fpt", and "tree" force a
-    strategy.  Disconnected graphs are solved per component and the
-    answers concatenated (sizes add, witnesses merge).  Mixed-model
-    instances are solved in the equivalent exclude model and reported with
-    an empty include set.  vertex_limit caps the fixed-parameter routes and
-    enum_vertex_limit the enumeration; the linear tree route has no cap.
+    Each connected component is solved in place, on g's own neighbour
+    masks with the component as the active set, and the answers are
+    united: sizes add, witnesses and covers merge, and the counters of one
+    ``SolveStats`` add up.  algo "auto" routes tree components to the tree
+    solver and every other component to the fixed-parameter solver for the
+    model; "enum", "fpt", and "tree" force a strategy.  Mixed-model
+    instances take the exclude model on those two routes and are reported
+    with an empty include set.  vertex_limit caps each component on the
+    fixed-parameter route and enum_vertex_limit on the enumeration; the
+    linear tree route has no cap.
     """
     model = Model(model)
     if algo not in ("auto", "enum", "fpt", "tree"):
         raise ValueError(f"unknown algo {algo!r}")
     started = time.perf_counter()
-    if g.n == 0:
-        return _result(g, model, 0, 0, 0, SolveStats(), started)
-    parts = classify(g)
-    if len(parts.components) == 1:
-        result = _solve_connected(
-            g, model, algo, enum_vertex_limit, vertex_limit, deadline
-        )
-        result.stats.elapsed = time.perf_counter() - started
-        return result
     stats = SolveStats(deadline)
-    inc_mask = 0
-    exc_mask = 0
-    cover_mask = 0
-    for comp in parts.components:
-        sub, old_to_new = delete(g, comp.complement())
-        new_to_old = {i: v for v, i in old_to_new.items()}
-        r = _solve_connected(
-            sub, model, algo, enum_vertex_limit, vertex_limit, deadline
-        )
-        for v in r.pre.include:
-            inc_mask |= 1 << new_to_old[v]
-        for v in r.pre.exclude:
-            exc_mask |= 1 << new_to_old[v]
-        for v in r.unique_cover:
-            cover_mask |= 1 << new_to_old[v]
-        stats.merge(r.stats)
-    return _result(g, model, inc_mask, exc_mask, cover_mask, stats, started)
+    inc = exc = cover = 0
+    for comp in _components(g.adj, g.full_mask):
+        if algo == "enum":
+            check_vertex_limit(comp.bit_count(), enum_vertex_limit)
+            pins = _solve_enum(g.adj, comp, model, stats)
+        else:
+            pins = None if algo == "fpt" else _solve_tree(g.adj, comp, model, stats)
+            if pins is None:
+                if algo == "tree":
+                    raise ValueError("input graph is not a connected tree")
+                check_vertex_limit(comp.bit_count(), vertex_limit)
+                pins = _solve_fpt(g.adj, comp, model, stats)
+        inc |= pins[0]
+        exc |= pins[1]
+        cover |= pins[2]
+    return _result(g, model, (inc, exc, cover), stats, started)

@@ -1,8 +1,8 @@
 """Linear-time solver for pre-assignments on trees.
 
-Root the tree at vertex 0 and write T_v for the subtree of v.  For a status
-b of v (0: out of the cover, 1: in it), m_b(v) is the size of a smallest
-cover of T_v in which v has status b:
+Root the tree at its lowest vertex and write T_v for the subtree of v.  For
+a status b of v (0: out of the cover, 1: in it), m_b(v) is the size of a
+smallest cover of T_v in which v has status b:
 
     m_0(v) = sum over children w of m_1(w)
     m_1(v) = 1 + sum over children w of min(m_0(w), m_1(w))
@@ -37,11 +37,13 @@ each union also costs O(n/64) machine words.  Among entries with equal pin
 counts the table keeps the lexicographically smaller sorted vertex list:
 the lowest vertex two masks do not share lies in the smaller one.  Two
 candidates for one entry that agree outside a subtree compare as their
-parts inside it do, so keeping the smaller part is exact, and the answer
-is the lexicographically smallest optimum.  Mixed-model instances are
-answered in the exclude model, which has the same optimum.
-:func:`count_tree_covers` counts the covers of one pin set with no tables;
-``is_feasible`` uses it on trees, so it checks the table code's witnesses.
+parts inside it do, so keeping the smaller part is exact in whatever order
+children merge, and the answer is the lexicographically smallest optimum.
+Mixed-model instances are answered in the exclude model, which has the
+same optimum.
+:func:`count_tree_covers` counts the covers of one pin set with no tables,
+so ``solve`` checks the tables' witnesses with it.  Both passes run on a
+graph's neighbour masks, over the connected tree an active mask selects.
 """
 
 from __future__ import annotations
@@ -79,57 +81,115 @@ def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
     table[key] = (cost, mask)
 
 
-def _root(t: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """BFS order from 0, parents, children; None unless t is a connected tree."""
-    n, adj = t.n, t.adj
-    if n == 0 or t.m != n - 1:
+def _root(adj: tuple[int, ...], active: int) -> tuple[list[int], list[int]] | None:
+    """BFS order of the active subgraph from its lowest vertex, and parents.
+
+    parent[i] is the position of order[i]'s parent (-1 at the root).
+    Returns None unless the active subgraph is a connected tree: an edge
+    back to a reached vertex other than the parent closes a cycle.
+    """
+    if not active:
         return None
-    order, parent, children, seen = [0], [-1] * n, [[] for _ in range(n)], 1
-    for v in order:
-        fresh = adj[v] & ~seen
+    root = active & -active
+    order, parent, seen = [root.bit_length() - 1], [-1], root
+    for i, v in enumerate(order):
+        nb = adj[v] & active
+        fresh = nb & ~seen
+        if nb ^ fresh != (1 << order[parent[i]] if i else 0):
+            return None
         seen |= fresh
-        children[v] = list(_bits(fresh))
-        for w in children[v]:
-            parent[w] = v
-        order += children[v]
-    return (order, parent, children) if len(order) == n else None
+        parent += [i] * fresh.bit_count()
+        order += _bits(fresh)
+    return (order, parent) if seen == active else None
 
 
 def count_tree_covers(
-    t: Graph, include: int, exclude: int, stats: SolveStats
+    adj: tuple[int, ...], active: int, include: int, exclude: int, stats: SolveStats
 ) -> tuple[int, int, int | None] | None:
-    """Count the minimum covers of t consistent with the pin masks.
+    """Count the minimum covers of the active subgraph consistent with the pins.
 
-    Returns None unless t is a connected tree, else tau(t), the count
-    capped at 2, and the cover when the count is 1.  Counts c_0, c_1 bottom
-    up, then rebuilds the cover top down: a child of an out-vertex is in
-    it, any other vertex takes the one status b with m_b = min(m_0, m_1)
-    and c_b >= 1.  Counts one ``stats.uvc_calls`` and no search nodes.
+    Returns None unless the active subgraph is a connected tree, else its
+    tau, the count capped at 2, and one such cover when the count is at
+    least 1.  Counts c_0, c_1 bottom up, then rebuilds the cover top down:
+    a child of an out-vertex is in it, any other vertex takes the one
+    status b with m_b = min(m_0, m_1) and c_b >= 1 (the out status when
+    both qualify).  Counts one ``stats.uvc_calls`` and no search nodes.
     """
-    rooted = _root(t)
+    rooted = _root(adj, active)
     if rooted is None:
         return None
-    order, parent, _ = rooted
+    order, parent = rooted
     stats.uvc_calls += 1
-    m0, m1, c0, c1 = [0] * t.n, [1] * t.n, [1] * t.n, [1] * t.n
-    for v in _bits(include):
-        c0[v] = 0
-    for v in _bits(exclude):
-        c1[v] = 0  # pinning before the merge: the capped products keep a 0
-    for v in reversed(order[1:]):
-        p, lo = parent[v], min(m0[v], m1[v])
-        m0[p] += m1[v]
+    n = len(order)
+    m0, m1 = [0] * n, [1] * n
+    c0 = [0 if include >> v & 1 else 1 for v in order]
+    # Pinning before the merge: the capped products keep a 0.
+    c1 = [0 if exclude >> v & 1 else 1 for v in order]
+    for i in range(n - 1, 0, -1):
+        p, lo = parent[i], min(m0[i], m1[i])
+        m0[p] += m1[i]
         m1[p] += lo
-        c0[p] = min(2, c0[p] * c1[v])
-        s = (c0[v] if m0[v] == lo else 0) + (c1[v] if m1[v] == lo else 0)
+        c0[p] = min(2, c0[p] * c1[i])
+        s = (c0[i] if m0[i] == lo else 0) + (c1[i] if m1[i] == lo else 0)
         c1[p] = min(2, c1[p] * s)
     tau = min(m0[0], m1[0])
     count = min(2, (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0))
     cover = 0
-    for v in order:  # the root is vertex 0
-        if (v and not cover >> parent[v] & 1) or not (c0[v] and m0[v] <= m1[v]):
+    for i, v in enumerate(order):
+        if (i and not cover >> order[parent[i]] & 1) or not (c0[i] and m0[i] <= m1[i]):
             cover |= 1 << v
-    return tau, count, cover if count == 1 else None
+    return tau, count, cover if count else None
+
+
+def _tree_pass(
+    adj: tuple[int, ...], active: int, include: bool, stats: SolveStats
+) -> tuple[int, int] | None:
+    """tau and the optimum pin mask of the active subgraph, by the tables.
+
+    None unless the active subgraph is a connected tree.  The pins are
+    include vertices when include is set, else exclude vertices.
+    """
+    rooted = _root(adj, active)
+    if rooted is None:
+        return None
+    order, parent = rooted
+    n = len(order)
+    m0, m1 = [0] * n, [1] * n
+    tables: list[dict] = [{(1, 1): (0, 0)} for _ in order]
+    for i in range(n - 1, -1, -1):
+        _node(stats)
+        table = tables[i]  # its children are merged; pin the vertex now
+        bit = 1 << order[i]
+        for (c0, c1), (cost, mask) in list(table.items()):
+            key = (0, c1) if include else (c0, 0)
+            if key != (0, 0):
+                _offer(table, key, cost + 1, mask | bit)
+        if i == 0:
+            break
+        p, lo = parent[i], min(m0[i], m1[i])
+        m0[p] += m1[i]
+        m1[p] += lo
+        projected: dict = {}
+        for (b0, b1), (cost, mask) in table.items():
+            s = min(2, (b0 if m0[i] == lo else 0) + (b1 if m1[i] == lo else 0))
+            if b1 or s:
+                _offer(projected, (b1, s), cost, mask)
+        merged: dict = {}
+        for (a0, a1), (cost, mask) in tables[p].items():
+            for (b1, s), (wcost, wmask) in projected.items():
+                key = (min(2, a0 * b1), min(2, a1 * s))
+                if key != (0, 0):
+                    _offer(merged, key, cost + wcost, mask | wmask)
+        tables[p] = merged
+        tables[i] = {}
+    tau = min(m0[0], m1[0])
+    final: dict = {}
+    for (c0, c1), (cost, mask) in tables[0].items():
+        if (c0 if m0[0] == tau else 0) + (c1 if m1[0] == tau else 0) == 1:
+            _offer(final, (1, 1), cost, mask)
+    # Pinning a minimum cover (include) or its complement (exclude) is
+    # always feasible, so some entry counts exactly one cover.
+    return tau, final[1, 1][1]
 
 
 def pau_tree(
@@ -148,61 +208,12 @@ def pau_tree(
     ``stats`` is honoured.
     """
     model = Model(model)
-    if model is Model.MIXED:
-        sub = pau_tree(t, Model.EXCLUDE, stats=stats)
-        wrapped = PreAssignment.mixed(VertexSet(t.n), sub.witness.exclude)
-        return TreeAnswer(sub.tau, sub.opt, wrapped)
-    if stats is None:
-        stats = SolveStats()
-    include = model is Model.INCLUDE
-    rooted = _root(t)
-    if rooted is None:
+    st = stats if stats is not None else SolveStats()
+    found = _tree_pass(t.adj, t.full_mask, model is Model.INCLUDE, st)
+    if found is None:
         raise ValueError("input graph is not a connected tree")
-    order, _, children = rooted
-    n = t.n
-    m0 = [0] * n
-    m1 = [0] * n
-    tables: list[dict | None] = [None] * n
-    for v in reversed(order):
-        _node(stats)
-        out_size, in_size = 0, 1
-        table = {(1, 1): (0, 0)}
-        for w in children[v]:
-            w0, w1 = m0[w], m1[w]
-            lo = min(w0, w1)
-            out_size += w1
-            in_size += lo
-            projected: dict = {}
-            for (b0, b1), (cost, mask) in tables[w].items():
-                s = min(2, (b0 if w0 == lo else 0) + (b1 if w1 == lo else 0))
-                if b1 or s:
-                    _offer(projected, (b1, s), cost, mask)
-            tables[w] = None
-            merged: dict = {}
-            for (a0, a1), (cost, mask) in table.items():
-                for (b1, s), (wcost, wmask) in projected.items():
-                    key = (min(2, a0 * b1), min(2, a1 * s))
-                    if key != (0, 0):
-                        _offer(merged, key, cost + wcost, mask | wmask)
-            table = merged
-        pinned = dict(table)
-        for (c0, c1), (cost, mask) in table.items():
-            key = (0, c1) if include else (c0, 0)
-            if key != (0, 0):
-                _offer(pinned, key, cost + 1, mask | 1 << v)
-        tables[v] = pinned
-        m0[v], m1[v] = out_size, in_size
-    tau = min(m0[0], m1[0])
-    final: dict = {}
-    for (c0, c1), (cost, mask) in tables[0].items():
-        if (c0 if m0[0] == tau else 0) + (c1 if m1[0] == tau else 0) == 1:
-            _offer(final, (1, 1), cost, mask)
-    # Pinning a minimum cover (include) or its complement (exclude) is
-    # always feasible, so some entry counts exactly one cover.
-    opt, witness = final[1, 1]
-    members = VertexSet.from_mask(n, witness)
-    if include:
-        pre = PreAssignment.including(members)
-    else:
-        pre = PreAssignment.excluding(members)
-    return TreeAnswer(tau, opt, pre)
+    tau, pins = found
+    members, empty = VertexSet.from_mask(t.n, pins), VertexSet(t.n)
+    if model is Model.INCLUDE:
+        return TreeAnswer(tau, len(members), PreAssignment(model, members, empty))
+    return TreeAnswer(tau, len(members), PreAssignment(model, empty, members))

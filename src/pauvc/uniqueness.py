@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, Model, PreAssignment, VertexSet, delete
+from .graph import Graph, PreAssignment, VertexSet, _components, delete
 from .limits import check_vertex_limit
 from .tree import count_tree_covers
 from .vertex_cover import (
@@ -108,14 +108,14 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
 
 def _check_pre_assignment(
     adj: tuple[int, ...],
-    n: int,
+    universe: int,
     tau: int,
     inc_mask: int,
     exc_mask: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
-    """Feasibility of (include, exclude) masks given tau of the full graph."""
+    """Feasibility of (include, exclude) masks given tau of the universe mask."""
     stats.uvc_calls += 1
     conflict = _pin_conflict(adj, inc_mask, exc_mask)
     if conflict is not None:
@@ -127,7 +127,7 @@ def _check_pre_assignment(
     target = tau - forced.bit_count()
     if target < 0:
         return False, None, Reason.NOT_MINIMUM_CONSISTENT
-    active = ((1 << n) - 1) & ~forced & ~exc_mask
+    active = universe & ~forced & ~exc_mask
     cover = _bounded_cover(adj, active, target, stats, refuted)
     if cover is None:
         return False, None, Reason.NOT_MINIMUM_CONSISTENT
@@ -144,15 +144,31 @@ def has_unique_min_vc(
 ) -> tuple[bool, VcSolution]:
     """Whether g has exactly one minimum vertex cover, plus one such cover.
 
-    When the answer is True the returned cover is the unique one.
+    When the answer is True the returned cover is the unique one.  A tree
+    component takes the linear count, any other the cover search and the
+    uniqueness walk; the vertex cap applies only if some component does.
     """
-    check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
     refuted: dict[int, int] = {}
-    found = _min_cover(g.adj, g.full_mask, st, refuted)
-    assert found is not None
-    tau, cover = found
-    unique = _unique_min_cover(g.adj, g.full_mask, tau, cover, st, refuted)
+    unique = True
+    tau = cover = 0
+    for comp in _components(g.adj, g.full_mask):
+        if comp & (comp - 1) == 0:
+            continue  # an isolated vertex
+        counted = count_tree_covers(g.adj, comp, 0, 0, st)
+        if counted is not None:
+            part_tau, count, part = counted
+            unique = unique and count == 1
+        else:
+            check_vertex_limit(g.n, vertex_limit)
+            found = _min_cover(g.adj, comp, st, refuted)
+            assert found is not None
+            part_tau, part = found
+            unique = unique and _unique_min_cover(
+                g.adj, comp, part_tau, part, st, refuted
+            )
+        tau += part_tau
+        cover |= part
     return unique, VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
@@ -167,19 +183,21 @@ def _probe(
         raise ValueError("pre-assignment universe does not match graph")
     st = stats if stats is not None else SolveStats()
     inc, exc = pa.include.mask, pa.exclude.mask
-    counted = count_tree_covers(g, inc, exc, st)
+    counted = count_tree_covers(g.adj, g.full_mask, inc, exc, st)
     if counted is not None:
         tau, count, witness = counted
         reason = _pin_conflict(g.adj, inc, exc)
         if reason is None and count != 1:
             reason = Reason.NOT_UNIQUE if count else Reason.NOT_MINIMUM_CONSISTENT
-        return tau, reason is None, witness, reason
+        return tau, reason is None, witness if reason is None else None, reason
     check_vertex_limit(g.n, vertex_limit)
     refuted: dict[int, int] = {}
     found = _min_cover(g.adj, g.full_mask, st, refuted)
     assert found is not None
     tau, _ = found
-    ok, witness, reason = _check_pre_assignment(g.adj, g.n, tau, inc, exc, st, refuted)
+    ok, witness, reason = _check_pre_assignment(
+        g.adj, g.full_mask, tau, inc, exc, st, refuted
+    )
     return tau, ok, witness, reason
 
 

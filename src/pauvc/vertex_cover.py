@@ -2,15 +2,17 @@
 
 Every search runs on bit masks over the original vertex ids, so a
 subproblem is just an active mask, and keeps its open subproblems on an
-explicit stack, so no graph is too deep for it.  There is one branching
-kernel: take a lowest-id maximum-degree vertex v (:func:`_pick`) or its
-whole neighborhood N(v), pruned by a greedy clique-partition bound
+explicit stack, so no graph is too deep for it.  A connected component is
+an active mask too, so callers split a graph with ``graph._components``
+and search each component in place.  There is one branching kernel: take a
+lowest-id maximum-degree vertex v (:func:`_pick`) or its whole
+neighborhood N(v), pruned by a greedy clique-partition bound
 (:func:`_clique_lb`).  :func:`_branch_leaves` branches until only isolated
 edges remain; its leaves drive the fixed-parameter solvers,
 :func:`branch_to_matchings` and :func:`enumerate_min_vertex_covers`, and
 every minimum cover must extend one, so it folds no degree-1 vertex.
-:func:`_bounded_cover` needs only one cover and folds them, so it keeps its
-own scan, which finds the branching vertex, folds pendants and drops
+:func:`_bounded_cover` needs only one cover and folds them, so it keeps
+its own scan, which finds the branching vertex, folds pendants and drops
 isolated vertices in one pass.  It also records the subproblems it refutes
 in a table that one public call shares across all its searches on one
 graph; the table only skips subtrees that hold no cover within budget, so
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import LimitExceeded
-from .graph import Graph, VertexSet, _bits, classify
+from .graph import Graph, VertexSet, _bits, _components
 from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit
 
 __all__ = [
@@ -311,15 +313,15 @@ def min_vertex_cover(
     refuted: dict[int, int] = {}
     tau = 0
     cover = 0
-    for comp in classify(g).components:
-        if len(comp) < 2:
-            continue
+    for comp in _components(g.adj, g.full_mask):
+        if comp & (comp - 1) == 0:
+            continue  # an isolated vertex
         upper = None if bound is None else bound - tau
-        found = _min_cover(g.adj, comp.mask, st, refuted, upper=upper)
+        found = _min_cover(g.adj, comp, st, refuted, upper=upper)
         if found is None:
             return None
         tau += found[0]
-        cover |= _lex_min_cover(g.adj, comp.mask, found[0], st, refuted)
+        cover |= _lex_min_cover(g.adj, comp, found[0], st, refuted)
     return VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 

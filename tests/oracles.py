@@ -97,6 +97,31 @@ def random_edges(n, p, rng):
     )
 
 
+def random_union(max_n, max_piece, rng):
+    """A relabelled disjoint union of random pieces on at most max_n vertices.
+
+    The pieces are random trees, cycles, Erdos-Renyi graphs and isolated
+    vertices of at most max_piece vertices each.  Returns (n, edges).
+    """
+    target = rng.randint(1, max_n)
+    n = 0
+    edges = []
+    while n < target:
+        kind = rng.choice(("tree", "cycle", "gnp", "isolated"))
+        size = 1 if kind == "isolated" else min(rng.randint(2, max_piece), target - n)
+        if kind == "tree":
+            piece = [(v, rng.randrange(v)) for v in range(1, size)]
+        elif kind == "cycle" and size >= 3:
+            piece = [(v, (v + 1) % size) for v in range(size)]
+        else:
+            piece = random_edges(size, rng.uniform(0.2, 0.7), rng)
+        edges += [(u + n, v + n) for u, v in piece]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, tuple((perm[u], perm[v]) for u, v in edges)
+
+
 # ---------------------------------------------------------------------------
 # The paper's exponential tree algorithm, kept as a differential oracle for
 # the linear-time tree solver.  It works on adjacency bit masks of its own.

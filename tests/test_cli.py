@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from pauvc import Graph, parse_dimacs, render_dimacs
+from pauvc import Graph, gnp_graph, parse_dimacs, render_dimacs
 from pauvc.cli import main
 
 
@@ -84,6 +84,18 @@ class TestSolve:
             assert "opt_size     1" in capsys.readouterr().out
 
 
+class TestTimeCap:
+    def test_nonpositive_cap_exit_2(self, k4_file, capsys):
+        assert main(["solve", k4_file, "--time-cap", "0"]) == 2
+        assert "time cap must be positive" in capsys.readouterr().err
+
+    def test_cap_exit_3(self, tmp_path, capsys):
+        g = write(tmp_path / "g.col", render_dimacs(gnp_graph(120, 0.03, 0)))
+        rc = main(["solve", g, "--model", "include", "--time-cap", "0.5"])
+        assert rc == 3
+        assert "time cap exceeded" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_feasible(self, k4_file, tmp_path, capsys):
         pre = write(
@@ -138,6 +150,17 @@ class TestGenerate:
         assert unique and sol.tau == meta["expected_tau"]
         assert meta["source_seed"] == 7
         assert meta["pre_assignment"]["model"] == "exclude"
+
+    def test_large_tree_is_not_vertex_capped(self, tmp_path, capsys):
+        # The reduced forest has 706 vertices, over the default cap of 512;
+        # its uniqueness check takes the linear count on every tree.
+        out = str(tmp_path / "inst.col")
+        rc = main([
+            "generate", "--family", "tree", "--n", "1000", "--seed", "0",
+            "--model", "exclude", "--output", out,
+        ])
+        assert rc == 0
+        assert "n=706" in capsys.readouterr().out
 
     def test_k4_exclude_collapses(self, k4_file, tmp_path):
         out = str(tmp_path / "inst.col")

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from pauvc import (
@@ -199,6 +200,35 @@ class TestClassify:
             merged = c.parts[0] | c.parts[1]
             assert len(merged) == n
             assert not (c.parts[0] & c.parts[1])
+
+
+    def test_agrees_with_networkx(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            p = rng.choice((0.03, 0.06, 0.1, 0.2, 0.4))
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            g = Graph(n, edges)
+            ref = nx.Graph(edges)
+            ref.add_nodes_from(range(n))
+            c = classify(g)
+            want = sorted(sorted(comp) for comp in nx.connected_components(ref))
+            assert [list(comp) for comp in c.components] == want
+            if nx.is_forest(ref):
+                kind = GraphKind.TREE if len(want) == 1 else GraphKind.FOREST
+            elif nx.is_bipartite(ref):
+                kind = GraphKind.BIPARTITE
+            else:
+                kind = GraphKind.GENERAL
+            assert c.kind is kind
+            assert (c.parts is None) == (kind is GraphKind.GENERAL)
+            if c.parts is not None:
+                left, right = c.parts
+                assert left.mask | right.mask == g.full_mask
+                assert not left.mask & right.mask
+                assert all((u in left) != (v in left) for u, v in edges)
 
 
 class TestDelete:

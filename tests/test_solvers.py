@@ -3,19 +3,23 @@ import time
 
 import pytest
 
-from oracles import brute_pau_opt, random_edges
+from oracles import brute_pau_opt, random_edges, random_union
 import pauvc.solvers
 from pauvc import (
     Graph,
+    GraphKind,
     LimitExceeded,
     Model,
     PreAssignment,
     SolveStats,
     VertexSet,
+    classify,
+    delete,
     gnp_graph,
     include_to_exclude,
     is_feasible,
     mixed_to_exclude,
+    pau_tree,
     random_tree,
     solve,
     solve_enum,
@@ -34,6 +38,36 @@ def check_result(g, model, result, expected_opt):
     report = is_feasible(g, result.pre)
     assert report.feasible
     assert report.witness.mask == result.unique_cover.mask
+
+
+def composed(g, model, algo):
+    """solve's answer rebuilt from the public routes on deleted components.
+
+    Returns the include, exclude and cover masks, the size and the merged
+    counters, for comparison with :func:`solve` on all of g.
+    """
+    model = Model(model)
+    stats = SolveStats()
+    masks = [0, 0, 0]
+    for comp in classify(g).components:
+        sub, old_to_new = delete(g, comp.complement())
+        back = sorted(old_to_new)  # new id -> old id: delete keeps the order
+        if algo == "enum":
+            r = solve_enum(sub, model)
+            pre, cover, sub_stats = r.pre, r.unique_cover, r.stats
+        elif algo == "auto" and classify(sub).kind is GraphKind.TREE:
+            sub_stats = SolveStats()
+            pre = pau_tree(sub, model, stats=sub_stats).witness
+            cover = is_feasible(sub, pre, stats=sub_stats).witness
+        else:
+            fpt = solve_fpt_include if model is Model.INCLUDE else solve_fpt_exclude
+            r = fpt(sub)
+            pre, cover, sub_stats = r.pre, r.unique_cover, r.stats
+        for i, part in enumerate((pre.include, pre.exclude, cover)):
+            masks[i] |= sum(1 << back[v] for v in part)
+        stats.merge(sub_stats)
+    size = masks[0].bit_count() + masks[1].bit_count()
+    return (*masks, size, stats.nodes_explored, stats.uvc_calls)
 
 
 class TestSolveEnum:
@@ -149,12 +183,14 @@ class TestFptSolvers:
             leaves = solvers._branch_leaves(g.adj, g.full_mask, tau, stats)
             table = solvers._leaf_table(leaves)
             for model in (Model.INCLUDE, Model.EXCLUDE):
-                stream = solvers._candidate_stream(g, model, table, stats)
+                stream = solvers._candidate_stream(
+                    g.adj, g.full_mask, model, table, stats
+                )
                 masks = [rng.getrandbits(n) for _ in range(20)]
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, n, tau, inc, exc, stats, refuted
+                        g.adj, g.full_mask, tau, inc, exc, stats, refuted
                     )
                     got = solvers._decide(table, model, cand)
                     assert got == (cover if ok else None), (n, edges, model, cand)
@@ -257,15 +293,36 @@ class TestDispatcher:
                 result = solve(g, model, "fpt")
                 check_result(g, model, result, want)
 
+    def test_in_place_matches_composition(self):
+        # Solving each component in place gives the same witnesses, covers
+        # and counters as solving relabelled copies of the components.
+        rng = random.Random(373)
+        for _ in range(100):
+            n, edges = random_union(40, 10, rng)
+            g = Graph(n, edges)
+            for algo in ("auto", "fpt", "enum") if n <= 16 else ("auto", "fpt"):
+                for model in MODELS:
+                    r = solve(g, model, algo)
+                    got = (
+                        r.pre.include.mask,
+                        r.pre.exclude.mask,
+                        r.unique_cover.mask,
+                        r.opt_size,
+                        r.stats.nodes_explored,
+                        r.stats.uvc_calls,
+                    )
+                    assert got == composed(g, model, algo), (n, edges, model, algo)
+                    assert r.pre.model is Model(model)
+
     def test_forest_components_take_tree_route(self, monkeypatch):
         calls = []
-        real_pau_tree = pauvc.solvers.pau_tree
+        real_tree_pass = pauvc.solvers._tree_pass
 
-        def counting_pau_tree(t, model, **kwargs):
-            calls.append(t.n)
-            return real_pau_tree(t, model, **kwargs)
+        def counting_tree_pass(adj, active, include, stats):
+            calls.append(active.bit_count())
+            return real_tree_pass(adj, active, include, stats)
 
-        monkeypatch.setattr(pauvc.solvers, "pau_tree", counting_pau_tree)
+        monkeypatch.setattr(pauvc.solvers, "_tree_pass", counting_tree_pass)
         rng = random.Random(367)
         for _ in range(40):
             parts = rng.randint(2, 4)

@@ -19,7 +19,6 @@ from pauvc import (
     PreAssignment,
     Reason,
     SolveStats,
-    TreeAnswer,
     VertexSet,
     is_feasible,
     is_vertex_cover,
@@ -133,7 +132,7 @@ class TestPauTree:
             for model in MODELS:
                 with pytest.raises(ValueError):
                     pau_tree(g, model)
-            assert count_tree_covers(g, 0, 0, SolveStats()) is None
+            assert count_tree_covers(g.adj, g.full_mask, 0, 0, SolveStats()) is None
 
 
 def _pins(n, rng, p):
@@ -147,7 +146,7 @@ def _members(mask):
 def _searched(t, tau, include, exclude):
     """The cover-search verdict that graphs other than trees get."""
     ok, cover, reason = pauvc.solvers._check_pre_assignment(
-        t.adj, t.n, tau, include, exclude, SolveStats(), {}
+        t.adj, t.full_mask, tau, include, exclude, SolveStats(), {}
     )
     return (cover if ok else None), reason
 
@@ -190,7 +189,8 @@ class TestTreeFeasibility:
             exclude = _pins(n, rng, 0.15) & ~include
             assert _counted(t, include, exclude) == _searched(t, tau, include, exclude)
             # a vertex pinned both ways admits no cover
-            assert count_tree_covers(t, 1, 1, SolveStats())[1:] == (0, None)
+            counted = count_tree_covers(t.adj, t.full_mask, 1, 1, SolveStats())
+            assert counted[1:] == (0, None)
         assert checked == 600
 
     def test_counts_against_brute_force(self):
@@ -201,16 +201,19 @@ class TestTreeFeasibility:
             covers = brute_min_covers(n, t.edges())
             include = _pins(n, rng, 0.2)
             exclude = _pins(n, rng, 0.2) & ~include
-            tau, count, cover = count_tree_covers(t, include, exclude, SolveStats())
+            tau, count, cover = count_tree_covers(
+                t.adj, t.full_mask, include, exclude, SolveStats()
+            )
             inc, exc = _members(include), _members(exclude)
-            hits = [c for c in covers if consistent(c, inc, exc)]
+            hits = [sum(1 << v for v in c) for c in covers if consistent(c, inc, exc)]
             assert (tau, count) == (len(covers[0]), min(2, len(hits)))
-            assert cover == (sum(1 << v for v in hits[0]) if len(hits) == 1 else None)
+            # any consistent minimum cover is rebuilt once one exists
+            assert cover in hits if hits else cover is None
 
     def test_one_decision_per_call(self):
         t = random_tree(50, 7)
         stats = SolveStats()
-        count_tree_covers(t, 0, 0, stats)
+        count_tree_covers(t.adj, t.full_mask, 0, 0, stats)
         assert (stats.uvc_calls, stats.nodes_explored) == (1, 0)
         stats = SolveStats()
         is_feasible(t, PreAssignment.including(VertexSet(t.n)), stats=stats)
@@ -242,12 +245,13 @@ class TestTreeFeasibility:
                     assert _counted(t, include, exclude) == (None, Reason.NOT_UNIQUE)
 
     def test_solve_rejects_a_wrong_witness(self, monkeypatch):
-        def wrong_pau_tree(t, model, **kwargs):
-            right = pau_tree(t, model, **kwargs)
-            empty = VertexSet(t.n)
-            return TreeAnswer(right.tau, 0, PreAssignment(Model(model), empty, empty))
+        real_tree_pass = pauvc.solvers._tree_pass
 
-        monkeypatch.setattr(pauvc.solvers, "pau_tree", wrong_pau_tree)
+        def wrong_tree_pass(adj, active, include, stats):
+            tau, _ = real_tree_pass(adj, active, include, stats)
+            return tau, 0  # no pins at all
+
+        monkeypatch.setattr(pauvc.solvers, "_tree_pass", wrong_tree_pass)
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])  # two minimum covers
         for model in MODELS:
             with pytest.raises(AssertionError):

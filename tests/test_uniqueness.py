@@ -10,6 +10,7 @@ from oracles import (
     brute_tau,
     consistent,
     random_edges,
+    random_union,
 )
 from pauvc import (
     Graph,
@@ -19,10 +20,14 @@ from pauvc import (
     Reason,
     SolveStats,
     VertexSet,
+    classify,
     gnp_graph,
     has_unique_min_vc,
     is_feasible,
+    is_vertex_cover,
     min_vertex_cover,
+    min_vertex_cover_bipartite,
+    random_tree,
     reduce_instance,
 )
 
@@ -64,6 +69,43 @@ class TestHasUniqueMinVc:
         empty = Graph(0, [])
         unique, sol = has_unique_min_vc(empty)
         assert unique and sol.tau == 0
+
+
+    def test_disconnected_against_brute_force(self):
+        rng = random.Random(461)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            n, edges = random_union(14, 7, rng)
+            unique, sol = has_unique_min_vc(Graph(n, edges))
+            covers = brute_min_covers(n, edges)
+            assert unique == (len(covers) == 1), (n, edges)
+            assert sol.tau == len(covers[0])
+            assert frozenset(sol.cover) in covers
+            verdicts[unique] += 1
+        assert min(verdicts.values()) >= 20
+
+    def test_large_forest_with_default_limits(self):
+        # Small random trees, relabelled into one forest of 2,000 vertices,
+        # over the default vertex cap; each tree is checked by brute force.
+        rng = random.Random(463)
+        for want_unique in (False, True):
+            n, edges, unique_parts = 0, [], True
+            while n < 2_000:
+                size = rng.randint(1, min(10, 2_000 - n))
+                part = random_tree(size, rng.randrange(1 << 32)).edges()
+                part_unique = len(brute_min_covers(size, part)) == 1
+                if want_unique and not part_unique:
+                    continue
+                edges += [(u + n, v + n) for u, v in part]
+                n += size
+                unique_parts = unique_parts and part_unique
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+            unique, sol = has_unique_min_vc(g)
+            assert unique is unique_parts is want_unique
+            assert sol.tau == min_vertex_cover_bipartite(g, classify(g).parts).tau
+            assert is_vertex_cover(g, sol.cover) and len(sol.cover) == sol.tau
 
 
 class TestAgainstBruteForce:
