@@ -118,8 +118,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         g = gnp_graph(args.n, args.p, args.seed)
     result = _solve(g, args)
-    reduced, expected_tau, _ = reduce_instance(g, result.pre)
-    unique, solution = has_unique_min_vc(reduced)
+    limit = args.vertex_limit
+    reduced, expected_tau, _ = reduce_instance(g, result.pre, vertex_limit=limit)
+    unique, solution = has_unique_min_vc(reduced, vertex_limit=limit)
     if not unique or solution.tau != expected_tau:
         raise AssertionError("generated instance failed verification")
     meta = {

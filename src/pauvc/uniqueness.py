@@ -1,17 +1,17 @@
 """Uniqueness of minimum vertex covers and pre-assignment feasibility.
 
 A pre-assignment is feasible when exactly one minimum vertex cover is
-consistent with it.  Both checks reduce to bounded cover searches.  A
-pre-assignment pins the instance down iff the graph minus the forced
-vertices has a unique minimum cover of the matching residual size.  A known
-minimum cover C is unique iff no search off C's path finds another: walk
-the take-v / take-N(v) branching tree along the branches C takes, and at
-each step search the other branch once for a cover that still reaches tau.
-Every other minimum cover leaves C's path at some first step and lives in
-that step's other branch, so one search per step decides uniqueness, and
-each search runs on the residual graph of the path so far.  The tau search,
-the residual search and the uniqueness walk of one call share one table of
-refuted subproblems.  On a connected tree a linear count decides instead.
+consistent with it, which holds iff it holds on every connected component.
+A tree component takes a linear count; on any other, a pre-assignment pins
+it down iff it minus the forced vertices has a unique minimum cover of the
+residual size.  A known minimum cover C is unique iff no search off C's
+path finds another: walk the take-v / take-N(v) branching tree along the
+branches C takes, and at each step search the other branch once for a
+cover that still reaches tau.  Every other minimum cover leaves C's path
+at some first step and lives in that step's other branch, so one search
+per step decides uniqueness, and each search runs on the residual graph of
+the path so far.  All the searches of one call share one table of refuted
+subproblems.
 """
 
 from __future__ import annotations
@@ -106,6 +106,34 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
     return None
 
 
+def _consistent(
+    adj: tuple[int, ...],
+    universe: int,
+    tau: int,
+    inc_mask: int,
+    exc_mask: int,
+    stats: SolveStats,
+    refuted: dict[int, int],
+) -> tuple[int, int | None]:
+    """Count (capped at 2) and one of the minimum covers fitting conflict-free pins."""
+    stats.uvc_calls += 1
+    forced = inc_mask
+    for v in _bits(exc_mask):
+        forced |= adj[v]
+    target = tau - forced.bit_count()
+    if target < 0:
+        return 0, None
+    active = universe & ~forced & ~exc_mask
+    cover = _bounded_cover(adj, active, target, stats, refuted)
+    if cover is None:
+        return 0, None
+    unique = _unique_min_cover(adj, active, target, cover, stats, refuted)
+    return 1 if unique else 2, cover | forced
+
+
+_REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
+
+
 def _check_pre_assignment(
     adj: tuple[int, ...],
     universe: int,
@@ -116,24 +144,48 @@ def _check_pre_assignment(
     refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
     """Feasibility of (include, exclude) masks given tau of the universe mask."""
-    stats.uvc_calls += 1
     conflict = _pin_conflict(adj, inc_mask, exc_mask)
     if conflict is not None:
         return False, None, conflict
-    neighborhood = 0
-    for v in _bits(exc_mask):
-        neighborhood |= adj[v]
-    forced = inc_mask | neighborhood
-    target = tau - forced.bit_count()
-    if target < 0:
-        return False, None, Reason.NOT_MINIMUM_CONSISTENT
-    active = universe & ~forced & ~exc_mask
-    cover = _bounded_cover(adj, active, target, stats, refuted)
-    if cover is None:
-        return False, None, Reason.NOT_MINIMUM_CONSISTENT
-    if not _unique_min_cover(adj, active, target, cover, stats, refuted):
-        return False, None, Reason.NOT_UNIQUE
-    return True, cover | forced, None
+    count, cover = _consistent(adj, universe, tau, inc_mask, exc_mask, stats, refuted)
+    return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
+
+
+def _probe(
+    g: Graph, inc: int, exc: int, vertex_limit: int | None, stats: SolveStats | None
+) -> tuple[int, Reason | None, int | None]:
+    """tau(g), why the pins fail (None when feasible), a consistent minimum cover.
+
+    A pin conflict is answered with tau 0 and no search.  Otherwise each
+    component takes the linear count if it is a tree, else the capped
+    search; taus add, counts multiply (capped at 2) and covers unite.
+    """
+    st = stats if stats is not None else SolveStats()
+    conflict = _pin_conflict(g.adj, inc, exc)
+    if conflict is not None:
+        return 0, conflict, None
+    refuted: dict[int, int] = {}
+    tau = cover = 0
+    count = 1
+    for comp in _components(g.adj, g.full_mask):
+        pins = (inc & comp, exc & comp)
+        counted = count_tree_covers(g.adj, comp, *pins, st)
+        if counted is None:
+            check_vertex_limit(comp.bit_count(), vertex_limit)
+            found = _min_cover(g.adj, comp, st, refuted)
+            assert found is not None
+            part_tau, part = found
+            if any(pins):
+                ways, part = _consistent(g.adj, comp, part_tau, *pins, st, refuted)
+            else:
+                unique = _unique_min_cover(g.adj, comp, part_tau, part, st, refuted)
+                ways = 1 if unique else 2
+        else:
+            part_tau, ways, part = counted
+        tau += part_tau
+        count = min(2, count * ways)
+        cover |= part or 0
+    return tau, _REASON_BY_COUNT[count], cover if count else None
 
 
 def has_unique_min_vc(
@@ -144,61 +196,11 @@ def has_unique_min_vc(
 ) -> tuple[bool, VcSolution]:
     """Whether g has exactly one minimum vertex cover, plus one such cover.
 
-    When the answer is True the returned cover is the unique one.  A tree
-    component takes the linear count, any other the cover search and the
-    uniqueness walk; the vertex cap applies only if some component does.
+    When the answer is True the returned cover is the unique one.
+    vertex_limit caps each connected component that is not a tree.
     """
-    st = stats if stats is not None else SolveStats()
-    refuted: dict[int, int] = {}
-    unique = True
-    tau = cover = 0
-    for comp in _components(g.adj, g.full_mask):
-        if comp & (comp - 1) == 0:
-            continue  # an isolated vertex
-        counted = count_tree_covers(g.adj, comp, 0, 0, st)
-        if counted is not None:
-            part_tau, count, part = counted
-            unique = unique and count == 1
-        else:
-            check_vertex_limit(g.n, vertex_limit)
-            found = _min_cover(g.adj, comp, st, refuted)
-            assert found is not None
-            part_tau, part = found
-            unique = unique and _unique_min_cover(
-                g.adj, comp, part_tau, part, st, refuted
-            )
-        tau += part_tau
-        cover |= part
-    return unique, VcSolution(tau, VertexSet.from_mask(g.n, cover))
-
-
-def _probe(
-    g: Graph,
-    pa: PreAssignment,
-    vertex_limit: int | None,
-    stats: SolveStats | None,
-) -> tuple[int, bool, int | None, Reason | None]:
-    """tau(g), then the feasibility verdict, witness and reason of pa."""
-    if pa.n != g.n:
-        raise ValueError("pre-assignment universe does not match graph")
-    st = stats if stats is not None else SolveStats()
-    inc, exc = pa.include.mask, pa.exclude.mask
-    counted = count_tree_covers(g.adj, g.full_mask, inc, exc, st)
-    if counted is not None:
-        tau, count, witness = counted
-        reason = _pin_conflict(g.adj, inc, exc)
-        if reason is None and count != 1:
-            reason = Reason.NOT_UNIQUE if count else Reason.NOT_MINIMUM_CONSISTENT
-        return tau, reason is None, witness if reason is None else None, reason
-    check_vertex_limit(g.n, vertex_limit)
-    refuted: dict[int, int] = {}
-    found = _min_cover(g.adj, g.full_mask, st, refuted)
-    assert found is not None
-    tau, _ = found
-    ok, witness, reason = _check_pre_assignment(
-        g.adj, g.full_mask, tau, inc, exc, st, refuted
-    )
-    return tau, ok, witness, reason
+    tau, reason, cover = _probe(g, 0, 0, vertex_limit, stats)
+    return reason is None, VcSolution(tau, VertexSet.from_mask(g.n, cover))
 
 
 def is_feasible(
@@ -213,13 +215,14 @@ def is_feasible(
     Consistent means containing every include vertex and avoiding every
     exclude vertex.  Failures carry a reason: overlapping sets, a
     non-independent exclude set (no cover can avoid both endpoints of an
-    edge), no minimum cover consistent at all, or more than one.  On a
-    connected tree a linear count decides, and no vertex cap applies.
+    edge), no minimum cover consistent at all, or more than one.
+    vertex_limit caps each connected component that is not a tree.
     """
-    _, ok, witness, reason = _probe(g, pa, vertex_limit, stats)
-    return FeasibilityReport(
-        ok, None if witness is None else VertexSet.from_mask(g.n, witness), reason
-    )
+    if pa.n != g.n:
+        raise ValueError("pre-assignment universe does not match graph")
+    _, reason, cover = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
+    witness = None if reason else VertexSet.from_mask(g.n, cover)
+    return FeasibilityReport(reason is None, witness, reason)
 
 
 def reduce_instance(
@@ -238,13 +241,14 @@ def reduce_instance(
     makes this the core of the benchmark instance generator.  Raises
     ValueError when pa is not feasible for g.
     """
-    tau, ok, _, reason = _probe(g, pa, vertex_limit, stats)
-    if not ok:
+    if pa.n != g.n:
+        raise ValueError("pre-assignment universe does not match graph")
+    tau, reason, _ = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
+    if reason is not None:
         raise ValueError(f"pre-assignment is not feasible ({reason.value})")
-    neighborhood = 0
+    decided = pa.include.mask
     for v in _bits(pa.exclude.mask):
-        neighborhood |= g.neighbors_mask(v)
-    decided = pa.include.mask | neighborhood
+        decided |= g.neighbors_mask(v)
     expected_tau = tau - decided.bit_count()
     removed = VertexSet.from_mask(g.n, decided | pa.exclude.mask)
     reduced, old_to_new = delete(g, removed)

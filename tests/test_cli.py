@@ -162,6 +162,16 @@ class TestGenerate:
         assert rc == 0
         assert "n=706" in capsys.readouterr().out
 
+    def test_vertex_limit_reaches_both_checks(self, tmp_path, monkeypatch):
+        # --vertex-limit, not the variable, caps the reduction and the
+        # uniqueness check as well as the solver
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "20")
+        graph = write(tmp_path / "g.col", render_dimacs(gnp_graph(30, 0.15, 1)))
+        out = str(tmp_path / "inst.col")
+        rc = main(["generate", "--input", graph, "--vertex-limit", "100",
+                   "--output", out])
+        assert rc == 0
+
     def test_k4_exclude_collapses(self, k4_file, tmp_path):
         out = str(tmp_path / "inst.col")
         rc = main(["generate", "--input", k4_file, "--model", "exclude",

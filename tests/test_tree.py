@@ -20,6 +20,7 @@ from pauvc import (
     Reason,
     SolveStats,
     VertexSet,
+    has_unique_min_vc,
     is_feasible,
     is_vertex_cover,
     min_vertex_cover,
@@ -225,9 +226,15 @@ class TestTreeFeasibility:
         assert is_feasible(t, witness, vertex_limit=2).feasible
         reduced, expected_tau, _ = reduce_instance(t, witness, vertex_limit=2)
         assert expected_tau == min_vertex_cover(reduced, vertex_limit=t.n).tau
-        forest = Graph(t.n, t.edges()[1:])  # not a tree: the capped search
+        # each component of a forest is a tree, so the forest is not capped
+        forest = Graph(t.n, t.edges()[1:])
+        report = is_feasible(forest, PreAssignment.including(VertexSet(t.n)))
+        unique, solution = has_unique_min_vc(forest)
+        assert report.feasible == unique
+        assert report.witness == (solution.cover if unique else None)
+        cycle = Graph(t.n, [(v, (v + 1) % t.n) for v in range(t.n)])
         with pytest.raises(LimitExceeded):
-            is_feasible(forest, PreAssignment.including(VertexSet(t.n)))
+            is_feasible(cycle, PreAssignment.including(VertexSet(t.n)))
 
     def test_dropping_a_pin_from_a_witness_is_rejected(self):
         rng = random.Random(439)

@@ -27,9 +27,11 @@ from pauvc import (
     is_vertex_cover,
     min_vertex_cover,
     min_vertex_cover_bipartite,
+    pau_tree,
     random_tree,
     reduce_instance,
 )
+from pauvc.uniqueness import _check_pre_assignment
 
 
 def all_pre_assignments(n):
@@ -264,6 +266,70 @@ class TestIsFeasible:
         assert report.feasible and report.witness == inc
 
 
+class TestPerComponentProbe:
+    """is_feasible decides each connected component on its own pins."""
+
+    def test_agrees_with_whole_graph_search(self):
+        rng = random.Random(1009)
+        seen = set()
+        for _ in range(300):
+            n, edges = random_union(40, 12, rng)
+            g = Graph(n, edges)
+            sol = min_vertex_cover(g)
+            inside = list(sol.cover)
+            outside = [v for v in range(n) if v not in sol.cover]
+            pin_sets = []
+            for _ in range(2):  # mixed random pins
+                inc = {v for v in range(n) if rng.random() < 0.15}
+                exc = {v for v in range(n) if rng.random() < 0.15} - inc
+                pin_sets.append((inc, exc))
+            for _ in range(2):  # include subsets of a minimum cover
+                pin_sets.append(({v for v in inside if rng.random() < 0.5}, set()))
+            for _ in range(2):  # mixed pins consistent with a minimum cover
+                inc = {v for v in inside if rng.random() < 0.3}
+                exc = {v for v in outside if rng.random() < 0.3}
+                pin_sets.append((inc, exc))
+            for inc, exc in pin_sets:
+                pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
+                report = is_feasible(g, pa)
+                ok, cover, reason = _check_pre_assignment(
+                    g.adj, g.full_mask, sol.tau, pa.include.mask,
+                    pa.exclude.mask, SolveStats(), {},
+                )
+                want = (ok, None if cover is None else VertexSet.from_mask(n, cover))
+                assert (report.feasible, report.witness) == want, (n, edges, inc, exc)
+                assert report.reason is reason, (n, edges, inc, exc)
+                seen.add(reason)
+        assert seen == {
+            None,
+            Reason.NOT_UNIQUE,
+            Reason.NOT_MINIMUM_CONSISTENT,
+            Reason.EXCLUDE_NOT_INDEPENDENT,
+        }
+
+    def test_reduced_forest_is_not_vertex_capped(self):
+        # The reduced forest has 2,191 vertices in tree components only.
+        t = random_tree(3000, 0)
+        reduced, expected_tau, _ = reduce_instance(t, pau_tree(t, "exclude").witness)
+        assert reduced.n == 2191
+        report = is_feasible(reduced, PreAssignment.excluding(VertexSet(reduced.n)))
+        unique, sol = has_unique_min_vc(reduced)
+        assert report.feasible and unique and sol.tau == expected_tau
+        assert report.witness == sol.cover
+
+    def test_disjoint_triangles_are_capped_one_by_one(self):
+        k = 200
+        edges = []
+        for b in range(0, 3 * k, 3):
+            edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
+        g = Graph(3 * k, edges)
+        report = is_feasible(g, PreAssignment.excluding(VertexSet(g.n)))
+        assert report.reason is Reason.NOT_UNIQUE
+        apexes = VertexSet(g.n, range(0, g.n, 3))
+        report = is_feasible(g, PreAssignment.excluding(apexes))
+        assert report.feasible and report.witness == apexes.complement()
+
+
 class TestReduceInstance:
     def test_complete_graph_exclude_collapses(self):
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -320,12 +386,13 @@ class TestReduceInstance:
         assert reduced.uvc_calls == checked.uvc_calls == 1
 
     def test_checks_universe_and_vertex_limit(self):
-        g = Graph(3, [(0, 1)])
+        # a triangle plus an isolated vertex: the triangle is searched
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError):
-            reduce_instance(g, PreAssignment.including(VertexSet(4, [0])))
+            reduce_instance(g, PreAssignment.including(VertexSet(5, [0])))
         with pytest.raises(LimitExceeded):
             reduce_instance(
-                g, PreAssignment.including(VertexSet(3, [0])), vertex_limit=2
+                g, PreAssignment.including(VertexSet(4, [0])), vertex_limit=2
             )
 
     def test_infeasible_rejected(self):
