@@ -221,7 +221,7 @@ def is_feasible(
     if pa.n != g.n:
         raise ValueError("pre-assignment universe does not match graph")
     _, reason, cover = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
-    witness = None if reason else VertexSet.from_mask(g.n, cover)
+    witness = VertexSet.from_mask(g.n, cover) if reason is None else None
     return FeasibilityReport(reason is None, witness, reason)
 
 
