@@ -67,7 +67,7 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, Model, PreAssignment, VertexSet, _components
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
-from .tree import _tree_pass, count_tree_covers
+from .tree import _root, _tree_pass, count_tree_covers
 from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
     SolveStats,
@@ -386,11 +386,12 @@ def _solve_tree(
     adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
 ) -> _Pins | None:
     """The tree pass's optimum, checked by the linear count; None off trees."""
-    found = _tree_pass(adj, active, model is Model.INCLUDE, stats)
-    if found is None:
+    rooted = _root(adj, active)
+    if rooted is None:
         return None
-    pins = (found[1], 0) if model is Model.INCLUDE else (0, found[1])
-    _, count, cover = count_tree_covers(adj, active, *pins, stats)
+    _, mask = _tree_pass(rooted, model is Model.INCLUDE, stats)
+    pins = (mask, 0) if model is Model.INCLUDE else (0, mask)
+    _, count, cover = count_tree_covers(adj, active, *pins, stats, rooted=rooted)
     if count != 1:
         raise AssertionError("tree solver produced an infeasible witness")
     return (*pins, cover)

@@ -24,12 +24,15 @@ under that question):
 
 Pinning v comes after its children are merged: in the include model it
 sets c_0(v) = 0, in the exclude model c_1(v) = 0.  The table of T_v maps
-each reachable pair (c_0, c_1) to the fewest pins inside T_v that reach it,
-with one witness.  A child enters its parent only through the pair
-(c_1(w), s(w)), so its table is projected onto that pair first.  The pair
-(0, 0) is dropped, since it stays (0, 0) up to the root.  At the root,
-tau = min(m_0, m_1), and a pin set is feasible exactly when the sum of c_b
-over the b with m_b = tau is 1; the cheapest such entry is the optimum.
+each reachable state s = 3 c_0 + c_1 to the fewest pins inside T_v that
+reach it, with one witness.  State 0, the pair (0, 0), is dropped, since it
+stays (0, 0) up to the root.  A child enters its parent only through the
+pair (c_1(w), s(w)), so its table is projected onto that pair first.  Three
+tables built at import time hold the transitions: the pin per model, the
+projection for each of the four cases of (m_0(w) = lo, m_1(w) = lo) with
+lo = min(m_0(w), m_1(w)), and the 9 x 9 merge of capped products.  At the
+root, tau = min(m_0, m_1), and a pin set is feasible exactly when the sum of
+c_b over the b with m_b = tau is 1; the cheapest such entry is the optimum.
 
 A table has at most eight entries, so merging a child takes O(1) table
 steps and the pass is linear in table steps; a witness is a bit mask, so
@@ -42,8 +45,9 @@ children merge, and the answer is the lexicographically smallest optimum.
 Mixed-model instances are answered in the exclude model, which has the
 same optimum.
 :func:`count_tree_covers` counts the covers of one pin set with no tables,
-so ``solve`` checks the tables' witnesses with it.  Both passes run on a
-graph's neighbour masks, over the connected tree an active mask selects.
+so ``solve`` checks the tables' witnesses with it, on the rooting the
+tables used.  Both passes run on a graph's neighbour masks, over the
+connected tree an active mask selects.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class TreeAnswer:
     witness: PreAssignment
 
 
-def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
+def _offer(table: dict, key: int, cost: int, mask: int) -> None:
     """Store (cost, mask) at key unless the entry there is at least as good.
 
     Fewer pins win; with as many pins, the smaller sorted vertex list wins,
@@ -79,6 +83,19 @@ def _offer(table: dict, key: tuple[int, int], cost: int, mask: int) -> None:
         if cost == old[0] and not mask & diff & -diff:
             return
     table[key] = (cost, mask)
+
+
+# Transitions of the state s = 3 c_0 + c_1: _PIN[include][s] pins the vertex,
+# _PROJECT[2 (m_0 = lo) + (m_1 = lo)][s] is 3 c_1 + s(w), _MERGE[parent][child].
+_PIN = ([s - s % 3 for s in range(9)], [s % 3 for s in range(9)])
+_PROJECT = [
+    [3 * (s % 3) + min(2, e0 * (s // 3) + e1 * (s % 3)) for s in range(9)]
+    for e0 in (0, 1) for e1 in (0, 1)
+]
+_MERGE = [
+    [3 * min(2, a // 3 * (b // 3)) + min(2, a % 3 * (b % 3)) for b in range(9)]
+    for a in range(9)
+]
 
 
 def _root(adj: tuple[int, ...], active: int) -> tuple[list[int], list[int]] | None:
@@ -104,7 +121,13 @@ def _root(adj: tuple[int, ...], active: int) -> tuple[list[int], list[int]] | No
 
 
 def count_tree_covers(
-    adj: tuple[int, ...], active: int, include: int, exclude: int, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    include: int,
+    exclude: int,
+    stats: SolveStats,
+    *,
+    rooted: tuple[list[int], list[int]] | None = None,
 ) -> tuple[int, int, int | None] | None:
     """Count the minimum covers of the active subgraph consistent with the pins.
 
@@ -114,8 +137,10 @@ def count_tree_covers(
     a child of an out-vertex is in it, any other vertex takes the one
     status b with m_b = min(m_0, m_1) and c_b >= 1 (the out status when
     both qualify).  Counts one ``stats.uvc_calls`` and no search nodes.
+    rooted, when given, is ``_root(adj, active)`` of a connected tree,
+    computed once by a caller that also runs the tables on it.
     """
-    rooted = _root(adj, active)
+    rooted = rooted or _root(adj, active)
     if rooted is None:
         return None
     order, parent = rooted
@@ -142,54 +167,48 @@ def count_tree_covers(
 
 
 def _tree_pass(
-    adj: tuple[int, ...], active: int, include: bool, stats: SolveStats
-) -> tuple[int, int] | None:
-    """tau and the optimum pin mask of the active subgraph, by the tables.
+    rooted: tuple[list[int], list[int]], include: bool, stats: SolveStats
+) -> tuple[int, int]:
+    """tau and the optimum pin mask of a rooted tree, by the tables.
 
-    None unless the active subgraph is a connected tree.  The pins are
-    include vertices when include is set, else exclude vertices.
+    rooted is ``_root``'s (order, parent) of a connected tree.  Each table
+    maps a state index to (pins, mask); the pins are include vertices when
+    include is set, else exclude vertices.
     """
-    rooted = _root(adj, active)
-    if rooted is None:
-        return None
     order, parent = rooted
     n = len(order)
-    m0, m1 = [0] * n, [1] * n
-    tables: list[dict] = [{(1, 1): (0, 0)} for _ in order]
+    pin = _PIN[include]
+    m0, m1 = [0] * (n + 1), [1] * (n + 1)
+    # Slot n, which the root's parent -1 reaches, is a parent in state
+    # (0, 1): merging the root into it keeps s(root), so its entry 1 holds
+    # the cheapest pin set counting exactly one minimum cover.
+    tables: list[dict] = [{4: (0, 0)} for _ in order] + [{1: (0, 0)}]
     for i in range(n - 1, -1, -1):
         _node(stats)
         table = tables[i]  # its children are merged; pin the vertex now
         bit = 1 << order[i]
-        for (c0, c1), (cost, mask) in list(table.items()):
-            key = (0, c1) if include else (c0, 0)
-            if key != (0, 0):
-                _offer(table, key, cost + 1, mask | bit)
-        if i == 0:
-            break
+        for s, (cost, mask) in list(table.items()):
+            if pin[s]:
+                _offer(table, pin[s], cost + 1, mask | bit)
         p, lo = parent[i], min(m0[i], m1[i])
+        project = _PROJECT[2 * (m0[i] == lo) + (m1[i] == lo)]
         m0[p] += m1[i]
         m1[p] += lo
         projected: dict = {}
-        for (b0, b1), (cost, mask) in table.items():
-            s = min(2, (b0 if m0[i] == lo else 0) + (b1 if m1[i] == lo else 0))
-            if b1 or s:
-                _offer(projected, (b1, s), cost, mask)
+        for s, (cost, mask) in table.items():
+            if project[s]:
+                _offer(projected, project[s], cost, mask)
         merged: dict = {}
-        for (a0, a1), (cost, mask) in tables[p].items():
-            for (b1, s), (wcost, wmask) in projected.items():
-                key = (min(2, a0 * b1), min(2, a1 * s))
-                if key != (0, 0):
-                    _offer(merged, key, cost + wcost, mask | wmask)
+        for a, (cost, mask) in tables[p].items():
+            row = _MERGE[a]
+            for b, (wcost, wmask) in projected.items():
+                if row[b]:
+                    _offer(merged, row[b], cost + wcost, mask | wmask)
         tables[p] = merged
         tables[i] = {}
-    tau = min(m0[0], m1[0])
-    final: dict = {}
-    for (c0, c1), (cost, mask) in tables[0].items():
-        if (c0 if m0[0] == tau else 0) + (c1 if m1[0] == tau else 0) == 1:
-            _offer(final, (1, 1), cost, mask)
     # Pinning a minimum cover (include) or its complement (exclude) is
     # always feasible, so some entry counts exactly one cover.
-    return tau, final[1, 1][1]
+    return min(m0[0], m1[0]), tables[n][1][1]
 
 
 def pau_tree(
@@ -209,10 +228,10 @@ def pau_tree(
     """
     model = Model(model)
     st = stats if stats is not None else SolveStats()
-    found = _tree_pass(t.adj, t.full_mask, model is Model.INCLUDE, st)
-    if found is None:
+    rooted = _root(t.adj, t.full_mask)
+    if rooted is None:
         raise ValueError("input graph is not a connected tree")
-    tau, pins = found
+    tau, pins = _tree_pass(rooted, model is Model.INCLUDE, st)
     members, empty = VertexSet.from_mask(t.n, pins), VertexSet(t.n)
     if model is Model.INCLUDE:
         return TreeAnswer(tau, len(members), PreAssignment(model, members, empty))

@@ -318,9 +318,9 @@ class TestDispatcher:
         calls = []
         real_tree_pass = pauvc.solvers._tree_pass
 
-        def counting_tree_pass(adj, active, include, stats):
-            calls.append(active.bit_count())
-            return real_tree_pass(adj, active, include, stats)
+        def counting_tree_pass(rooted, include, stats):
+            calls.append(len(rooted[0]))
+            return real_tree_pass(rooted, include, stats)
 
         monkeypatch.setattr(pauvc.solvers, "_tree_pass", counting_tree_pass)
         rng = random.Random(367)

@@ -1,7 +1,10 @@
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     branching_tree_pau,
@@ -39,6 +42,32 @@ def random_tree_edges(n, rng):
     return random_tree(n, rng.randint(0, 2 ** 32 - 1))
 
 
+def prufer_tree(n, code):
+    """The labelled tree on n >= 2 vertices with the given Pruefer code."""
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return Graph(n, edges)
+
+
+@st.composite
+def pinned_trees(draw):
+    """A tree on at most 12 vertices, relabelled, with include and exclude pins."""
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    include = draw(st.integers(0, (1 << n) - 1))
+    exclude = draw(st.integers(0, (1 << n) - 1))
+    return Graph(n, edges), include, exclude
+
+
 class TestPauTree:
     def test_against_brute_oracle(self):
         rng = random.Random(401)
@@ -64,6 +93,24 @@ class TestPauTree:
                 answer = pau_tree(t, model)
                 want = solve_enum(t, model)
                 assert (answer.opt, answer.witness) == (want.opt_size, want.pre)
+
+    def test_every_labelled_tree_up_to_six_vertices(self):
+        checked = 0
+        for n in range(2, 7):
+            for code in itertools.product(range(n), repeat=n - 2):
+                t = prufer_tree(n, code)
+                for model in ("include", "exclude"):
+                    want = solve_enum(t, model)
+                    answer = pau_tree(t, model)
+                    assert (answer.opt, answer.witness) == (want.opt_size, want.pre)
+                    got = solve(t, model)
+                    assert (got.opt_size, got.pre, got.unique_cover) == (
+                        want.opt_size,
+                        want.pre,
+                        want.unique_cover,
+                    ), (t.edges(), model)
+                checked += 1
+        assert checked == 1 + 3 + 16 + 125 + 1296
 
     def test_base_cases(self):
         single = Graph(1, [])
@@ -211,6 +258,19 @@ class TestTreeFeasibility:
             # any consistent minimum cover is rebuilt once one exists
             assert cover in hits if hits else cover is None
 
+    @settings(derandomize=True, deadline=None)
+    @given(pinned_trees())
+    def test_counts_match_every_subset(self, drawn):
+        t, include, exclude = drawn
+        covers = brute_min_covers(t.n, t.edges())
+        inc, exc = _members(include), _members(exclude)
+        hits = [sum(1 << v for v in c) for c in covers if consistent(c, inc, exc)]
+        tau, count, cover = count_tree_covers(
+            t.adj, t.full_mask, include, exclude, SolveStats()
+        )
+        assert (tau, count) == (len(covers[0]), min(2, len(hits)))
+        assert cover in hits if hits else cover is None
+
     def test_one_decision_per_call(self):
         t = random_tree(50, 7)
         stats = SolveStats()
@@ -254,8 +314,8 @@ class TestTreeFeasibility:
     def test_solve_rejects_a_wrong_witness(self, monkeypatch):
         real_tree_pass = pauvc.solvers._tree_pass
 
-        def wrong_tree_pass(adj, active, include, stats):
-            tau, _ = real_tree_pass(adj, active, include, stats)
+        def wrong_tree_pass(rooted, include, stats):
+            tau, _ = real_tree_pass(rooted, include, stats)
             return tau, 0  # no pins at all
 
         monkeypatch.setattr(pauvc.solvers, "_tree_pass", wrong_tree_pass)
