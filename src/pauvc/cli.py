@@ -40,14 +40,14 @@ def _deadline(time_cap: float | None) -> float | None:
     return time.perf_counter() + time_cap
 
 
-def _solve(g: Graph, args: argparse.Namespace) -> PauResult:
+def _solve(g: Graph, args: argparse.Namespace, deadline: float | None) -> PauResult:
     return solve(
         g,
         args.model,
         args.algo,
         vertex_limit=args.vertex_limit,
         enum_vertex_limit=args.enum_limit,
-        deadline=_deadline(args.time_cap),
+        deadline=deadline,
     )
 
 
@@ -80,7 +80,7 @@ def _print_result(args: argparse.Namespace, result) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    result = _solve(parse_dimacs(_read(args.graph)), args)
+    result = _solve(parse_dimacs(_read(args.graph)), args, _deadline(args.time_cap))
     _print_result(args, result)
     if args.k is not None and result.opt_size > args.k:
         return 1
@@ -117,10 +117,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         g = random_tree(args.n, args.seed)
     else:
         g = gnp_graph(args.n, args.p, args.seed)
-    result = _solve(g, args)
-    limit = args.vertex_limit
-    reduced, expected_tau, _ = reduce_instance(g, result.pre, vertex_limit=limit)
-    unique, solution = has_unique_min_vc(reduced, vertex_limit=limit)
+    deadline = _deadline(args.time_cap)
+    result = _solve(g, args, deadline)
+    checks = {"vertex_limit": args.vertex_limit, "stats": SolveStats(deadline)}
+    reduced, expected_tau, _ = reduce_instance(g, result.pre, **checks)
+    unique, solution = has_unique_min_vc(reduced, **checks)
     if not unique or solution.tau != expected_tau:
         raise AssertionError("generated instance failed verification")
     meta = {
@@ -167,12 +168,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         path = os.path.join(args.directory, name)
         try:
             g = parse_dimacs(_read(path))
-            result = _solve(g, args)
+            result = _solve(g, args, _deadline(args.time_cap))
             tau = len(result.unique_cover)
             agrees = ""
             if args.algo != "enum" and g.n <= args.enum_limit:
                 deadline = _deadline(args.time_cap)
-                reference = solve(g, args.model, "enum", deadline=deadline)
+                reference = solve(g, args.model, "enum", deadline=deadline,
+                                  enum_vertex_limit=args.enum_limit)
                 agrees = "true" if reference.opt_size == result.opt_size else "false"
             print(
                 f"{name},{g.n},{g.m},{tau},{args.model},{args.algo},"

@@ -158,9 +158,8 @@ def _solve_enum(
     only include sets of the whole size, the exclude model only the empty one.
     """
     refuted: dict[int, int] = {}
-    found = _min_cover(adj, active, stats, refuted)
-    assert found is not None
-    tau, _ = found
+    tau = _min_cover(adj, active, stats, refuted)
+    assert tau is not None
     vertices = list(_bits(active))
     for k in range(len(vertices) + 1):
         prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
@@ -295,9 +294,8 @@ def _solve_fpt(
 
     The mixed model is answered in the exclude model.
     """
-    found = _min_cover(adj, active, stats, {})
-    assert found is not None
-    tau, _ = found
+    tau = _min_cover(adj, active, stats, {})
+    assert tau is not None
     table = _leaf_table(_branch_leaves(adj, active, tau, stats))
     for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1

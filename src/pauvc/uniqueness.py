@@ -172,14 +172,9 @@ def _probe(
         counted = count_tree_covers(g.adj, comp, *pins, st)
         if counted is None:
             check_vertex_limit(comp.bit_count(), vertex_limit)
-            found = _min_cover(g.adj, comp, st, refuted)
-            assert found is not None
-            part_tau, part = found
-            if any(pins):
-                ways, part = _consistent(g.adj, comp, part_tau, *pins, st, refuted)
-            else:
-                unique = _unique_min_cover(g.adj, comp, part_tau, part, st, refuted)
-                ways = 1 if unique else 2
+            part_tau = _min_cover(g.adj, comp, st, refuted)
+            assert part_tau is not None
+            ways, part = _consistent(g.adj, comp, part_tau, *pins, st, refuted)
         else:
             part_tau, ways, part = counted
         tau += part_tau

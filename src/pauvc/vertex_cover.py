@@ -201,7 +201,11 @@ def _bounded_cover(
             if k == 0:
                 break
             if best_d == 1:
-                # Only isolated edges remain; take the lower endpoint of each.
+                # Only isolated edges remain; take the lower endpoint of
+                # each in one scan.  Folding them one pendant at a time
+                # rescans the active set per edge, and _lex_min_cover
+                # searches once per vertex, so a hub joined to m disjoint
+                # edges would cost O(m^3) instead of O(m^2).
                 picked = 0
                 scan = active
                 while scan:
@@ -235,8 +239,8 @@ def _min_cover(
     stats: SolveStats,
     refuted: dict[int, int],
     upper: int | None = None,
-) -> tuple[int, int] | None:
-    """(tau, cover mask) of the active subgraph; None when tau > upper.
+) -> int | None:
+    """tau of the active subgraph; None when tau > upper.
 
     Searches downward: a greedy dive with the whole budget finds a first
     cover, and each further search asks for a cover one smaller than the
@@ -255,7 +259,7 @@ def _min_cover(
         if smaller is None:
             break
         best = smaller
-    return best.bit_count(), best
+    return best.bit_count()
 
 
 def _lex_min_cover(
@@ -317,12 +321,45 @@ def min_vertex_cover(
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
         upper = None if bound is None else bound - tau
-        found = _min_cover(g.adj, comp, st, refuted, upper=upper)
-        if found is None:
+        part_tau = _min_cover(g.adj, comp, st, refuted, upper=upper)
+        if part_tau is None:
             return None
-        tau += found[0]
-        cover |= _lex_min_cover(g.adj, comp, found[0], st, refuted)
+        tau += part_tau
+        cover |= _lex_min_cover(g.adj, comp, part_tau, st, refuted)
     return VcSolution(tau, VertexSet.from_mask(g.n, cover))
+
+
+def _max_matching(adj: tuple[int, ...], left: int) -> list[int]:
+    """Mate of each vertex in a maximum matching, -1 when free.
+
+    Kuhn's algorithm: one augmenting-path search from each vertex of the
+    ``left`` mask in ascending order; ``left`` must be one side of a
+    bipartite subgraph.  A search stacks the left vertices of its path, so
+    no path is too long for it, marks the right vertices it tries in a
+    ``seen`` mask, and tries a free neighbour first, else the lowest one.
+    """
+    mate = [-1] * len(adj)
+    free = (1 << len(adj)) - 1
+    for root in _bits(left):
+        seen = 0
+        stack = [root]
+        while stack:
+            untried = adj[stack[-1]] & ~seen
+            if not untried:
+                stack.pop()
+                continue
+            pick = untried & free or untried
+            low = pick & -pick
+            seen |= low
+            w = low.bit_length() - 1
+            if mate[w] < 0:
+                free ^= low
+                # Flip the path: each stacked vertex hands its old mate down.
+                for u in reversed(stack):
+                    mate[u], mate[w], w = w, u, mate[u]
+                break
+            stack.append(mate[w])
+    return mate
 
 
 def min_vertex_cover_bipartite(
@@ -333,89 +370,33 @@ def min_vertex_cover_bipartite(
 ) -> VcSolution:
     """Minimum vertex cover of a bipartite graph via maximum matching.
 
-    Finds a maximum matching with single-path augmentation (Kuhn's
-    algorithm: a greedy matching first, then one depth-first search per
-    still-free left vertex, iterative so long paths cannot exhaust the
-    call stack) and extracts the Koenig cover from the vertices that
-    alternating paths reach from the free left vertices, so tau equals the
-    matching size.  That cover is the same for every maximum matching, so
-    it is deterministic, but it is not the lexicographic minimum; sizes
-    always agree with :func:`min_vertex_cover`.
+    Finds a maximum matching (:func:`_max_matching`, from the left part)
+    and extracts the Koenig cover from the set Z of vertices that
+    alternating paths reach from the free left vertices: the left vertices
+    outside Z and the right vertices inside it, so tau equals the matching
+    size.  That cover is the same for every maximum matching, so it is
+    deterministic, but it is not the lexicographic minimum; sizes always
+    agree with :func:`min_vertex_cover`.
     """
     left, right = parts
     if left.n != g.n or right.n != g.n:
         raise ValueError("parts universe does not match graph")
     if left.mask & right.mask or left.mask | right.mask != g.full_mask:
         raise ValueError("parts do not partition the vertices")
-    for v in _bits(left.mask):
-        if g.neighbors_mask(v) & left.mask:
-            raise ValueError("parts are not a valid bipartition")
-    for v in _bits(right.mask):
-        if g.neighbors_mask(v) & right.mask:
+    for side in (left.mask, right.mask):
+        if any(g.adj[v] & side for v in _bits(side)):
             raise ValueError("parts are not a valid bipartition")
 
-    match: dict[int, int] = {}  # vertex -> matched partner, both directions
-
-    def augment(root: int) -> None:
-        # Depth-first search for an augmenting path from a free left vertex,
-        # on an explicit stack: stack[i] is the left vertex at depth i and
-        # path[i] the right vertex it currently tries.
-        visited: set[int] = set()
-        stack = [(root, _bits(g.neighbors_mask(root)))]
-        path: list[int] = []
-        while stack:
-            for w in stack[-1][1]:
-                if w in visited:
-                    continue
-                visited.add(w)
-                path.append(w)
-                if w not in match:
-                    for (u, _), x in zip(stack, path):
-                        match[u] = x
-                        match[x] = u
-                    return
-                stack.append((match[w], _bits(g.neighbors_mask(match[w]))))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-
-    # Greedy start: each left vertex takes its lowest free neighbour, so
-    # augmenting searches run only for the left vertices still free.
-    taken = 0
-    for u in _bits(left.mask):
-        free = g.neighbors_mask(u) & ~taken
-        if free:
-            w = (free & -free).bit_length() - 1
-            match[u] = w
-            match[w] = u
-            taken |= 1 << w
-    for u in _bits(left.mask):
-        if u not in match:
-            augment(u)
-    nu = sum(1 for v in match if v in left)
-
-    # Alternating reachability from the unmatched left vertices.
-    reach = {u for u in _bits(left.mask) if u not in match}
-    frontier = list(reach)
+    mate = _max_matching(g.adj, left.mask)
+    nu = (g.n - mate.count(-1)) // 2
+    z = frontier = sum(1 << u for u in _bits(left.mask) if mate[u] < 0)
     while frontier:
-        u = frontier.pop()
-        for w in _bits(g.neighbors_mask(u)):
-            if w in reach or match.get(u) == w:
-                continue
-            reach.add(w)
-            partner = match.get(w)
-            if partner is not None and partner not in reach:
-                reach.add(partner)
-                frontier.append(partner)
-    cover_mask = 0
-    for v in _bits(left.mask):
-        if v not in reach:
-            cover_mask |= 1 << v
-    for v in _bits(right.mask):
-        if v in reach:
-            cover_mask |= 1 << v
+        new_right = 0
+        for u in _bits(frontier):
+            new_right |= g.adj[u] & ~z
+        frontier = sum(1 << mate[w] for w in _bits(new_right))
+        z |= new_right | frontier
+    cover_mask = (left.mask & ~z) | (right.mask & z)
     if cover_mask.bit_count() != nu:
         raise AssertionError("cover extraction disagrees with matching size")
     if stats is not None:
@@ -477,9 +458,8 @@ def enumerate_min_vertex_covers(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st, {})
-    assert found is not None
-    tau, _ = found
+    tau = _min_cover(g.adj, g.full_mask, st, {})
+    assert tau is not None
     total = 0
     masks: list[int] = []
     for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st):
@@ -509,9 +489,8 @@ def branch_to_matchings(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    found = _min_cover(g.adj, g.full_mask, st, {})
-    assert found is not None
-    tau, _ = found
+    tau = _min_cover(g.adj, g.full_mask, st, {})
+    assert tau is not None
     return [
         BranchLeaf(VertexSet.from_mask(g.n, forced), pairs)
         for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from pauvc import Graph, gnp_graph, parse_dimacs, render_dimacs
+from pauvc import cli
 from pauvc.cli import main
 
 
@@ -172,6 +173,25 @@ class TestGenerate:
                    "--output", out])
         assert rc == 0
 
+    def test_time_cap_reaches_both_checks(self, tmp_path, monkeypatch):
+        # One deadline, computed once, bounds the solve and both checks.
+        seen = {}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                stats = kwargs.get("stats")
+                seen[name] = kwargs["deadline"] if stats is None else stats.deadline
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("solve", "reduce_instance", "has_unique_min_vc"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        out = str(tmp_path / "inst.col")
+        assert main(["generate", "--n", "12", "--time-cap", "30", "--output", out]) == 0
+        assert len(seen) == 3
+        assert seen["solve"] is not None
+        assert seen["reduce_instance"] == seen["has_unique_min_vc"] == seen["solve"]
+
     def test_k4_exclude_collapses(self, k4_file, tmp_path):
         out = str(tmp_path / "inst.col")
         rc = main(["generate", "--input", k4_file, "--model", "exclude",
@@ -246,6 +266,17 @@ class TestBench:
         assert rows["k3.col"][-1] == "true"
         assert rows["p4.col"][3] == "2"   # tau of the 4-path
         assert rows["p4.col"][-1] == "true"
+
+    def test_reference_solve_takes_the_enum_limit(self, tmp_path, capsys):
+        # A 26-vertex star is over the default enumeration cap of 24; with
+        # --enum-limit 30 the enumeration reference must run too.
+        d = tmp_path / "suite"
+        d.mkdir()
+        write(d / "star26.col", render_dimacs(Graph(26, [(0, i) for i in range(1, 26)])))
+        assert main(["bench", str(d), "--enum-limit", "30", "--model", "exclude"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert row.startswith("star26.col,26,25,1,exclude,auto,")
+        assert row.endswith(",true")
 
     def test_empty_directory(self, tmp_path, capsys):
         d = tmp_path / "empty"

@@ -179,7 +179,7 @@ class TestFptSolvers:
             g = Graph(n, edges)
             stats = SolveStats()
             refuted = {}
-            tau, _ = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
+            tau = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
             leaves = solvers._branch_leaves(g.adj, g.full_mask, tau, stats)
             table = solvers._leaf_table(leaves)
             for model in (Model.INCLUDE, Model.EXCLUDE):

@@ -73,6 +73,16 @@ class TestMinVertexCover:
         sol = min_vertex_cover(g)
         assert sol.tau == 1 and list(sol.cover) == [1]
 
+    def test_hub_on_a_matching_is_quadratic(self):
+        # The hub is the only branching vertex; below it only isolated
+        # edges remain, which _bounded_cover must take in one scan.
+        k = 200
+        hub_edges = [(2 * k, v) for v in range(2 * k)]
+        g = Graph(2 * k + 1, [(2 * i, 2 * i + 1) for i in range(k)] + hub_edges)
+        start = time.perf_counter()
+        assert min_vertex_cover(g).tau == k + 1
+        assert time.perf_counter() - start < 1.0
+
     def test_vertex_limit(self):
         g = Graph(4, [(0, 1)])
         with pytest.raises(LimitExceeded):
@@ -196,7 +206,7 @@ class TestSearchKernel:
         # near 2n/3 and prunes only deep in the tree.
         g = gnp_graph(80, 0.25, 2)
         stats = SolveStats()
-        tau, _ = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
+        tau = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
         assert tau == 65
         assert stats.nodes_explored < 4_500
 
@@ -233,8 +243,8 @@ class TestBipartite:
         # reach, which does not depend on the maximum matching found; pin
         # it against networkx's cover of a Hopcroft-Karp matching.
         rng = random.Random(109)
-        for _ in range(300):
-            n = rng.randint(2, 16)
+        for _ in range(500):
+            n = rng.randint(2, 40)
             side = [rng.random() < 0.5 for _ in range(n)]
             p = rng.uniform(0.1, 0.6)
             edges = [
@@ -256,9 +266,8 @@ class TestBipartite:
             assert set(sol.cover) == want, (n, edges, left)
 
     def test_long_path_split_by_parity(self):
-        # With the even vertices on the left, a fresh search started
-        # at vertex 2i walks back through all earlier pairs; the greedy pass
-        # matches every left vertex first, so no augmenting search runs.
+        # Either way round, every left vertex has a free neighbour when its
+        # search starts, so no search goes deep.
         n = 3000
         g = Graph(n, [(i, i + 1) for i in range(n - 1)])
         even = g.vertex_set(range(0, n, 2))
@@ -267,6 +276,20 @@ class TestBipartite:
             sol = min_vertex_cover_bipartite(g, parts)
             assert sol.tau == 1500
             assert is_vertex_cover(g, sol.cover)
+
+    def test_long_augmenting_path(self):
+        # The path L_0 R_0 L_1 R_1 ... with L_i = 2(k-1-i) and R_i = 2i+1:
+        # searches start at L_{k-1}, ..., L_1, each taking the free R_{i-1},
+        # so the last root L_0 must augment through every earlier match.
+        k = 10_000
+        left = [2 * (k - 1 - i) for i in range(k)]
+        right = [2 * i + 1 for i in range(k)]
+        edges = [(left[i], right[i]) for i in range(k)]
+        edges += [(right[i], left[i + 1]) for i in range(k - 1)]
+        g = Graph(2 * k, edges)
+        sol = min_vertex_cover_bipartite(g, (g.vertex_set(left), g.vertex_set(right)))
+        assert sol.tau == k
+        assert is_vertex_cover(g, sol.cover)
 
 
 class TestEnumerate:
