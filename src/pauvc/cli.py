@@ -35,8 +35,8 @@ _CSV_HEADER = "instance,n,m,tau,model,algo,opt_size,nodes,elapsed_ms,agrees"
 def _deadline(time_cap: float | None) -> float | None:
     if time_cap is None:
         return None
-    if time_cap <= 0:
-        raise ValueError("time cap must be positive")
+    if not 0 < time_cap < float("inf"):  # also false for nan
+        raise ValueError("time cap must be positive and finite")
     return time.perf_counter() + time_cap
 
 

@@ -158,8 +158,8 @@ def _solve_enum(
     only include sets of the whole size, the exclude model only the empty one.
     """
     refuted: dict[int, int] = {}
-    tau = _min_cover(adj, active, stats, refuted)
-    assert tau is not None
+    least = _min_cover(adj, active, stats, refuted)
+    assert least is not None
     vertices = list(_bits(active))
     for k in range(len(vertices) + 1):
         prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
@@ -171,7 +171,7 @@ def _solve_enum(
             for exc in combinations(rest, k - len(inc)):
                 exc_mask = sum(1 << v for v in exc)
                 ok, cover, _ = _check_pre_assignment(
-                    adj, active, tau, inc_mask, exc_mask, stats, refuted
+                    adj, active, least, inc_mask, exc_mask, stats, refuted
                 )
                 if ok:
                     return inc_mask, exc_mask, cover
@@ -294,9 +294,7 @@ def _solve_fpt(
 
     The mixed model is answered in the exclude model.
     """
-    tau = _min_cover(adj, active, stats, {})
-    assert tau is not None
-    table = _leaf_table(_branch_leaves(adj, active, tau, stats))
+    table = _leaf_table(_branch_leaves(adj, active, stats))
     for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1
         cover = _decide(table, model, cand)

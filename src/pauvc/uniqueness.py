@@ -4,14 +4,15 @@ A pre-assignment is feasible when exactly one minimum vertex cover is
 consistent with it, which holds iff it holds on every connected component.
 A tree component takes a linear count; on any other, a pre-assignment pins
 it down iff it minus the forced vertices has a unique minimum cover of the
-residual size.  A known minimum cover C is unique iff no search off C's
-path finds another: walk the take-v / take-N(v) branching tree along the
-branches C takes, and at each step search the other branch once for a
-cover that still reaches tau.  Every other minimum cover leaves C's path
-at some first step and lives in that step's other branch, so one search
-per step decides uniqueness, and each search runs on the residual graph of
-the path so far.  All the searches of one call share one table of refuted
-subproblems.
+residual size.  The cover the tau search found gives one when it fits the
+pins, else one search finds one.  A minimum cover C is unique iff no
+search off C's path finds another: walk the take-v / take-N(v) branching
+tree along the branches C takes, and at each step search the other branch
+once for a cover that still reaches tau.  Every other minimum cover leaves
+C's path at some first step and lives in that step's other branch, so one
+search per step decides uniqueness, and each search runs on the residual
+graph of the path so far.  All the searches of one call share one table
+of refuted subproblems.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class FeasibilityReport:
 def _unique_min_cover(
     adj: tuple[int, ...],
     active: int,
-    tau: int,
     cover: int,
     stats: SolveStats,
     refuted: dict[int, int],
@@ -82,7 +82,7 @@ def _unique_min_cover(
     path: the vertices the path takes form a cover inside the given one,
     hence all of it, and a minimum cover containing them is the given one.
     """
-    k = tau
+    k = cover.bit_count()
     while True:
         best_v, _ = _pick(adj, active)
         if best_v < 0:
@@ -109,25 +109,30 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
 def _consistent(
     adj: tuple[int, ...],
     universe: int,
-    tau: int,
+    least: int,
     inc_mask: int,
     exc_mask: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> tuple[int, int | None]:
-    """Count (capped at 2) and one of the minimum covers fitting conflict-free pins."""
+    """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
+
+    ``least`` is a minimum cover of the universe mask.  The uniqueness walk
+    starts from its part off the forced vertices when it fits the pins,
+    with no search, and otherwise from a residual cover one search finds.
+    """
     stats.uvc_calls += 1
     forced = inc_mask
     for v in _bits(exc_mask):
         forced |= adj[v]
-    target = tau - forced.bit_count()
-    if target < 0:
-        return 0, None
     active = universe & ~forced & ~exc_mask
-    cover = _bounded_cover(adj, active, target, stats, refuted)
-    if cover is None:
-        return 0, None
-    unique = _unique_min_cover(adj, active, target, cover, stats, refuted)
+    cover = least & active
+    if inc_mask & ~least or exc_mask & least:
+        target = least.bit_count() - forced.bit_count()
+        cover = _bounded_cover(adj, active, target, stats, refuted)
+        if cover is None:
+            return 0, None
+    unique = _unique_min_cover(adj, active, cover, stats, refuted)
     return 1 if unique else 2, cover | forced
 
 
@@ -137,50 +142,49 @@ _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
 def _check_pre_assignment(
     adj: tuple[int, ...],
     universe: int,
-    tau: int,
+    least: int,
     inc_mask: int,
     exc_mask: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
-    """Feasibility of (include, exclude) masks given tau of the universe mask."""
+    """Feasibility of (include, exclude) masks; least is a minimum cover of universe."""
     conflict = _pin_conflict(adj, inc_mask, exc_mask)
     if conflict is not None:
         return False, None, conflict
-    count, cover = _consistent(adj, universe, tau, inc_mask, exc_mask, stats, refuted)
+    count, cover = _consistent(adj, universe, least, inc_mask, exc_mask, stats, refuted)
     return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
 
 
 def _probe(
     g: Graph, inc: int, exc: int, vertex_limit: int | None, stats: SolveStats | None
-) -> tuple[int, Reason | None, int | None]:
-    """tau(g), why the pins fail (None when feasible), a consistent minimum cover.
+) -> tuple[Reason | None, int | None]:
+    """Why the pins fail (None when feasible) and a consistent minimum cover.
 
-    A pin conflict is answered with tau 0 and no search.  Otherwise each
+    A pin conflict is answered with no cover and no search.  Otherwise each
     component takes the linear count if it is a tree, else the capped
-    search; taus add, counts multiply (capped at 2) and covers unite.
+    search; counts multiply (capped at 2) and covers unite.
     """
     st = stats if stats is not None else SolveStats()
     conflict = _pin_conflict(g.adj, inc, exc)
     if conflict is not None:
-        return 0, conflict, None
+        return conflict, None
     refuted: dict[int, int] = {}
-    tau = cover = 0
+    cover = 0
     count = 1
     for comp in _components(g.adj, g.full_mask):
         pins = (inc & comp, exc & comp)
         counted = count_tree_covers(g.adj, comp, *pins, st)
         if counted is None:
             check_vertex_limit(comp.bit_count(), vertex_limit)
-            part_tau = _min_cover(g.adj, comp, st, refuted)
-            assert part_tau is not None
-            ways, part = _consistent(g.adj, comp, part_tau, *pins, st, refuted)
+            least = _min_cover(g.adj, comp, st, refuted)
+            assert least is not None
+            ways, part = _consistent(g.adj, comp, least, *pins, st, refuted)
         else:
-            part_tau, ways, part = counted
-        tau += part_tau
+            _, ways, part = counted
         count = min(2, count * ways)
         cover |= part or 0
-    return tau, _REASON_BY_COUNT[count], cover if count else None
+    return _REASON_BY_COUNT[count], cover if count else None
 
 
 def has_unique_min_vc(
@@ -194,8 +198,8 @@ def has_unique_min_vc(
     When the answer is True the returned cover is the unique one.
     vertex_limit caps each connected component that is not a tree.
     """
-    tau, reason, cover = _probe(g, 0, 0, vertex_limit, stats)
-    return reason is None, VcSolution(tau, VertexSet.from_mask(g.n, cover))
+    reason, mask = _probe(g, 0, 0, vertex_limit, stats)
+    return reason is None, VcSolution(mask.bit_count(), VertexSet.from_mask(g.n, mask))
 
 
 def is_feasible(
@@ -215,7 +219,7 @@ def is_feasible(
     """
     if pa.n != g.n:
         raise ValueError("pre-assignment universe does not match graph")
-    _, reason, cover = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
+    reason, cover = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
     witness = VertexSet.from_mask(g.n, cover) if reason is None else None
     return FeasibilityReport(reason is None, witness, reason)
 
@@ -238,13 +242,13 @@ def reduce_instance(
     """
     if pa.n != g.n:
         raise ValueError("pre-assignment universe does not match graph")
-    tau, reason, _ = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
+    reason, cover = _probe(g, pa.include.mask, pa.exclude.mask, vertex_limit, stats)
     if reason is not None:
         raise ValueError(f"pre-assignment is not feasible ({reason.value})")
     decided = pa.include.mask
     for v in _bits(pa.exclude.mask):
         decided |= g.neighbors_mask(v)
-    expected_tau = tau - decided.bit_count()
+    expected_tau = cover.bit_count() - decided.bit_count()
     removed = VertexSet.from_mask(g.n, decided | pa.exclude.mask)
     reduced, old_to_new = delete(g, removed)
     return reduced, expected_tau, old_to_new

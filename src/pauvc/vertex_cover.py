@@ -157,16 +157,16 @@ def _bounded_cover(
     """Mask of a vertex cover of size <= k of the active subgraph, or None.
 
     Depth-first over the take-v / take-N(v) tree, take-v first, returning
-    the first cover found; a stack entry holds a subproblem and the cover
-    its path has taken so far.  Under the two children of each branching
-    node lies a marker (cover -1): popping it means neither child held a
-    cover, so that node's active mask and budget go into ``refuted``, which
-    maps an active mask to the largest budget known to admit no cover.
-    Subproblems it already refutes are skipped when popped.  A skipped
-    subtree holds no cover within budget and the order is unchanged, so the
-    table never changes the cover returned, only the nodes visited.  It may
-    serve every search on one adjacency, and stops growing at _REFUTED_CAP
-    entries.
+    the first cover found, and None at once for a negative k; a stack
+    entry holds a subproblem and the cover its path has taken so far.
+    Under the two children of each branching node lies a marker (cover
+    -1): popping it means neither child held a cover, so that node's active
+    mask and budget go into ``refuted``, which maps an active mask to the
+    largest budget known to admit no cover.  Subproblems it already
+    refutes are skipped when popped.  A skipped subtree holds no cover
+    within budget and the order is unchanged, so the table never changes
+    the cover returned, only the nodes visited.  It may serve every search
+    on one adjacency, and stops growing at _REFUTED_CAP entries.
     """
     stack = [(active, k, 0)]
     while stack:
@@ -203,8 +203,8 @@ def _bounded_cover(
             if best_d == 1:
                 # Only isolated edges remain; take the lower endpoint of
                 # each in one scan.  Folding them one pendant at a time
-                # rescans the active set per edge, and _lex_min_cover
-                # searches once per vertex, so a hub joined to m disjoint
+                # rescans the active set per edge, and _lex_min_cover may
+                # search once per vertex, so a hub joined to m disjoint
                 # edges would cost O(m^3) instead of O(m^2).
                 picked = 0
                 scan = active
@@ -240,7 +240,7 @@ def _min_cover(
     refuted: dict[int, int],
     upper: int | None = None,
 ) -> int | None:
-    """tau of the active subgraph; None when tau > upper.
+    """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
     Searches downward: a greedy dive with the whole budget finds a first
     cover, and each further search asks for a cover one smaller than the
@@ -259,39 +259,38 @@ def _min_cover(
         if smaller is None:
             break
         best = smaller
-    return best.bit_count()
+    return best
 
 
 def _lex_min_cover(
     adj: tuple[int, ...],
     active: int,
-    tau: int,
+    cover: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> int:
     """The lexicographically smallest minimum cover of the active subgraph.
 
-    Walks the active vertices in ascending order, keeping v in the cover
-    whenever some minimum cover extends the decisions so far with v
-    included.
+    Walks the active vertices in ascending order, keeping v whenever some
+    minimum cover extends the decisions so far with v included.  ``cover``,
+    a minimum cover, is kept agreeing with the decisions, so a vertex in it
+    is kept with no search; any other takes one bounded search, and the
+    minimum cover it finds, if any, becomes ``cover``.
     """
-    in_mask = 0
-    out_mask = 0
-    out_nb = 0
+    tau = cover.bit_count()
+    out_nb = 0  # neighbours of the vertices decided out
     for v in _bits(active):
-        if in_mask.bit_count() == tau:
-            break
-        forced = in_mask | (1 << v) | out_nb
-        rest = active & ~forced & ~out_mask
-        target = tau - forced.bit_count()
-        if target >= 0 and (
-            _bounded_cover(adj, rest, target, stats, refuted) is not None
-        ):
-            in_mask |= 1 << v
-        else:
-            out_mask |= 1 << v
+        if cover >> v & 1:
+            continue
+        below = (1 << v) - 1  # the vertices already decided
+        forced = (cover & below) | (1 << v) | out_nb
+        rest = active & ~below & ~forced
+        found = _bounded_cover(adj, rest, tau - forced.bit_count(), stats, refuted)
+        if found is None:
             out_nb |= adj[v]
-    return in_mask
+        else:
+            cover = found | forced
+    return cover
 
 
 def min_vertex_cover(
@@ -303,11 +302,11 @@ def min_vertex_cover(
 ) -> VcSolution | None:
     """Compute tau(g) and the lexicographically smallest minimum cover.
 
-    Solves per connected component, in place on g's neighbor masks.  With
-    a bound, returns None as soon as tau(g) exceeds it (the decision
-    variant).  Ties among equal-size covers are broken toward the smallest
-    sorted vertex list, so repeated runs are reproducible.  The
-    lexicographic minimum composes over components: the lowest vertex where
+    Solves per connected component, in place on g's neighbor masks, from
+    the cover its tau search finds.  With a bound, returns None as soon as
+    tau(g) exceeds it (the decision variant).  Ties among equal-size
+    covers go to the smallest sorted vertex list, so runs are reproducible;
+    that minimum composes over components, since the lowest vertex where
     two unions differ lies in one component.
     """
     check_vertex_limit(g.n, vertex_limit)
@@ -315,18 +314,16 @@ def min_vertex_cover(
         return None
     st = stats if stats is not None else SolveStats()
     refuted: dict[int, int] = {}
-    tau = 0
     cover = 0
     for comp in _components(g.adj, g.full_mask):
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
-        upper = None if bound is None else bound - tau
-        part_tau = _min_cover(g.adj, comp, st, refuted, upper=upper)
-        if part_tau is None:
+        upper = None if bound is None else bound - cover.bit_count()
+        part = _min_cover(g.adj, comp, st, refuted, upper=upper)
+        if part is None:
             return None
-        tau += part_tau
-        cover |= _lex_min_cover(g.adj, comp, part_tau, st, refuted)
-    return VcSolution(tau, VertexSet.from_mask(g.n, cover))
+        cover |= _lex_min_cover(g.adj, comp, part, st, refuted)
+    return VcSolution(cover.bit_count(), VertexSet.from_mask(g.n, cover))
 
 
 def _max_matching(adj: tuple[int, ...], left: int) -> list[int]:
@@ -405,14 +402,18 @@ def min_vertex_cover_bipartite(
 
 
 def _branch_leaves(
-    adj: tuple[int, ...], full: int, tau: int, stats: SolveStats
+    adj: tuple[int, ...], full: int, stats: SolveStats
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Leaves (forced mask, isolated edges) of the take-v / take-N(v) tree.
 
-    Branches only on degree >= 2 vertices, depth-first with the take-v
-    branch first, and yields exactly the leaves whose forced set plus one
-    endpoint per isolated edge reaches tau.
+    Finds tau of the active subgraph first, then branches only on degree
+    >= 2 vertices, depth-first with the take-v branch first, and yields
+    exactly the leaves whose forced set plus one endpoint per isolated edge
+    reaches tau.  Nothing runs until the first leaf is asked for.
     """
+    least = _min_cover(adj, full, stats, {})
+    assert least is not None
+    tau = least.bit_count()
     stack = [(full, 0)]
     while stack:
         active, forced = stack.pop()
@@ -458,11 +459,9 @@ def enumerate_min_vertex_covers(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    tau = _min_cover(g.adj, g.full_mask, st, {})
-    assert tau is not None
     total = 0
     masks: list[int] = []
-    for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st):
+    for forced, pairs in _branch_leaves(g.adj, g.full_mask, st):
         total += 1 << len(pairs)
         if total > max_results:
             raise LimitExceeded(f"more than {max_results} minimum covers")
@@ -489,9 +488,7 @@ def branch_to_matchings(
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    tau = _min_cover(g.adj, g.full_mask, st, {})
-    assert tau is not None
     return [
         BranchLeaf(VertexSet.from_mask(g.n, forced), pairs)
-        for forced, pairs in _branch_leaves(g.adj, g.full_mask, tau, st)
+        for forced, pairs in _branch_leaves(g.adj, g.full_mask, st)
     ]

@@ -87,8 +87,10 @@ class TestSolve:
 
 class TestTimeCap:
     def test_nonpositive_cap_exit_2(self, k4_file, capsys):
-        assert main(["solve", k4_file, "--time-cap", "0"]) == 2
-        assert "time cap must be positive" in capsys.readouterr().err
+        # nan passes a plain "<= 0" test and then never fires.
+        for cap in ("0", "nan", "inf"):
+            assert main(["solve", k4_file, "--time-cap", cap]) == 2
+            assert "time cap must be positive" in capsys.readouterr().err
 
     def test_cap_exit_3(self, tmp_path, capsys):
         g = write(tmp_path / "g.col", render_dimacs(gnp_graph(120, 0.03, 0)))

@@ -179,8 +179,8 @@ class TestFptSolvers:
             g = Graph(n, edges)
             stats = SolveStats()
             refuted = {}
-            tau = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
-            leaves = solvers._branch_leaves(g.adj, g.full_mask, tau, stats)
+            least = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
+            leaves = solvers._branch_leaves(g.adj, g.full_mask, stats)
             table = solvers._leaf_table(leaves)
             for model in (Model.INCLUDE, Model.EXCLUDE):
                 stream = solvers._candidate_stream(
@@ -190,7 +190,7 @@ class TestFptSolvers:
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, g.full_mask, tau, inc, exc, stats, refuted
+                        g.adj, g.full_mask, least, inc, exc, stats, refuted
                     )
                     got = solvers._decide(table, model, cand)
                     assert got == (cover if ok else None), (n, edges, model, cand)

@@ -191,10 +191,10 @@ def _members(mask):
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
-def _searched(t, tau, include, exclude):
+def _searched(t, least, include, exclude):
     """The cover-search verdict that graphs other than trees get."""
     ok, cover, reason = pauvc.solvers._check_pre_assignment(
-        t.adj, t.full_mask, tau, include, exclude, SolveStats(), {}
+        t.adj, t.full_mask, least, include, exclude, SolveStats(), {}
     )
     return (cover if ok else None), reason
 
@@ -215,8 +215,7 @@ class TestTreeFeasibility:
         for i in range(60):
             n = rng.randint(280, 300) if i % 20 == 0 else rng.randint(1, 60)
             t = random_tree_edges(n, rng)
-            solution = min_vertex_cover(t)
-            tau, cover = solution.tau, solution.cover.mask
+            cover = min_vertex_cover(t).cover.mask
             for model in ("include", "exclude"):
                 witness = pau_tree(t, model).witness
                 inside = cover if model == "include" else t.full_mask & ~cover
@@ -230,12 +229,13 @@ class TestTreeFeasibility:
                 for pins in pin_sets:
                     include, exclude = (pins, 0) if model == "include" else (0, pins)
                     got = _counted(t, include, exclude)
-                    want = _searched(t, tau, include, exclude)
+                    want = _searched(t, cover, include, exclude)
                     assert got == want, (t.edges(), pins)
                     checked += 1
             include = _pins(n, rng, 0.15)
             exclude = _pins(n, rng, 0.15) & ~include
-            assert _counted(t, include, exclude) == _searched(t, tau, include, exclude)
+            want = _searched(t, cover, include, exclude)
+            assert _counted(t, include, exclude) == want
             # a vertex pinned both ways admits no cover
             counted = count_tree_covers(t.adj, t.full_mask, 1, 1, SolveStats())
             assert counted[1:] == (0, None)

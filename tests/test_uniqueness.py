@@ -30,8 +30,9 @@ from pauvc import (
     pau_tree,
     random_tree,
     reduce_instance,
+    vertex_cover,
 )
-from pauvc.uniqueness import _check_pre_assignment
+from pauvc.uniqueness import _check_pre_assignment, _unique_min_cover
 
 
 def all_pre_assignments(n):
@@ -151,6 +152,44 @@ class TestAgainstBruteForce:
                 else:
                     assert report.reason is Reason.NOT_UNIQUE
 
+    def test_pins_from_every_minimum_cover(self):
+        # The probe starts from the minimum cover C its tau search found:
+        # pins drawn from C skip the residual search, pins drawn from any
+        # other minimum cover break C and take it.  Connected graphs that
+        # are not trees all reach the probe, so both paths are counted.
+        rng = random.Random(1201)
+        paths = {"fits": 0, "breaks": 0}
+        graphs = 0
+        while graphs < 200:
+            n = rng.randint(6, 14)
+            edges = random_edges(n, rng.uniform(0.25, 0.6), rng)
+            g = Graph(n, edges)
+            if len(classify(g).components) != 1 or g.m < n:
+                continue
+            graphs += 1
+            least = vertex_cover._min_cover(g.adj, g.full_mask, SolveStats(), {})
+            covers = brute_min_covers(n, edges)
+            for chosen in covers:
+                outside = [v for v in range(n) if v not in chosen]
+                inc = {v for v in chosen if rng.random() < 0.4}
+                exc = {v for v in outside if rng.random() < 0.4}
+                for pins in ((inc, set()), (set(), exc), (inc, exc)):
+                    inc_set, exc_set = (VertexSet(n, p) for p in pins)
+                    pa = PreAssignment.mixed(inc_set, exc_set)
+                    fits = not (inc_set.mask & ~least or exc_set.mask & least)
+                    paths["fits" if fits else "breaks"] += 1
+                    hits = [c for c in covers if consistent(c, *pins)]
+                    report = is_feasible(g, pa)
+                    want = brute_feasible(covers, *pins)
+                    assert report.feasible == want, (n, edges, pins)
+                    if want:
+                        assert report.reason is None
+                        assert frozenset(report.witness) == hits[0]
+                    else:
+                        assert report.witness is None
+                        assert report.reason is Reason.NOT_UNIQUE
+        assert min(paths.values()) >= 1000, paths
+
 
 class TestIsFeasible:
     def test_exhaustive_tiny(self):
@@ -269,6 +308,20 @@ class TestIsFeasible:
 class TestPerComponentProbe:
     """is_feasible decides each connected component on its own pins."""
 
+    def test_one_tau_search_per_component(self):
+        # The uniqueness walk starts from the cover the tau search found,
+        # with no second search for one: the probe costs exactly those two
+        # steps sharing one table of refuted subproblems.
+        g = gnp_graph(60, 0.3, 1)
+        assert len(classify(g).components) == 1
+        probed = SolveStats()
+        unique, sol = has_unique_min_vc(g, stats=probed)
+        steps, refuted = SolveStats(), {}
+        least = vertex_cover._min_cover(g.adj, g.full_mask, steps, refuted)
+        assert unique == _unique_min_cover(g.adj, g.full_mask, least, steps, refuted)
+        assert sol.tau == least.bit_count() and sol.cover.mask == least
+        assert probed.nodes_explored == steps.nodes_explored == 688
+
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
         seen = set()
@@ -293,7 +346,7 @@ class TestPerComponentProbe:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
                 ok, cover, reason = _check_pre_assignment(
-                    g.adj, g.full_mask, sol.tau, pa.include.mask,
+                    g.adj, g.full_mask, sol.cover.mask, pa.include.mask,
                     pa.exclude.mask, SolveStats(), {},
                 )
                 want = (ok, None if cover is None else VertexSet.from_mask(n, cover))

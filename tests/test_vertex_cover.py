@@ -83,6 +83,19 @@ class TestMinVertexCover:
         assert min_vertex_cover(g).tau == k + 1
         assert time.perf_counter() - start < 1.0
 
+    def test_triangle_chain_lex_walk(self):
+        # Triangle i joined to triangle i + 1 by the edge (3i+2, 3i+3).  The
+        # lexicographic walk searches only for vertices outside the minimum
+        # cover it holds; one search per vertex took (2k+1)^2 = 10,201 nodes.
+        k = 100
+        edges = [e for b in range(0, 3 * k, 3) for e in triangle(b)]
+        edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
+        g = Graph(3 * k, edges)
+        stats = SolveStats()
+        sol = min_vertex_cover(g, stats=stats)
+        assert sol.tau == 2 * k
+        assert stats.nodes_explored <= 5_500
+
     def test_vertex_limit(self):
         g = Graph(4, [(0, 1)])
         with pytest.raises(LimitExceeded):
@@ -206,8 +219,8 @@ class TestSearchKernel:
         # near 2n/3 and prunes only deep in the tree.
         g = gnp_graph(80, 0.25, 2)
         stats = SolveStats()
-        tau = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
-        assert tau == 65
+        cover = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
+        assert cover.bit_count() == 65
         assert stats.nodes_explored < 4_500
 
 
