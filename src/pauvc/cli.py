@@ -157,6 +157,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _deadline(args.time_cap)  # refuse an invalid cap before any instance runs
     names = sorted(
         name
         for name in os.listdir(args.directory)

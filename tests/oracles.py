@@ -30,6 +30,27 @@ def brute_tau(n, edges) -> int:
     return len(brute_min_covers(n, edges)[0])
 
 
+def subset_tau(n, edges) -> int:
+    """tau as n minus the largest independent set, over all 2^n vertex subsets.
+
+    A subset is independent iff it minus its lowest vertex v is and v has
+    no neighbour in the rest; much faster than brute_tau on dense graphs.
+    """
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    alpha = 0
+    for s in range(1, 1 << n):
+        rest = s & (s - 1)
+        if independent[rest] and not nb[(s ^ rest).bit_length() - 1] & rest:
+            independent[s] = 1
+            alpha = max(alpha, bin(s).count("1"))
+    return n - alpha
+
+
 def consistent(cover, include, exclude) -> bool:
     return include <= cover and not (exclude & cover)
 

@@ -287,6 +287,18 @@ class TestBench:
         out = capsys.readouterr().out.strip()
         assert out == "instance,n,m,tau,model,algo,opt_size,nodes,elapsed_ms,agrees"
 
+    def test_invalid_time_cap_exit_2(self, tmp_path, capsys):
+        # Checked per instance, an invalid cap turned each row into
+        # "error" and the command still exited 0.
+        d = tmp_path / "suite"
+        d.mkdir()
+        write(d / "p4.col", render_dimacs(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+        for cap in ("0", "nan"):
+            assert main(["bench", str(d), "--time-cap", cap]) == 2
+            captured = capsys.readouterr()
+            assert "time cap must be positive" in captured.err
+            assert captured.out == ""
+
     def test_metadata_json_skipped(self, tmp_path, capsys):
         d = tmp_path / "suite"
         d.mkdir()

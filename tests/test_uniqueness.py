@@ -320,7 +320,7 @@ class TestPerComponentProbe:
         least = vertex_cover._min_cover(g.adj, g.full_mask, steps, refuted)
         assert unique == _unique_min_cover(g.adj, g.full_mask, least, steps, refuted)
         assert sol.tau == least.bit_count() and sol.cover.mask == least
-        assert probed.nodes_explored == steps.nodes_explored == 688
+        assert probed.nodes_explored == steps.nodes_explored == 396
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)

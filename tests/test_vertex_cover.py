@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms import bipartite
 
-from oracles import all_graphs, brute_min_covers, brute_tau, random_edges
+from oracles import all_graphs, brute_min_covers, brute_tau, random_edges, subset_tau
 from pauvc import (
     Graph,
     LimitExceeded,
@@ -18,10 +18,12 @@ from pauvc import (
     classify,
     enumerate_min_vertex_covers,
     gnp_graph,
+    has_unique_min_vc,
     is_feasible,
     is_vertex_cover,
     min_vertex_cover,
     min_vertex_cover_bipartite,
+    random_tree,
     solve,
     vertex_cover,
 )
@@ -83,6 +85,17 @@ class TestMinVertexCover:
         assert min_vertex_cover(g).tau == k + 1
         assert time.perf_counter() - start < 1.0
 
+    def test_near_tree_folds_pendants_in_one_scan(self):
+        # One cycle through a 500-vertex tree: the search folds nearly all
+        # of it as degree-1 vertices.  Rescanning after each fold made one
+        # search quadratic in n, 1.7 s for min_vertex_cover.
+        t = random_tree(500, 0)
+        g = Graph(500, t.edges() + [(0, 499)])
+        start = time.perf_counter()
+        tau = min_vertex_cover(g).tau
+        assert time.perf_counter() - start < 0.5
+        assert has_unique_min_vc(g)[1].tau == tau
+
     def test_triangle_chain_lex_walk(self):
         # Triangle i joined to triangle i + 1 by the edge (3i+2, 3i+3).  The
         # lexicographic walk searches only for vertices outside the minimum
@@ -109,21 +122,22 @@ class TestMinVertexCover:
 
     def test_deadline_enforced(self):
         # Deadline checks run every 1024 nodes, so the instance must burn
-        # well past that: 5-cycles defeat the packing bound, and chaining
+        # well past that: 5-cycles defeat the clique bound, and chaining
         # them keeps the graph one component, which is searched whole.
+        # 24 of them take about 8,200 nodes; 16 take only about 1,100.
         edges = []
-        for i in range(16):
+        for i in range(24):
             b = 5 * i
             edges += [(b + j, b + (j + 1) % 5) for j in range(5)]
-        chain = edges + [(5 * i - 5, 5 * i) for i in range(1, 16)]
-        g = Graph(80, chain)
+        chain = edges + [(5 * i - 5, 5 * i) for i in range(1, 24)]
+        g = Graph(120, chain)
         stats = SolveStats(deadline=time.perf_counter() - 1.0)
         with pytest.raises(LimitExceeded):
             min_vertex_cover(g, stats=stats)
         assert stats.nodes_explored < 100_000
-        # Apart, the same cycles are 16 small components.
+        # Apart, the same cycles are 24 small components.
         stats = SolveStats()
-        assert min_vertex_cover(Graph(80, edges), stats=stats).tau == 48
+        assert min_vertex_cover(Graph(120, edges), stats=stats).tau == 72
         assert stats.nodes_explored < 1_000
 
     def test_many_components_no_recursion_limit(self, monkeypatch):
@@ -144,6 +158,14 @@ class TestMinVertexCover:
         stats = SolveStats()
         assert min_vertex_cover(g, bound=tau - 1, stats=stats) is None
         assert stats.nodes_explored == 0
+
+
+def _covers(g, active, cover):
+    """Whether cover is a vertex cover of g's active subgraph inside it."""
+    outside = active & ~cover
+    return not cover & ~active and all(
+        not g.adj[v] & outside for v in range(g.n) if outside >> v & 1
+    )
 
 
 def _subgraph(n, edges, active):
@@ -213,6 +235,47 @@ class TestSearchKernel:
         refuted = {}
         vertex_cover._min_cover(g.adj, g.full_mask, SolveStats(), refuted)
         assert len(refuted) <= cap
+
+    def test_differential_against_subset_table(self):
+        # The tau search finds a minimum cover, and one table shared by
+        # bounded searches at every budget, in shuffled order, refutes
+        # exactly the budgets below tau.
+        rng = random.Random(229)
+        for seed in range(600):
+            n = rng.randint(1, 16)
+            g = gnp_graph(n, rng.uniform(0.1, 0.9), seed)
+            for active in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                tau = subset_tau(*_subgraph(n, g.edges(), active))
+                least = vertex_cover._min_cover(g.adj, active, SolveStats(), {})
+                assert least.bit_count() == tau, (seed, active)
+                assert _covers(g, active, least), (seed, active)
+                refuted = {}
+                budgets = list(range(-1, tau + 2))
+                rng.shuffle(budgets)
+                for k in budgets:
+                    got = vertex_cover._bounded_cover(
+                        g.adj, active, k, SolveStats(), refuted
+                    )
+                    if k < tau:
+                        assert got is None, (seed, active, k)
+                    else:
+                        assert got is not None and got.bit_count() <= k, (seed, active, k)
+                        assert _covers(g, active, got), (seed, active, k)
+
+    def test_sparse_tau_search_stays_on_max_degree(self):
+        # Sparse graphs keep the max-degree split: branching on the tail
+        # in every frame takes about 1,400 nodes here, the split alone
+        # about 190.
+        stats = SolveStats()
+        assert min_vertex_cover(gnp_graph(200, 0.015, 0), stats=stats).tau == 95
+        assert stats.nodes_explored < 400
+
+    def test_dense_tau_search_branches_on_the_tail(self):
+        # The max-degree split alone takes 27,222 nodes here; with the tail
+        # rule it takes about 14,900.
+        stats = SolveStats()
+        assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
+        assert stats.nodes_explored < 20_000
 
     def test_tau_search_node_count(self):
         # gnp(80, 0.25): tau 65, where a triangle-plus-edge packing stays
