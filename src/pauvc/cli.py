@@ -40,6 +40,13 @@ def _deadline(time_cap: float | None) -> float | None:
     return time.perf_counter() + time_cap
 
 
+def _check_limits(args: argparse.Namespace) -> None:
+    for flag in ("vertex_limit", "enum_limit"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
+
+
 def _solve(g: Graph, args: argparse.Namespace, deadline: float | None) -> PauResult:
     return solve(
         g,
@@ -266,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": cmd_bench,
     }
     try:
+        _check_limits(args)
         return handlers[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

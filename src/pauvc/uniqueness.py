@@ -5,14 +5,14 @@ consistent with it, which holds iff it holds on every connected component.
 A tree component takes a linear count; on any other, a pre-assignment pins
 it down iff it minus the forced vertices has a unique minimum cover of the
 residual size.  The cover the tau search found gives one when it fits the
-pins, else one search finds one.  A minimum cover C is unique iff no
-search off C's path finds another: walk the take-v / take-N(v) branching
-tree along the branches C takes, and at each step search the other branch
-once for a cover that still reaches tau.  Every other minimum cover leaves
-C's path at some first step and lives in that step's other branch, so one
-search per step decides uniqueness, and each search runs on the residual
-graph of the path so far.  All the searches of one call share one table
-of refuted subproblems.
+pins, else one search finds one.  From that cover the leaf walker of the
+take-v / take-N(v) branching tree (``vertex_cover._cover_leaves``) decides
+uniqueness: the minimum covers are the leaves' forced sets plus one
+endpoint of each leaf edge, so the cover is unique iff the first leaf has
+no edges and there is no second leaf.  The walker follows the cover's
+branch with no search and searches each other branch once, when it is
+popped, so a unique cover costs one search per step of its path.  All the
+searches of one call share one table of refuted subproblems.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .vertex_cover import (
     VcSolution,
     _bits,
     _bounded_cover,
+    _cover_leaves,
     _min_cover,
-    _pick,
 )
 
 __all__ = [
@@ -63,39 +63,6 @@ class FeasibilityReport:
     reason: Reason | None
 
 
-def _unique_min_cover(
-    adj: tuple[int, ...],
-    active: int,
-    cover: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
-) -> bool:
-    """True iff the given minimum cover of the active subgraph is unique.
-
-    Walks the cover down one path of the take-v / take-N(v) branching tree,
-    always on a lowest-id maximum-degree vertex v: the path follows the
-    cover's branch, and the other branch gets one bounded search for a
-    cover that still reaches tau.  A hit is a second minimum cover, since
-    it disagrees with the given one on v.  Conversely, every other minimum
-    cover disagrees with the given one on the first path vertex where their
-    branches part, so that step's search finds one.  None follows the whole
-    path: the vertices the path takes form a cover inside the given one,
-    hence all of it, and a minimum cover containing them is the given one.
-    """
-    k = cover.bit_count()
-    while True:
-        best_v, _ = _pick(adj, active)
-        if best_v < 0:
-            return True
-        bit = 1 << best_v
-        nb = adj[best_v] & active
-        taken = (active ^ bit, k - 1)
-        skipped = (active & ~(nb | bit), k - nb.bit_count())
-        (active, k), other = (taken, skipped) if cover & bit else (skipped, taken)
-        if _bounded_cover(adj, *other, stats, refuted) is not None:
-            return False
-
-
 def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason | None:
     """The reason no cover at all is consistent with the pins, if one shows."""
     if inc_mask & exc_mask:
@@ -117,9 +84,11 @@ def _consistent(
 ) -> tuple[int, int | None]:
     """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
 
-    ``least`` is a minimum cover of the universe mask.  The uniqueness walk
-    starts from its part off the forced vertices when it fits the pins,
-    with no search, and otherwise from a residual cover one search finds.
+    ``least`` is a minimum cover of the universe mask.  The leaf walk starts
+    from its part off the forced vertices when it fits the pins, with no
+    search, and otherwise from a residual cover one search finds; the
+    count is 1 iff the walk's first leaf has no edges and there is no
+    second leaf.
     """
     stats.uvc_calls += 1
     forced = inc_mask
@@ -132,7 +101,9 @@ def _consistent(
         cover = _bounded_cover(adj, active, target, stats, refuted)
         if cover is None:
             return 0, None
-    unique = _unique_min_cover(adj, active, cover, stats, refuted)
+    leaves = _cover_leaves(adj, active, cover, stats, refuted)
+    _, pairs = next(leaves)
+    unique = not pairs and next(leaves, None) is None
     return 1 if unique else 2, cover | forced
 
 

@@ -4,22 +4,24 @@ Every search runs on bit masks over the original vertex ids, so a
 subproblem is just an active mask, and keeps its open subproblems on an
 explicit stack, so no graph is too deep for it.  A connected component is
 an active mask too, so callers split a graph with ``graph._components``
-and search each component in place.  Both searches prune by one greedy
-clique partition (:func:`_clique_partition`; :func:`_clique_lb` is its
-bound).  :func:`_branch_leaves` takes a lowest-id maximum-degree vertex v
-(:func:`_pick`) or its whole neighborhood N(v) until only isolated edges
-remain; its leaves drive the fixed-parameter solvers,
-:func:`branch_to_matchings` and :func:`enumerate_min_vertex_covers`, and
-every minimum cover must extend one, so it folds no degree-1 vertex.
-:func:`_bounded_cover` needs only one cover, so it folds isolated and
-degree-1 vertices, and branches in clique-partition order where that
-order is strong: over the few vertices of the last cliques, one of which
-every cover within budget leaves out (the colouring order of max-clique
-solvers such as Tomita and Seki's MCQ), else on v as above.  It also
-records the subproblems it refutes in a table that one public call
-shares across all its searches on one graph; the table only skips
-subtrees that hold no cover within budget, so it never changes a
-returned cover.
+and search each component in place.  :func:`_bounded_cover` needs only
+one cover within a budget, so it folds isolated and degree-1 vertices,
+prunes by one greedy clique partition (:func:`_clique_partition`;
+:func:`_clique_lb` is its bound), and branches in clique-partition order
+where that order is strong: over the few vertices of the last cliques,
+one of which every cover within budget leaves out (the colouring order of
+max-clique solvers such as Tomita and Seki's MCQ), else on a lowest-id
+maximum-degree vertex v, taking v or its neighborhood N(v).  It records
+the subproblems it refutes in a table that one public call shares across
+all its searches on one graph; the table only skips subtrees that hold no
+cover within budget, so it never changes a returned cover.
+:func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
+down to isolated edges: it hands a minimum cover down the branch the
+cover takes and searches each other branch once, when it is popped, so it
+visits only nodes that hold a leaf.  Every minimum cover extends one
+leaf, so it folds no degree-1 vertex.  Its leaves drive the
+fixed-parameter solvers, :func:`branch_to_matchings`,
+:func:`enumerate_min_vertex_covers` and the uniqueness test.
 """
 
 from __future__ import annotations
@@ -139,25 +141,6 @@ def _clique_lb(adj: tuple[int, ...], active: int) -> int:
     order; on triangle-free graphs it equals the greedy matching bound.
     """
     return active.bit_count() - len(_clique_partition(adj, active))
-
-
-def _pick(adj: tuple[int, ...], active: int) -> tuple[int, int]:
-    """Lowest-id maximum-degree vertex of the active subgraph, with its degree.
-
-    Returns (-1, 0) when the active subgraph has no edge.
-    """
-    best_v = -1
-    best_d = 0
-    scan = active
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & active).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-    return best_v, best_d
 
 
 # The tail rule branches over at most this many vertices.  Medians of 6
@@ -453,45 +436,76 @@ def min_vertex_cover_bipartite(
     return VcSolution(nu, VertexSet.from_mask(g.n, cover_mask))
 
 
-def _branch_leaves(
-    adj: tuple[int, ...], full: int, stats: SolveStats
+def _cover_leaves(
+    adj: tuple[int, ...],
+    active: int,
+    cover: int,
+    stats: SolveStats,
+    refuted: dict[int, int],
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Leaves (forced mask, isolated edges) of the take-v / take-N(v) tree.
 
-    Finds tau of the active subgraph first, then branches only on degree
-    >= 2 vertices, depth-first with the take-v branch first, and yields
-    exactly the leaves whose forced set plus one endpoint per isolated edge
-    reaches tau.  Nothing runs until the first leaf is asked for.
+    ``cover`` is a minimum cover of the active subgraph, of size k.  The
+    walk is depth-first and branches on a lowest-id maximum-degree vertex
+    v, the take-v child first, until only isolated edges remain.  Each
+    stack entry carries a cover of its residual within budget
+    k - |forced|, or -1: the child the cover takes inherits it, and the
+    other gets one :func:`_bounded_cover` search when popped, and is
+    dropped if that finds none.  So every node visited holds a leaf, and
+    each leaf's forced set plus one endpoint per edge is a minimum cover.
+    One degree scan per node finds v or, below degree 2, the leaf's edges.
     """
-    least = _min_cover(adj, full, stats, {})
-    assert least is not None
-    tau = least.bit_count()
-    stack = [(full, 0)]
+    k = cover.bit_count()
+    stack = [(active, 0, cover)]
     while stack:
-        active, forced = stack.pop()
+        active, forced, cover = stack.pop()
+        if cover < 0:
+            found = _bounded_cover(adj, active, k - forced.bit_count(), stats, refuted)
+            if found is None:
+                continue
+            cover = found
         _node(stats)
-        best_v, best_d = _pick(adj, active)
-        if best_d < 2:
-            pairs = []
-            scan = active
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                partner = adj[v] & active
-                if partner:
-                    pairs.append((v, partner.bit_length() - 1))
-                    scan &= ~(low | partner)
-                else:
-                    scan ^= low
-            if forced.bit_count() + len(pairs) == tau:
-                yield forced, tuple(pairs)
-            continue
-        if forced.bit_count() + _clique_lb(adj, active) > tau:
+        best_v = -1
+        best_d = 1
+        pairs = []
+        scan = active
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            nb = adj[v] & active
+            d = nb.bit_count()
+            if d > best_d:
+                best_d = d
+                best_v = v
+            elif d == 1 and nb > low:
+                pairs.append((v, nb.bit_length() - 1))
+        if best_v < 0:
+            yield forced, tuple(pairs)
             continue
         bit = 1 << best_v
         nb = adj[best_v] & active
-        stack.append((active & ~(nb | bit), forced | nb))
-        stack.append((active ^ bit, forced | bit))
+        if cover & bit:
+            nb_cover, v_cover = -1, cover ^ bit
+        else:
+            nb_cover, v_cover = cover & ~nb, -1
+        stack.append((active & ~(nb | bit), forced | nb, nb_cover))
+        stack.append((active ^ bit, forced | bit, v_cover))
+
+
+def _branch_leaves(
+    adj: tuple[int, ...], full: int, stats: SolveStats
+) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Leaves of the take-v / take-N(v) tree of the full mask's subgraph.
+
+    Finds a minimum cover, then walks the leaves from it
+    (:func:`_cover_leaves`), both sharing one table of refuted
+    subproblems.  Nothing runs until the first leaf is asked for.
+    """
+    refuted: dict[int, int] = {}
+    least = _min_cover(adj, full, stats, refuted)
+    assert least is not None
+    yield from _cover_leaves(adj, full, least, stats, refuted)
 
 
 def enumerate_min_vertex_covers(
@@ -535,8 +549,8 @@ def branch_to_matchings(
 
     Returns the leaves whose minimum covers are exactly the minimum covers
     of g extending them: forced vertices plus one endpoint per matching
-    edge.  Leaves that cannot reach tau(g) are filtered out, so the leaf
-    families partition all minimum covers of g.
+    edge.  Branches that hold no minimum cover are never walked, so the
+    leaf families partition all minimum covers of g.
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()

@@ -321,3 +321,74 @@ def count_rooted_i_subtrees(n, edges, root):
                     seen.add(comp)
                     stack.append(comp)
     return len(codes)
+
+
+# ---------------------------------------------------------------------------
+# The take-v / take-N(v) leaf listing by plain pruning: every node is
+# expanded unless a greedy clique bound rules it out, and the leaves that
+# miss tau are filtered out afterwards.  The package's walk instead searches
+# each branch it does not take, so equal lists, order included, check it.
+
+
+def _greedy_clique_count(adj, active):
+    """Cliques of the greedy partition grown from the lowest free vertex."""
+    count = 0
+    free = active
+    while free:
+        clique = free & -free
+        common = adj[clique.bit_length() - 1] & free
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        free &= ~clique
+        count += 1
+    return count
+
+
+def pruned_branch_leaves(n, edges, tau):
+    """(forced mask, isolated edges) leaves of the branching tree, in walk order.
+
+    ``tau`` is the graph's cover number, which the caller supplies.  The
+    walk is depth-first on a lowest-id maximum-degree vertex v of degree
+    >= 2, the take-v branch first, until only isolated edges remain; it
+    prunes a node whose forced set plus the greedy clique bound exceeds
+    tau, and keeps a leaf only when its forced set plus one endpoint per
+    edge reaches tau.
+    """
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    leaves = []
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        active, forced = stack.pop()
+        best_v, best_d = -1, 0
+        for v in _mask_bits(active):
+            d = (adj[v] & active).bit_count()
+            if d > best_d:
+                best_v, best_d = v, d
+        if best_d < 2:
+            pairs = []
+            scan = active
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
+                partner = adj[v] & active
+                if partner:
+                    pairs.append((v, partner.bit_length() - 1))
+                    scan &= ~(low | partner)
+                else:
+                    scan ^= low
+            if forced.bit_count() + len(pairs) == tau:
+                leaves.append((forced, tuple(pairs)))
+            continue
+        lb = active.bit_count() - _greedy_clique_count(adj, active)
+        if forced.bit_count() + lb > tau:
+            continue
+        bit = 1 << best_v
+        nb = adj[best_v] & active
+        stack.append((active & ~(nb | bit), forced | nb))
+        stack.append((active ^ bit, forced | bit))
+    return leaves

@@ -73,6 +73,14 @@ class TestSolve:
         assert main(["solve", p4_file]) == 3
         assert f"error: resource limit hit ({error.__name__})" in capsys.readouterr().err
 
+    def test_negative_limit_exit_2(self, p4_file, capsys):
+        # A negative cap was taken as a cap every graph exceeds: exit 3.
+        for flag in ("--vertex-limit", "--enum-limit"):
+            assert main(["solve", p4_file, flag, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert f"{flag} must not be negative" in captured.err
+            assert captured.out == ""
+
     def test_vertex_limit_env(self, c4_file, monkeypatch):
         monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "2")
         assert main(["solve", c4_file]) == 3
@@ -93,7 +101,8 @@ class TestTimeCap:
             assert "time cap must be positive" in capsys.readouterr().err
 
     def test_cap_exit_3(self, tmp_path, capsys):
-        g = write(tmp_path / "g.col", render_dimacs(gnp_graph(120, 0.03, 0)))
+        # The include-model solve of this graph runs for well over 10 s.
+        g = write(tmp_path / "g.col", render_dimacs(gnp_graph(150, 0.02, 0)))
         rc = main(["solve", g, "--model", "include", "--time-cap", "0.5"])
         assert rc == 3
         assert "time cap exceeded" in capsys.readouterr().err
@@ -126,6 +135,14 @@ class TestCheck:
         data = json.loads(capsys.readouterr().out)
         assert data["feasible"] is False
         assert data["reason"] == "ExcludeNotIndependent"
+
+    def test_negative_vertex_limit_exit_2(self, k4_file, tmp_path, capsys):
+        pre = write(
+            tmp_path / "pre.json",
+            json.dumps({"model": "exclude", "include": [], "exclude": []}),
+        )
+        assert main(["check", k4_file, pre, "--vertex-limit", "-1"]) == 2
+        assert "--vertex-limit must not be negative" in capsys.readouterr().err
 
     def test_malformed_pre_exit_2(self, k4_file, tmp_path):
         pre = write(tmp_path / "pre.json", "{not json")
@@ -193,6 +210,13 @@ class TestGenerate:
         assert len(seen) == 3
         assert seen["solve"] is not None
         assert seen["reduce_instance"] == seen["has_unique_min_vc"] == seen["solve"]
+
+    def test_negative_limit_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "g.col")
+        for flag in ("--vertex-limit", "--enum-limit"):
+            assert main(["generate", "--n", "6", "--output", out, flag, "-1"]) == 2
+            assert f"{flag} must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "g.col").exists()
 
     def test_k4_exclude_collapses(self, k4_file, tmp_path):
         out = str(tmp_path / "inst.col")
@@ -297,6 +321,16 @@ class TestBench:
             assert main(["bench", str(d), "--time-cap", cap]) == 2
             captured = capsys.readouterr()
             assert "time cap must be positive" in captured.err
+            assert captured.out == ""
+
+    def test_negative_limit_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        write(d / "p4.col", render_dimacs(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+        for flag in ("--vertex-limit", "--enum-limit"):
+            assert main(["bench", str(d), flag, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert f"{flag} must not be negative" in captured.err
             assert captured.out == ""
 
     def test_metadata_json_skipped(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from pauvc import (
     PreAssignment,
     SolveStats,
     VertexSet,
+    branch_to_matchings,
     classify,
     delete,
     gnp_graph,
@@ -164,6 +165,21 @@ class TestFptSolvers:
             assert len(r.unique_cover) == 30
             assert is_feasible(g, r.pre).witness == r.unique_cover
             assert r.stats.nodes_explored <= 25_000
+
+    def test_sparse_branching_visits_only_leaf_nodes(self):
+        # tau 61 on 120 sparse vertices.  A walk that expands every node the
+        # clique bound allows took 152,542 nodes for the leaves, and solve
+        # took 181,691 (include) and 153,371 (exclude); searching each
+        # branch not taken once takes about 3,100, 32,300 and 3,900.
+        g = gnp_graph(120, 0.03, 0)
+        stats = SolveStats()
+        assert len(branch_to_matchings(g, stats=stats)) == 146
+        assert stats.nodes_explored < 10_000
+        include, exclude = solve(g, "include"), solve(g, "exclude")
+        assert list(include.pre.include) == [0, 64, 74]
+        assert list(exclude.pre.exclude) == [74, 111]
+        for result in (include, exclude):
+            assert result.stats.nodes_explored < 60_000
 
     def test_leaf_count_matches_probe(self):
         # Every candidate of both streams, feasible or not, gets the same

@@ -32,7 +32,7 @@ from pauvc import (
     reduce_instance,
     vertex_cover,
 )
-from pauvc.uniqueness import _check_pre_assignment, _unique_min_cover
+from pauvc.uniqueness import _check_pre_assignment, _consistent
 
 
 def all_pre_assignments(n):
@@ -309,18 +309,20 @@ class TestPerComponentProbe:
     """is_feasible decides each connected component on its own pins."""
 
     def test_one_tau_search_per_component(self):
-        # The uniqueness walk starts from the cover the tau search found,
-        # with no second search for one: the probe costs exactly those two
-        # steps sharing one table of refuted subproblems.
+        # The leaf walk starts from the cover the tau search found, with no
+        # second search for one: the probe costs exactly the tau search and
+        # one _consistent call sharing one table of refuted subproblems.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
         unique, sol = has_unique_min_vc(g, stats=probed)
         steps, refuted = SolveStats(), {}
         least = vertex_cover._min_cover(g.adj, g.full_mask, steps, refuted)
-        assert unique == _unique_min_cover(g.adj, g.full_mask, least, steps, refuted)
-        assert sol.tau == least.bit_count() and sol.cover.mask == least
-        assert probed.nodes_explored == steps.nodes_explored == 396
+        count, cover = _consistent(g.adj, g.full_mask, least, 0, 0, steps, refuted)
+        assert unique == (count == 1)
+        assert sol.tau == least.bit_count() and sol.cover.mask == least == cover
+        assert probed.uvc_calls == steps.uvc_calls == 1
+        assert probed.nodes_explored == steps.nodes_explored == 422
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)

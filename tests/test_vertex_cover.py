@@ -7,7 +7,14 @@ import networkx as nx
 import pytest
 from networkx.algorithms import bipartite
 
-from oracles import all_graphs, brute_min_covers, brute_tau, random_edges, subset_tau
+from oracles import (
+    all_graphs,
+    brute_min_covers,
+    brute_tau,
+    pruned_branch_leaves,
+    random_edges,
+    subset_tau,
+)
 from pauvc import (
     Graph,
     LimitExceeded,
@@ -15,6 +22,7 @@ from pauvc import (
     SolveStats,
     VertexSet,
     branch_to_matchings,
+    build_bipartite_gadget,
     classify,
     enumerate_min_vertex_covers,
     gnp_graph,
@@ -425,7 +433,30 @@ class TestEnumerate:
         assert peak < 50 * 2**20
 
 
+def leaf_masks(g):
+    return [(leaf.forced.mask, leaf.matching) for leaf in branch_to_matchings(g)]
+
+
 class TestBranchToMatchings:
+    def test_same_leaves_as_the_pruned_reference(self):
+        # The walk visits only nodes that hold a leaf, so it lists exactly
+        # the reference's leaves in the same depth-first order.
+        rng = random.Random(131)
+        for seed in range(200):
+            n = rng.randint(2, 30)
+            g = gnp_graph(n, rng.uniform(0.05, 0.35), seed)
+            tau = min_vertex_cover(g).tau
+            expected = pruned_branch_leaves(n, list(g.edges()), tau)
+            assert leaf_masks(g) == expected, (n, seed)
+
+    def test_same_leaves_on_a_gadget(self):
+        src = gnp_graph(32, 0.15, 0)
+        even_odd = [(u, v) for u, v in src.edges() if (u + v) % 2]
+        g = build_bipartite_gadget(Graph(32, even_odd))
+        expected = pruned_branch_leaves(g.n, list(g.edges()), 32)
+        assert len(expected) > 1
+        assert leaf_masks(g) == expected
+
     def test_leaves_partition_min_covers(self):
         rng = random.Random(109)
         for _ in range(300):
