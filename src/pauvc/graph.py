@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -44,6 +44,19 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _list_order(n: int) -> Callable[[int], int]:
+    """Sort key putting equal-size masks over n vertices in sorted-list order.
+
+    The lowest vertex in only one of two such sets lies in the smaller list,
+    and it is the highest differing bit of their bit-reversed masks.
+    """
+    size, table = (n + 7) // 8, _REVERSED_BYTES
+    return lambda m: -int.from_bytes(m.to_bytes(size, "little").translate(table), "big")
 
 
 class VertexSet:

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, Model, PreAssignment, VertexSet, _components
+from .graph import Graph, Model, PreAssignment, VertexSet, _components, _list_order
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
 from .tree import _root, _tree_pass, count_tree_covers
 from .uniqueness import _check_pre_assignment
@@ -75,6 +75,8 @@ from .vertex_cover import (
     _branch_leaves,
     _min_cover,
     _node,
+    _relabel,
+    _remap,
 )
 
 __all__ = [
@@ -157,10 +159,12 @@ def _solve_enum(
     by its exclude sets in lexicographic order.  The include model takes
     only include sets of the whole size, the exclude model only the empty one.
     """
+    adj, ids = _relabel(adj, active)
+    active = (1 << len(ids)) - 1
     refuted: dict[int, int] = {}
     least = _min_cover(adj, active, stats, refuted)
     assert least is not None
-    vertices = list(_bits(active))
+    vertices = sorted(range(len(ids)), key=ids.__getitem__)
     for k in range(len(vertices) + 1):
         prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
         for inc in prefixes:
@@ -171,10 +175,10 @@ def _solve_enum(
             for exc in combinations(rest, k - len(inc)):
                 exc_mask = sum(1 << v for v in exc)
                 ok, cover, _ = _check_pre_assignment(
-                    adj, active, least, inc_mask, exc_mask, stats, refuted
+                    adj, ids, active, least, inc_mask, exc_mask, stats, refuted
                 )
                 if ok:
-                    return inc_mask, exc_mask, cover
+                    return tuple(_remap(m, ids) for m in (inc_mask, exc_mask, cover))
     raise AssertionError("no feasible pre-assignment found, which cannot happen")
 
 
@@ -262,7 +266,7 @@ def _candidate_stream(
                 for sel in selections:
                     _node(stats)
                     batch.add(sel | rest)
-        yield from sorted(batch, key=lambda m: tuple(_bits(m)))
+        yield from sorted(batch, key=_list_order(active.bit_length()))
 
 
 def _decide(table: list[_LeafRow], model: Model, cand: int) -> int | None:

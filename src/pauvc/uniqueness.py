@@ -11,8 +11,9 @@ uniqueness: the minimum covers are the leaves' forced sets plus one
 endpoint of each leaf edge, so the cover is unique iff the first leaf has
 no edges and there is no second leaf.  The walker follows the cover's
 branch with no search and searches each other branch once, when it is
-popped, so a unique cover costs one search per step of its path.  All the
-searches of one call share one table of refuted subproblems.
+popped, so a unique cover costs one search per step of its path.  Each
+component is searched relabeled (``vertex_cover._relabel``), and all its
+searches share one table of refuted subproblems.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .vertex_cover import (
     _bounded_cover,
     _cover_leaves,
     _min_cover,
+    _relabel,
+    _remap,
 )
 
 __all__ = [
@@ -75,6 +78,7 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
 
 def _consistent(
     adj: tuple[int, ...],
+    ids: list[int],
     universe: int,
     least: int,
     inc_mask: int,
@@ -84,11 +88,11 @@ def _consistent(
 ) -> tuple[int, int | None]:
     """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
 
-    ``least`` is a minimum cover of the universe mask.  The leaf walk starts
-    from its part off the forced vertices when it fits the pins, with no
-    search, and otherwise from a residual cover one search finds; the
-    count is 1 iff the walk's first leaf has no edges and there is no
-    second leaf.
+    ``least`` is a minimum cover of the universe mask; ``ids`` gives each
+    label's id.  The leaf walk starts from its part off the forced vertices
+    when it fits the pins, with no search, and otherwise from a residual
+    cover one search finds; the count is 1 iff the walk's first leaf has no
+    edges and there is no second leaf.
     """
     stats.uvc_calls += 1
     forced = inc_mask
@@ -101,7 +105,7 @@ def _consistent(
         cover = _bounded_cover(adj, active, target, stats, refuted)
         if cover is None:
             return 0, None
-    leaves = _cover_leaves(adj, active, cover, stats, refuted)
+    leaves = _cover_leaves(adj, ids, active, cover, stats, refuted)
     _, pairs = next(leaves)
     unique = not pairs and next(leaves, None) is None
     return 1 if unique else 2, cover | forced
@@ -112,18 +116,19 @@ _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
 
 def _check_pre_assignment(
     adj: tuple[int, ...],
+    ids: list[int],
     universe: int,
     least: int,
-    inc_mask: int,
-    exc_mask: int,
+    inc: int,
+    exc: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
     """Feasibility of (include, exclude) masks; least is a minimum cover of universe."""
-    conflict = _pin_conflict(adj, inc_mask, exc_mask)
+    conflict = _pin_conflict(adj, inc, exc)
     if conflict is not None:
         return False, None, conflict
-    count, cover = _consistent(adj, universe, least, inc_mask, exc_mask, stats, refuted)
+    count, cover = _consistent(adj, ids, universe, least, inc, exc, stats, refuted)
     return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
 
 
@@ -134,13 +139,12 @@ def _probe(
 
     A pin conflict is answered with no cover and no search.  Otherwise each
     component takes the linear count if it is a tree, else the capped
-    search; counts multiply (capped at 2) and covers unite.
+    search on its relabeled copy; counts multiply (capped at 2) and covers unite.
     """
     st = stats if stats is not None else SolveStats()
     conflict = _pin_conflict(g.adj, inc, exc)
     if conflict is not None:
         return conflict, None
-    refuted: dict[int, int] = {}
     cover = 0
     count = 1
     for comp in _components(g.adj, g.full_mask):
@@ -148,9 +152,14 @@ def _probe(
         counted = count_tree_covers(g.adj, comp, *pins, st)
         if counted is None:
             check_vertex_limit(comp.bit_count(), vertex_limit)
-            least = _min_cover(g.adj, comp, st, refuted)
+            adj, ids = _relabel(g.adj, comp)
+            full = (1 << len(ids)) - 1
+            refuted: dict[int, int] = {}
+            least = _min_cover(adj, full, st, refuted)
             assert least is not None
-            ways, part = _consistent(g.adj, comp, least, *pins, st, refuted)
+            pins = [_remap(p, {v: r for r, v in enumerate(ids)}) for p in pins]
+            ways, part = _consistent(adj, ids, full, least, *pins, st, refuted)
+            part = _remap(part or 0, ids)
         else:
             _, ways, part = counted
         count = min(2, count * ways)

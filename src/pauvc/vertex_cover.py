@@ -1,20 +1,18 @@
 """Exact minimum vertex cover: search, enumeration, and branching skeletons.
 
-Every search runs on bit masks over the original vertex ids, so a
-subproblem is just an active mask, and keeps its open subproblems on an
-explicit stack, so no graph is too deep for it.  A connected component is
-an active mask too, so callers split a graph with ``graph._components``
-and search each component in place.  :func:`_bounded_cover` needs only
-one cover within a budget, so it folds isolated and degree-1 vertices,
-prunes by one greedy clique partition (:func:`_clique_partition`;
-:func:`_clique_lb` is its bound), and branches in clique-partition order
-where that order is strong: over the few vertices of the last cliques,
-one of which every cover within budget leaves out (the colouring order of
-max-clique solvers such as Tomita and Seki's MCQ), else on a lowest-id
-maximum-degree vertex v, taking v or its neighborhood N(v).  It records
-the subproblems it refutes in a table that one public call shares across
-all its searches on one graph; the table only skips subtrees that hold no
-cover within budget, so it never changes a returned cover.
+Every search runs on bit masks, so a subproblem is just an active mask,
+and keeps its open subproblems on an explicit stack, so no graph is too
+deep for it.  Callers split a graph with ``graph._components`` and search
+each component on a copy relabeled in ascending degree (:func:`_relabel`),
+mapping covers and leaves back.  :func:`_bounded_cover` needs only one
+cover within a budget, so it folds isolated and degree-1 vertices, prunes
+by one greedy clique partition (:func:`_clique_partition`;
+:func:`_clique_lb` is its bound), and branches over every vertex of the
+partition's last cliques, one of which every cover within budget leaves
+out.  Grown from the lowest degrees, the partition leaves the high degrees
+in that tail, as in the colouring order of Tomita and Seki's MCQ.  The
+searches on one component share a table of the subproblems they refute,
+which only skips subtrees that hold no cover within budget.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import LimitExceeded
-from .graph import Graph, VertexSet, _bits, _components
+from .graph import Graph, VertexSet, _bits, _components, _list_order
 from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit
 
 __all__ = [
@@ -110,15 +108,31 @@ def _node(stats: SolveStats) -> None:
             raise LimitExceeded("time cap exceeded")
 
 
+def _remap(mask: int, to: list[int] | dict[int, int]) -> int:
+    """The mask with each bit v moved to bit to[v]."""
+    return sum(1 << to[v] for v in _bits(mask))
+
+
+def _relabel(adj: tuple[int, ...], active: int) -> tuple[tuple[int, ...], list[int]]:
+    """The active subgraph relabeled 0..m-1 in ascending degree, ties by id.
+
+    Returns its adjacency and the id of each label.
+    """
+    ids = sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
+    label = {v: r for r, v in enumerate(ids)}
+    return tuple(_remap(adj[v] & active, label) for v in ids), ids
+
+
 def _clique_partition(adj: tuple[int, ...], active: int) -> list[int]:
     """Greedy clique partition of the active vertices, as clique masks in order.
 
     Each clique is grown from the lowest free vertex through its lowest
     free common neighbours, so inside a clique the vertices join in
-    ascending id order: read clique by clique, lowest id first, the masks
-    give the partition order.  A cover misses at most one vertex of each
-    clique.  On triangle-free graphs the cliques are a greedy matching plus
-    singletons.
+    ascending order: read clique by clique, lowest first, the masks give
+    the partition order.  On a relabeled component the lowest vertex is one
+    of least degree, so the last cliques gather the high degrees.  A cover
+    misses at most one vertex of each clique.  On triangle-free graphs the
+    cliques are a greedy matching plus singletons.
     """
     cliques = []
     free = active
@@ -143,19 +157,6 @@ def _clique_lb(adj: tuple[int, ...], active: int) -> int:
     return active.bit_count() - len(_clique_partition(adj, active))
 
 
-# The tail rule branches over at most this many vertices.  Medians of 6
-# alternating in-process dense_check passes at seeds 0 and 1, against the
-# max-degree split alone (38,122 and 37,273 nodes; Python 3.11, 2-CPU x86-64):
-#   at most 2: 25,101 and 25,476 nodes, 1.45x and 1.33x faster;
-#   at most 3: 23,825 and 23,286 nodes, 1.53x and 1.43x faster;
-#   at most 4: 23,082 and 22,850 nodes, 1.57x and 1.38x faster;
-#   at most 6: 23,696 and 23,577 nodes, 1.55x and 1.47x faster;
-#   no limit: 27,888 and 25,902 nodes, 1.43x and 1.35x faster.
-# The sparse tau search of min_vertex_cover(gnp_graph(200, 0.015, 0)) takes
-# 194 nodes without the rule, 187 at 3, 261 at 6 and 1,371 with no limit.
-_TAIL_MAX = 3
-
-
 def _bounded_cover(
     adj: tuple[int, ...],
     active: int,
@@ -169,30 +170,24 @@ def _bounded_cover(
     None at once for a negative k; a stack entry holds a subproblem and the
     cover its path has taken so far.  Each frame first folds: one scan
     drops every isolated vertex and takes the neighbour of every degree-1
-    vertex it meets, so a set of isolated edges goes in one scan, and the
-    frame scans again until a scan folds nothing; that last scan's degrees
-    pick the branching vertex.  The frame then builds the greedy clique
-    partition (:func:`_clique_partition`) once.  A cover within budget
-    leaves out an independent set of need = |active| - k vertices, at most
-    one per clique, so fewer than need cliques prune the frame, and
-    otherwise the set holds a vertex of the tail, the cliques need..c.
-    When the tail has at most _TAIL_MAX vertices the frame branches over
-    them in reverse partition order: the i-th child leaves the i-th tail
-    vertex out, taking its neighbours, and takes the tail vertices before
-    it.  Otherwise it splits on a lowest-id maximum-degree vertex v, the
-    take-v child first, then take-N(v).  A search with the whole budget,
-    such as the greedy dive of :func:`_min_cover`, keeps need <= 0, where
-    no partition can prune, so it builds none and always splits on v.
+    vertex it meets, and the frame scans again until a scan folds nothing.
+    A cover within budget leaves out an independent set of need vertices,
+    need = |active| - k.  While need <= 0 any cover fits, so the frame (as
+    in the greedy dive of :func:`_min_cover`) just takes a lowest
+    maximum-degree vertex.  Otherwise the set holds at most one vertex per
+    clique of the greedy partition (:func:`_clique_partition`), so fewer
+    than need cliques prune the frame, and else it holds a vertex of the
+    tail, the cliques need..c.  The frame branches over every tail vertex
+    in reverse partition order: the i-th child leaves the i-th tail vertex
+    out, taking its neighbours, and takes the tail vertices before it.
 
     Under the children of each branching frame lies a marker (cover -1):
     popping it means no child held a cover, so the frame's active mask and
     budget as popped, before its folds, go into ``refuted``, which maps an
-    active mask to the largest budget known to admit no cover.
-    Subproblems it already refutes are skipped when popped.  A skipped
-    subtree holds no cover within budget and the order is unchanged, so the
-    table never changes the cover returned, only the nodes visited.  It
-    may serve every search on one adjacency, and stops growing at
-    _REFUTED_CAP entries.
+    active mask to the largest budget known to admit no cover.  Subproblems
+    it already refutes are skipped when popped, which never changes the
+    cover returned, only the nodes visited.  It may serve every search on
+    one adjacency, and stops growing at _REFUTED_CAP entries.
     """
     stack = [(active, k, 0)]
     while stack:
@@ -234,35 +229,27 @@ def _bounded_cover(
             continue
         if not active:
             return cover
-        # A cover within budget leaves out an independent set of need
-        # vertices, at most one per clique, so it leaves out a vertex of the
-        # tail, the cliques need..c of the partition.
         need = active.bit_count() - k
-        if need > 0:
-            tail = _clique_partition(adj, active)[need - 1 :]
-            if not tail:
-                continue  # fewer than need cliques
-        else:
-            tail = []  # any cover fits, so no partition can prune
-        stack.append((*key, -1))
-        if tail and sum(c.bit_count() for c in tail[: _TAIL_MAX + 1]) <= _TAIL_MAX:
-            children = []
-            taken = 0
-            for clique in reversed(tail):
-                while clique:
-                    bit = 1 << (clique.bit_length() - 1)
-                    clique ^= bit
-                    rest = active & ~taken
-                    nb = adj[bit.bit_length() - 1] & rest
-                    budget = k - taken.bit_count() - nb.bit_count()
-                    children.append((rest & ~(nb | bit), budget, cover | taken | nb))
-                    taken |= bit
-            stack.extend(reversed(children))
-        else:
+        if need <= 0:
             bit = 1 << best_v
-            nb = adj[best_v] & active
-            stack.append((active & ~(nb | bit), k - nb.bit_count(), cover | nb))
             stack.append((active ^ bit, k - 1, cover | bit))
+            continue
+        tail = _clique_partition(adj, active)[need - 1 :]
+        if not tail:
+            continue  # fewer than need cliques
+        stack.append((*key, -1))
+        children = []
+        taken = 0
+        for clique in reversed(tail):
+            while clique:
+                bit = 1 << (clique.bit_length() - 1)
+                clique ^= bit
+                rest = active & ~taken
+                nb = adj[bit.bit_length() - 1] & rest
+                budget = k - taken.bit_count() - nb.bit_count()
+                children.append((rest & ~(nb | bit), budget, cover | taken | nb))
+                taken |= bit
+        stack.extend(reversed(children))
     return None
 
 
@@ -276,11 +263,10 @@ def _min_cover(
     """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
     Searches downward: a greedy dive with the whole budget finds a first
-    cover, splitting on maximum-degree vertices only, and each further
-    search asks for a cover one smaller than the best so far, branching on
-    the partition's tail where it is small.  Searches above tau stop at
-    their first leaf, so only the last one, which fails at tau - 1, has to
-    refute.  When the best cover reaches the clique-partition bound no
+    cover, taking maximum-degree vertices only, and each further search
+    asks for a cover one smaller than the best so far.  Searches above tau
+    stop at their first leaf, so only the last one, which fails at tau - 1,
+    has to refute.  When the best cover reaches the clique-partition bound no
     smaller cover exists, and that refutation is skipped too.  All the
     searches share ``refuted``.
     """
@@ -299,27 +285,27 @@ def _min_cover(
 
 def _lex_min_cover(
     adj: tuple[int, ...],
-    active: int,
+    ids: list[int],
     cover: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> int:
-    """The lexicographically smallest minimum cover of the active subgraph.
+    """The lexicographically smallest minimum cover of a relabeled component, by id.
 
-    Walks the active vertices in ascending order, keeping v whenever some
+    Walks the labels in ascending id order, keeping v whenever some
     minimum cover extends the decisions so far with v included.  ``cover``,
     a minimum cover, is kept agreeing with the decisions, so a vertex in it
     is kept with no search; any other takes one bounded search, and the
     minimum cover it finds, if any, becomes ``cover``.
     """
     tau = cover.bit_count()
-    out_nb = 0  # neighbours of the vertices decided out
-    for v in _bits(active):
+    out_nb = decided = 0  # neighbours of the vertices decided out; all decided
+    for v in sorted(range(len(ids)), key=ids.__getitem__):
+        decided |= 1 << v
         if cover >> v & 1:
             continue
-        below = (1 << v) - 1  # the vertices already decided
-        forced = (cover & below) | (1 << v) | out_nb
-        rest = active & ~below & ~forced
+        forced = (cover & decided) | (1 << v) | out_nb
+        rest = ((1 << len(ids)) - 1) & ~decided & ~forced
         found = _bounded_cover(adj, rest, tau - forced.bit_count(), stats, refuted)
         if found is None:
             out_nb |= adj[v]
@@ -337,8 +323,8 @@ def min_vertex_cover(
 ) -> VcSolution | None:
     """Compute tau(g) and the lexicographically smallest minimum cover.
 
-    Solves per connected component, in place on g's neighbor masks, from
-    the cover its tau search finds.  With a bound, returns None as soon as
+    Solves per connected component, relabeled (:func:`_relabel`), from the
+    cover its tau search finds.  With a bound, returns None as soon as
     tau(g) exceeds it (the decision variant).  Ties among equal-size
     covers go to the smallest sorted vertex list, so runs are reproducible;
     that minimum composes over components, since the lowest vertex where
@@ -348,16 +334,17 @@ def min_vertex_cover(
     if bound is not None and _clique_lb(g.adj, g.full_mask) > bound:
         return None
     st = stats if stats is not None else SolveStats()
-    refuted: dict[int, int] = {}
     cover = 0
     for comp in _components(g.adj, g.full_mask):
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
+        adj, ids = _relabel(g.adj, comp)
+        refuted: dict[int, int] = {}
         upper = None if bound is None else bound - cover.bit_count()
-        part = _min_cover(g.adj, comp, st, refuted, upper=upper)
+        part = _min_cover(adj, (1 << len(ids)) - 1, st, refuted, upper=upper)
         if part is None:
             return None
-        cover |= _lex_min_cover(g.adj, comp, part, st, refuted)
+        cover |= _remap(_lex_min_cover(adj, ids, part, st, refuted), ids)
     return VcSolution(cover.bit_count(), VertexSet.from_mask(g.n, cover))
 
 
@@ -438,6 +425,7 @@ def min_vertex_cover_bipartite(
 
 def _cover_leaves(
     adj: tuple[int, ...],
+    ids: list[int],
     active: int,
     cover: int,
     stats: SolveStats,
@@ -446,8 +434,9 @@ def _cover_leaves(
     """Leaves (forced mask, isolated edges) of the take-v / take-N(v) tree.
 
     ``cover`` is a minimum cover of the active subgraph, of size k.  The
-    walk is depth-first and branches on a lowest-id maximum-degree vertex
-    v, the take-v child first, until only isolated edges remain.  Each
+    walk is depth-first and branches on a maximum-degree vertex v of lowest
+    id (``ids`` gives each label's id, so relabeling keeps the tree), the
+    take-v child first, until only isolated edges remain.  Each
     stack entry carries a cover of its residual within budget
     k - |forced|, or -1: the child the cover takes inherits it, and the
     other gets one :func:`_bounded_cover` search when popped, and is
@@ -475,7 +464,7 @@ def _cover_leaves(
             v = low.bit_length() - 1
             nb = adj[v] & active
             d = nb.bit_count()
-            if d > best_d:
+            if d > best_d or d == best_d > 1 and ids[v] < ids[best_v]:
                 best_d = d
                 best_v = v
             elif d == 1 and nb > low:
@@ -498,14 +487,19 @@ def _branch_leaves(
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Leaves of the take-v / take-N(v) tree of the full mask's subgraph.
 
-    Finds a minimum cover, then walks the leaves from it
-    (:func:`_cover_leaves`), both sharing one table of refuted
-    subproblems.  Nothing runs until the first leaf is asked for.
+    Relabels the subgraph, finds a minimum cover, then walks the leaves
+    from it (:func:`_cover_leaves`), both sharing one table of refuted
+    subproblems, and maps each leaf back to ids, its edges in ascending
+    order.  Nothing runs until the first leaf is asked for.
     """
+    adj, ids = _relabel(adj, full)
+    full = (1 << len(ids)) - 1
     refuted: dict[int, int] = {}
     least = _min_cover(adj, full, stats, refuted)
     assert least is not None
-    yield from _cover_leaves(adj, full, least, stats, refuted)
+    for forced, pairs in _cover_leaves(adj, ids, full, least, stats, refuted):
+        edges = sorted(tuple(sorted((ids[a], ids[b]))) for a, b in pairs)
+        yield _remap(forced, ids), tuple(edges)
 
 
 def enumerate_min_vertex_covers(
@@ -535,7 +529,7 @@ def enumerate_min_vertex_covers(
         for a, b in pairs:
             combos = [c | (1 << x) for c in combos for x in (a, b)]
         masks.extend(combos)
-    masks.sort(key=lambda m: tuple(_bits(m)))
+    masks.sort(key=_list_order(g.n))
     return [VertexSet.from_mask(g.n, m) for m in masks]
 
 

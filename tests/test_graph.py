@@ -19,6 +19,7 @@ from pauvc import (
     parse_dimacs,
     render_dimacs,
 )
+from pauvc.graph import _bits, _list_order
 
 
 class TestVertexSet:
@@ -65,6 +66,21 @@ class TestVertexSet:
         s = VertexSet.from_mask(6, 0b101010)
         assert list(s) == [1, 3, 5]
         assert VertexSet(6, [1, 3, 5]) == s
+
+
+class TestListOrder:
+    def test_matches_the_vertex_list_key(self):
+        # Equal-size masks sort by their sorted vertex lists, also when n
+        # is not a multiple of 8 and the masks span several bytes.
+        rng = random.Random(1213)
+        for _ in range(300):
+            n = rng.choice([1, 7, 8, 9, 16, 17, 40, 64, 65, 130])
+            k = rng.randint(0, n)
+            batch = set()
+            for _ in range(rng.randint(1, 60)):
+                batch.add(sum(1 << v for v in rng.sample(range(n), k)))
+            want = sorted(batch, key=lambda m: tuple(_bits(m)))
+            assert sorted(batch, key=_list_order(n)) == want, (n, k)
 
 
 class TestGraph:

@@ -206,7 +206,7 @@ class TestFptSolvers:
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, g.full_mask, least, inc, exc, stats, refuted
+                        g.adj, range(n), g.full_mask, least, inc, exc, stats, refuted
                     )
                     got = solvers._decide(table, model, cand)
                     assert got == (cover if ok else None), (n, edges, model, cand)

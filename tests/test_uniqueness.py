@@ -288,6 +288,13 @@ class TestIsFeasible:
         assert is_feasible(g, pa, stats=stats).feasible
         assert stats.nodes_explored <= 1041 // 2
 
+    def test_dense_probe_node_budget(self):
+        # Searched in id order with a tail of at most 3 vertices, this took
+        # 6,041 nodes; relabeled in ascending degree, about 3,200.
+        stats = SolveStats()
+        has_unique_min_vc(gnp_graph(100, 0.1, 0), stats=stats)
+        assert stats.nodes_explored < 4_500
+
     def test_long_triangle_chain_no_recursion_limit(self, monkeypatch):
         # Triangle i is joined to triangle i + 1 by the edge (3i+2, 3i+3);
         # the tau search branches about once per triangle along the chain.
@@ -305,24 +312,70 @@ class TestIsFeasible:
         assert report.feasible and report.witness == inc
 
 
+class TestRelabeling:
+    """Each component is searched relabeled; no answer may depend on the labels."""
+
+    def test_answers_do_not_depend_on_labels(self):
+        rng = random.Random(1201)
+        seen = set()
+        for seed in range(200):
+            n = rng.randint(1, 30)
+            g = gnp_graph(n, rng.uniform(0.05, 0.6), seed)
+            sol = min_vertex_cover(g)
+            unique, _ = has_unique_min_vc(g)
+            inside = list(sol.cover)
+            outside = [v for v in range(n) if v not in sol.cover]
+            pins = []
+            for q in (0.3, 0.6):
+                pins.append(PreAssignment.including(
+                    VertexSet(n, [v for v in inside if rng.random() < q])))
+                pins.append(PreAssignment.excluding(
+                    VertexSet(n, [v for v in outside if rng.random() < q])))
+            reports = [is_feasible(g, pa) for pa in pins]
+            seen.update(report.reason for report in reports)
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+                def moved(vs):
+                    return VertexSet(n, [perm[v] for v in vs])
+
+                assert min_vertex_cover(h).tau == sol.tau, (seed, perm)
+                assert has_unique_min_vc(h)[0] == unique, (seed, perm)
+                for pa, want in zip(pins, reports):
+                    got = is_feasible(
+                        h, PreAssignment(pa.model, moved(pa.include), moved(pa.exclude))
+                    )
+                    assert (got.feasible, got.reason) == (want.feasible, want.reason)
+                    if want.witness is None:
+                        assert got.witness is None, (seed, perm, pa)
+                    else:
+                        assert got.witness == moved(want.witness), (seed, perm, pa)
+        assert {None, Reason.NOT_UNIQUE} <= seen
+
+
 class TestPerComponentProbe:
     """is_feasible decides each connected component on its own pins."""
 
     def test_one_tau_search_per_component(self):
         # The leaf walk starts from the cover the tau search found, with no
-        # second search for one: the probe costs exactly the tau search and
-        # one _consistent call sharing one table of refuted subproblems.
+        # second search for one: the probe costs exactly the tau search on
+        # the relabeled component and one _consistent call sharing one table
+        # of refuted subproblems.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
         unique, sol = has_unique_min_vc(g, stats=probed)
         steps, refuted = SolveStats(), {}
-        least = vertex_cover._min_cover(g.adj, g.full_mask, steps, refuted)
-        count, cover = _consistent(g.adj, g.full_mask, least, 0, 0, steps, refuted)
-        assert unique == (count == 1)
-        assert sol.tau == least.bit_count() and sol.cover.mask == least == cover
+        adj, ids = vertex_cover._relabel(g.adj, g.full_mask)
+        least = vertex_cover._min_cover(adj, g.full_mask, steps, refuted)
+        count, cover = _consistent(adj, ids, g.full_mask, least, 0, 0, steps, refuted)
+        assert unique == (count == 1) and least == cover
+        assert sol.tau == least.bit_count()
+        assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 422
+        assert probed.nodes_explored == steps.nodes_explored == 247
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -348,7 +401,7 @@ class TestPerComponentProbe:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
                 ok, cover, reason = _check_pre_assignment(
-                    g.adj, g.full_mask, sol.cover.mask, pa.include.mask,
+                    g.adj, range(n), g.full_mask, sol.cover.mask, pa.include.mask,
                     pa.exclude.mask, SolveStats(), {},
                 )
                 want = (ok, None if cover is None else VertexSet.from_mask(n, cover))

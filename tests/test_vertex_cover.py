@@ -270,17 +270,15 @@ class TestSearchKernel:
                         assert got is not None and got.bit_count() <= k, (seed, active, k)
                         assert _covers(g, active, got), (seed, active, k)
 
-    def test_sparse_tau_search_stays_on_max_degree(self):
-        # Sparse graphs keep the max-degree split: branching on the tail
-        # in every frame takes about 1,400 nodes here, the split alone
-        # about 190.
+    def test_sparse_tau_search_stays_small(self):
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(200, 0.015, 0), stats=stats).tau == 95
         assert stats.nodes_explored < 400
 
     def test_dense_tau_search_branches_on_the_tail(self):
-        # The max-degree split alone takes 27,222 nodes here; with the tail
-        # rule it takes about 14,900.
+        # The max-degree split alone takes 27,222 nodes here, branching on
+        # a tail of at most 3 vertices in id order about 14,900, and on the
+        # whole tail in ascending-degree order about 11,300.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
         assert stats.nodes_explored < 20_000
