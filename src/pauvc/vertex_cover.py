@@ -5,14 +5,15 @@ and keeps its open subproblems on an explicit stack, so no graph is too
 deep for it.  Callers split a graph with ``graph._components`` and search
 each component on a copy relabeled in ascending degree (:func:`_relabel`),
 mapping covers and leaves back.  :func:`_bounded_cover` needs only one
-cover within a budget, so it folds isolated and degree-1 vertices, prunes
-by one greedy clique partition (:func:`_clique_partition`;
-:func:`_clique_lb` is its bound), and branches over every vertex of the
-partition's last cliques, one of which every cover within budget leaves
-out.  Grown from the lowest degrees, the partition leaves the high degrees
-in that tail, as in the colouring order of Tomita and Seki's MCQ.  The
-searches on one component share a table of the subproblems they refute,
-which only skips subtrees that hold no cover within budget.
+cover within a budget.  In one pass per node it grows a greedy clique
+partition (:func:`_clique_lb` is its bound) and folds isolated and
+degree-1 vertices on the way; it prunes by the partition and branches over
+every vertex of its last cliques, one of which every cover within budget
+leaves out.  Grown from the lowest degrees, the partition leaves the high
+degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
+:func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`).
+The searches on one component share a table of the subproblems they
+refute, which only skips subtrees that hold no cover within budget.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -119,22 +120,30 @@ def _relabel(adj: tuple[int, ...], active: int) -> tuple[tuple[int, ...], list[i
     Returns its adjacency and the id of each label.
     """
     ids = sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
-    label = {v: r for r, v in enumerate(ids)}
-    return tuple(_remap(adj[v] & active, label) for v in ids), ids
+    label_bit = [0] * len(adj)
+    for r, v in enumerate(ids):
+        label_bit[v] = 1 << r
+    rows = []
+    for v in ids:
+        row = 0
+        nb = adj[v] & active
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            row |= label_bit[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows), ids
 
 
-def _clique_partition(adj: tuple[int, ...], active: int) -> list[int]:
-    """Greedy clique partition of the active vertices, as clique masks in order.
+def _clique_lb(adj: tuple[int, ...], active: int) -> int:
+    """Lower bound on the cover size: |active| minus the cliques of a greedy partition.
 
-    Each clique is grown from the lowest free vertex through its lowest
-    free common neighbours, so inside a clique the vertices join in
-    ascending order: read clique by clique, lowest first, the masks give
-    the partition order.  On a relabeled component the lowest vertex is one
-    of least degree, so the last cliques gather the high degrees.  A cover
-    misses at most one vertex of each clique.  On triangle-free graphs the
-    cliques are a greedy matching plus singletons.
+    Each clique is grown from the lowest free vertex through its lowest free
+    common neighbours, and a cover misses at most one vertex of each.  On
+    triangle-free graphs the cliques are a greedy matching plus singletons,
+    so the bound equals the greedy matching bound.
     """
-    cliques = []
+    cliques = 0
     free = active
     while free:
         clique = free & -free
@@ -144,17 +153,8 @@ def _clique_partition(adj: tuple[int, ...], active: int) -> list[int]:
             clique |= u_bit
             common &= adj[u_bit.bit_length() - 1]
         free &= ~clique
-        cliques.append(clique)
-    return cliques
-
-
-def _clique_lb(adj: tuple[int, ...], active: int) -> int:
-    """Lower bound on the cover size: |active| minus the cliques of the partition.
-
-    The bound of :func:`_clique_partition`, for the callers that need no
-    order; on triangle-free graphs it equals the greedy matching bound.
-    """
-    return active.bit_count() - len(_clique_partition(adj, active))
+        cliques += 1
+    return active.bit_count() - cliques
 
 
 def _bounded_cover(
@@ -168,18 +168,23 @@ def _bounded_cover(
 
     Depth-first on an explicit stack, returning the first cover found, and
     None at once for a negative k; a stack entry holds a subproblem and the
-    cover its path has taken so far.  Each frame first folds: one scan
-    drops every isolated vertex and takes the neighbour of every degree-1
-    vertex it meets, and the frame scans again until a scan folds nothing.
-    A cover within budget leaves out an independent set of need vertices,
-    need = |active| - k.  While need <= 0 any cover fits, so the frame (as
-    in the greedy dive of :func:`_min_cover`) just takes a lowest
-    maximum-degree vertex.  Otherwise the set holds at most one vertex per
-    clique of the greedy partition (:func:`_clique_partition`), so fewer
-    than need cliques prune the frame, and else it holds a vertex of the
-    tail, the cliques need..c.  The frame branches over every tail vertex
-    in reverse partition order: the i-th child leaves the i-th tail vertex
-    out, taking its neighbours, and takes the tail vertices before it.
+    cover its path has taken so far.  A cover within budget leaves out an
+    independent set of need vertices, need = |active| - k, so a frame with
+    need <= 0 returns its cover plus every active vertex.
+
+    Otherwise one pass grows the greedy clique partition of
+    :func:`_clique_lb`, each clique from the lowest free vertex, its seed,
+    and folds on the way: a seed of degree <= 1 is dropped and its
+    neighbour taken, leaving any clique already built.  Then the vertices
+    that lost a neighbour to a fold are tested again, each fold queueing
+    its own, until nothing folds.  A second member whose only neighbour is
+    its seed stays unless it lost a neighbour here; testing each second
+    member cost more time on dense graphs than the nodes it saved.  The
+    independent set holds at most one vertex per clique, so fewer than need
+    cliques prune the frame, and else it holds a vertex of the tail, the
+    cliques need..c.  The frame branches over every tail vertex in reverse
+    partition order: the i-th child leaves the i-th tail vertex out, taking
+    its neighbours, and takes the tail vertices before it.
 
     Under the children of each branching frame lies a marker (cover -1):
     popping it means no child held a cover, so the frame's active mask and
@@ -199,58 +204,102 @@ def _bounded_cover(
         if refuted.get(active, -1) >= k:
             continue
         _node(stats)
+        if active.bit_count() <= k:
+            return cover | active
         key = (active, k)
-        folded = True
-        while folded:
-            folded = False
-            best_v = -1
-            best_d = 0
-            scan = active
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                v = low.bit_length() - 1
-                nb = adj[v] & active
-                d = nb.bit_count()
-                if d > 1:
-                    if d > best_d:
-                        best_d = d
-                        best_v = v
-                elif d:
-                    # Degree 1: its single neighbour covers at least as much.
+        cliques = []
+        free = active
+        lost = 0  # vertices that lost a neighbour to a fold
+        trimmed = 0  # placed vertices a fold removed
+        while free:
+            low = free & -free
+            nb = adj[low.bit_length() - 1] & active
+            if nb & (nb - 1):
+                common = nb & free
+                clique = low
+                while common:
+                    u_bit = common & -common
+                    clique |= u_bit
+                    common &= adj[u_bit.bit_length() - 1]
+                free &= ~clique
+                cliques.append(clique)
+                continue
+            if nb:
+                cover |= nb
+                k -= 1
+                lost |= adj[nb.bit_length() - 1]
+            trimmed |= nb & ~free
+            active &= ~(nb | low)
+            free &= active
+        lost &= active
+        while lost:
+            low = lost & -lost
+            nb = adj[low.bit_length() - 1] & active
+            if nb & (nb - 1) == 0:
+                if nb:
                     cover |= nb
                     k -= 1
-                    active &= ~(nb | low)
-                    scan &= active
-                    folded = True
-                else:
-                    active ^= low
-        if k < 0:
-            continue
-        if not active:
-            return cover
+                    lost |= adj[nb.bit_length() - 1]
+                trimmed |= nb | low
+                active &= ~(nb | low)
+            lost &= active & ~low
         need = active.bit_count() - k
         if need <= 0:
-            bit = 1 << best_v
-            stack.append((active ^ bit, k - 1, cover | bit))
-            continue
-        tail = _clique_partition(adj, active)[need - 1 :]
+            return cover | active
+        if trimmed:
+            cliques = [c & active for c in cliques if c & active]
+        tail = cliques[need - 1 :]
         if not tail:
-            continue  # fewer than need cliques
+            continue  # fewer than need cliques, as when k < 0
         stack.append((*key, -1))
         children = []
-        taken = 0
         for clique in reversed(tail):
             while clique:
-                bit = 1 << (clique.bit_length() - 1)
+                v = clique.bit_length() - 1
+                bit = 1 << v
                 clique ^= bit
-                rest = active & ~taken
-                nb = adj[bit.bit_length() - 1] & rest
-                budget = k - taken.bit_count() - nb.bit_count()
-                children.append((rest & ~(nb | bit), budget, cover | taken | nb))
-                taken |= bit
+                nb = adj[v] & active
+                children.append((active & ~(nb | bit), k - nb.bit_count(), cover | nb))
+                # The later children take this vertex.
+                active ^= bit
+                cover |= bit
+                k -= 1
         stack.extend(reversed(children))
     return None
+
+
+def _greedy_cover(adj: tuple[int, ...], active: int) -> int:
+    """A cover of the active subgraph, taken greedily with no search.
+
+    Folds isolated and degree-1 vertices, one scan after another until a
+    scan folds nothing, then takes a lowest maximum-degree vertex, and
+    repeats until no edge is left.
+    """
+    cover = 0
+    while active:
+        folded = False
+        best_v = -1
+        best_d = 1
+        scan = active
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            nb = adj[v] & active
+            d = nb.bit_count()
+            if d > best_d:
+                best_d = d
+                best_v = v
+            elif d < 2:
+                # Its neighbour, if any, covers at least as much.
+                cover |= nb
+                active &= ~(nb | low)
+                scan &= active
+                folded = True
+        if not folded:
+            cover |= 1 << best_v
+            active ^= 1 << best_v
+    return cover
 
 
 def _min_cover(
@@ -262,18 +311,19 @@ def _min_cover(
 ) -> int | None:
     """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
-    Searches downward: a greedy dive with the whole budget finds a first
-    cover, taking maximum-degree vertices only, and each further search
-    asks for a cover one smaller than the best so far.  Searches above tau
-    stop at their first leaf, so only the last one, which fails at tau - 1,
-    has to refute.  When the best cover reaches the clique-partition bound no
-    smaller cover exists, and that refutation is skipped too.  All the
-    searches share ``refuted``.
+    Searches downward from the cover of :func:`_greedy_cover`, or from one
+    bounded search at ``upper`` when that is smaller, and each further
+    search asks for a cover one smaller than the best so far.  Searches
+    above tau stop at their first leaf, so only the last one, which fails at
+    tau - 1, has to refute.  When the best cover reaches the clique-partition
+    bound no smaller cover exists, and that refutation is skipped too.  All
+    the searches share ``refuted``.
     """
-    cap = active.bit_count() if upper is None else min(upper, active.bit_count())
-    best = _bounded_cover(adj, active, cap, stats, refuted)
-    if best is None:
-        return None
+    best = _greedy_cover(adj, active)
+    if upper is not None and upper < best.bit_count():
+        best = _bounded_cover(adj, active, upper, stats, refuted)
+        if best is None:
+            return None
     floor = _clique_lb(adj, active)
     while best.bit_count() > floor:
         smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats, refuted)

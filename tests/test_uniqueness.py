@@ -290,7 +290,9 @@ class TestIsFeasible:
 
     def test_dense_probe_node_budget(self):
         # Searched in id order with a tail of at most 3 vertices, this took
-        # 6,041 nodes; relabeled in ascending degree, about 3,200.
+        # 6,041 nodes; relabeled in ascending degree, 3,176; with the greedy
+        # first cover no longer counted and one fold-and-partition pass per
+        # node, 3,308.
         stats = SolveStats()
         has_unique_min_vc(gnp_graph(100, 0.1, 0), stats=stats)
         assert stats.nodes_explored < 4_500
@@ -323,6 +325,13 @@ class TestRelabeling:
             g = gnp_graph(n, rng.uniform(0.05, 0.6), seed)
             sol = min_vertex_cover(g)
             unique, _ = has_unique_min_vc(g)
+            # The rows equal their definition, _remap of each row, also on
+            # a subgraph.
+            for active in (g.full_mask, g.full_mask & ~random.Random(seed).getrandbits(n)):
+                adj, ids = vertex_cover._relabel(g.adj, active)
+                label = {v: r for r, v in enumerate(ids)}
+                rows = tuple(vertex_cover._remap(g.adj[v] & active, label) for v in ids)
+                assert adj == rows, (seed, active)
             inside = list(sol.cover)
             outside = [v for v in range(n) if v not in sol.cover]
             pins = []
@@ -362,7 +371,7 @@ class TestPerComponentProbe:
         # The leaf walk starts from the cover the tau search found, with no
         # second search for one: the probe costs exactly the tau search on
         # the relabeled component and one _consistent call sharing one table
-        # of refuted subproblems.
+        # of refuted subproblems.  The greedy first cover counts no nodes.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -375,7 +384,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 247
+        assert probed.nodes_explored == steps.nodes_explored == 207
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
