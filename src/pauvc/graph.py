@@ -46,6 +46,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _json_list(value: object, entry: type) -> list:
+    """value if it is a JSON list of entries of exactly type entry (no bool for int)."""
+    if type(value) is not list or any(type(v) is not entry for v in value):
+        raise ValueError(f"expected a list of {entry.__name__}, got {value!r}")
+    return value
+
+
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -227,10 +234,10 @@ class Graph:
     def from_json_dict(cls, data: dict) -> "Graph":
         try:
             n = data["n"]
-            edges = [(int(u), int(v)) for u, v in data["edges"]]
+            edges = [_json_list(e, int) for e in _json_list(data["edges"], list)]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise ParseError("malformed graph JSON: n must be an integer")
         try:
             return cls(n, edges)
@@ -502,8 +509,8 @@ class PreAssignment:
     def from_json_dict(cls, data: dict, n: int) -> "PreAssignment":
         try:
             model = Model(data["model"])
-            include = VertexSet(n, [int(v) for v in data.get("include", [])])
-            exclude = VertexSet(n, [int(v) for v in data.get("exclude", [])])
+            include = VertexSet(n, _json_list(data.get("include", []), int))
+            exclude = VertexSet(n, _json_list(data.get("exclude", []), int))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed pre-assignment JSON: {exc}") from exc
         try:

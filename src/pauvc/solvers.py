@@ -54,8 +54,8 @@ outside E.
 So the first feasible candidate has the optimum size and is the witness
 :func:`solve_enum` returns for the same graph.  Mixed-model questions are
 answered in the exclude model; the two are equivalent instance by
-instance.  Every route works on a graph's neighbour masks over an active
-mask, so :func:`solve` runs it on each connected component in place.
+instance.  Every route works on neighbour masks over an active mask, so
+:func:`solve`, which both wrappers call, runs it per connected component.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graph import Graph, Model, PreAssignment, VertexSet, _components, _list_order
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
@@ -73,9 +73,8 @@ from .vertex_cover import (
     SolveStats,
     _bits,
     _branch_leaves,
-    _min_cover,
+    _component_cover,
     _node,
-    _relabel,
     _remap,
 )
 
@@ -136,20 +135,6 @@ def _result(
     return PauResult(model, pre.size(), pre, cover, stats)
 
 
-def _whole_graph(
-    g: Graph,
-    route: Callable[[tuple[int, ...], int, Model, SolveStats], _Pins],
-    model: Model,
-    vertex_limit: int | None,
-    deadline: float | None,
-) -> PauResult:
-    """Run one route on all of g as a single active set."""
-    check_vertex_limit(g.n, vertex_limit)
-    stats = SolveStats(deadline)
-    started = time.perf_counter()
-    return _result(g, model, route(g.adj, g.full_mask, model, stats), stats, started)
-
-
 def _solve_enum(
     adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
 ) -> _Pins:
@@ -159,11 +144,7 @@ def _solve_enum(
     by its exclude sets in lexicographic order.  The include model takes
     only include sets of the whole size, the exclude model only the empty one.
     """
-    adj, ids = _relabel(adj, active)
-    active = (1 << len(ids)) - 1
-    refuted: dict[int, int] = {}
-    least = _min_cover(adj, active, stats, refuted)
-    assert least is not None
+    adj, ids, least, refuted = _component_cover(adj, active, stats)
     vertices = sorted(range(len(ids)), key=ids.__getitem__)
     for k in range(len(vertices) + 1):
         prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
@@ -175,7 +156,7 @@ def _solve_enum(
             for exc in combinations(rest, k - len(inc)):
                 exc_mask = sum(1 << v for v in exc)
                 ok, cover, _ = _check_pre_assignment(
-                    adj, ids, active, least, inc_mask, exc_mask, stats, refuted
+                    adj, ids, least, inc_mask, exc_mask, stats, refuted
                 )
                 if ok:
                     return tuple(_remap(m, ids) for m in (inc_mask, exc_mask, cover))
@@ -189,13 +170,18 @@ def solve_enum(
     vertex_limit: int = DEFAULT_ENUM_VERTEX_LIMIT,
     deadline: float | None = None,
 ) -> PauResult:
-    """Try every pre-assignment by increasing size; the reference oracle.
+    """Try every pre-assignment of all of g by increasing size; the reference oracle.
 
     Candidates of equal size are visited in lexicographic order (include
     set before exclude set for the mixed model), so the returned witness is
     the lexicographically smallest minimum feasible pre-assignment.
     """
-    return _whole_graph(g, _solve_enum, Model(model), vertex_limit, deadline)
+    model = Model(model)
+    check_vertex_limit(g.n, vertex_limit)
+    stats = SolveStats(deadline)
+    started = time.perf_counter()
+    pins = _solve_enum(g.adj, g.full_mask, model, stats)
+    return _result(g, model, pins, stats, started)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +301,11 @@ def solve_fpt_include(
 ) -> PauResult:
     """Minimum include-model pre-assignment, parameterized by tau.
 
-    A feasible include set lies inside its target cover and holds that
-    cover's endpoint of every isolated edge of the branching leaf the
-    cover extends, plus a subset of the leaf's forced set.  Those masks are
-    decided by size, smallest first, by counting their consistent covers
-    over the branching leaves.
+    :func:`solve`'s fixed-parameter route, one connected component at a
+    time, with vertex_limit capping each component.  The module docstring
+    derives its candidates: selections plus subsets of a leaf's forced set.
     """
-    return _whole_graph(g, _solve_fpt, Model.INCLUDE, vertex_limit, deadline)
+    return solve(g, Model.INCLUDE, "fpt", vertex_limit=vertex_limit, deadline=deadline)
 
 
 def solve_fpt_exclude(
@@ -332,15 +316,12 @@ def solve_fpt_exclude(
 ) -> PauResult:
     """Minimum exclude-model pre-assignment, parameterized by tau.
 
-    Excluding a vertex forces its whole neighbourhood into the cover.  Per
-    branching leaf, a candidate of size k excludes one endpoint of every
-    isolated edge and k - p vertices outside the leaf, at most one per
-    distinct neighbourhood in the forced set (the lowest id).  The stream
-    yields all of them for k = 0, 1, 2, ... and the first feasible one is
-    returned; it contains every minimum exclude set built from such
-    vertices, so the optimum is exact.
+    :func:`solve`'s fixed-parameter route, one connected component at a
+    time, with vertex_limit capping each component.  The module docstring
+    derives its candidates: selections plus vertices outside a leaf, one
+    per neighbourhood in its forced set.
     """
-    return _whole_graph(g, _solve_fpt, Model.EXCLUDE, vertex_limit, deadline)
+    return solve(g, Model.EXCLUDE, "fpt", vertex_limit=vertex_limit, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------

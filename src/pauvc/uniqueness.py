@@ -12,8 +12,8 @@ endpoint of each leaf edge, so the cover is unique iff the first leaf has
 no edges and there is no second leaf.  The walker follows the cover's
 branch with no search and searches each other branch once, when it is
 popped, so a unique cover costs one search per step of its path.  Each
-component is searched relabeled (``vertex_cover._relabel``), and all its
-searches share one table of refuted subproblems.
+component is searched relabeled (``vertex_cover._component_cover``), and
+all its searches share one table of refuted subproblems.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .vertex_cover import (
     VcSolution,
     _bits,
     _bounded_cover,
+    _component_cover,
     _cover_leaves,
-    _min_cover,
-    _relabel,
     _remap,
 )
 
@@ -79,7 +78,6 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
 def _consistent(
     adj: tuple[int, ...],
     ids: list[int],
-    universe: int,
     least: int,
     inc_mask: int,
     exc_mask: int,
@@ -88,17 +86,17 @@ def _consistent(
 ) -> tuple[int, int | None]:
     """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
 
-    ``least`` is a minimum cover of the universe mask; ``ids`` gives each
-    label's id.  The leaf walk starts from its part off the forced vertices
-    when it fits the pins, with no search, and otherwise from a residual
-    cover one search finds; the count is 1 iff the walk's first leaf has no
-    edges and there is no second leaf.
+    ``least`` is a minimum cover of all of the relabeled component; ``ids``
+    gives each label's id.  The leaf walk starts from its part off the forced
+    vertices when it fits the pins, with no search, and otherwise from a
+    residual cover one search finds; the count is 1 iff the walk's first
+    leaf has no edges and there is no second leaf.
     """
     stats.uvc_calls += 1
     forced = inc_mask
     for v in _bits(exc_mask):
         forced |= adj[v]
-    active = universe & ~forced & ~exc_mask
+    active = ((1 << len(ids)) - 1) & ~forced & ~exc_mask
     cover = least & active
     if inc_mask & ~least or exc_mask & least:
         target = least.bit_count() - forced.bit_count()
@@ -117,18 +115,17 @@ _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
 def _check_pre_assignment(
     adj: tuple[int, ...],
     ids: list[int],
-    universe: int,
     least: int,
     inc: int,
     exc: int,
     stats: SolveStats,
     refuted: dict[int, int],
 ) -> tuple[bool, int | None, Reason | None]:
-    """Feasibility of (include, exclude) masks; least is a minimum cover of universe."""
+    """Feasibility of (include, exclude) masks; the rest as in :func:`_consistent`."""
     conflict = _pin_conflict(adj, inc, exc)
     if conflict is not None:
         return False, None, conflict
-    count, cover = _consistent(adj, ids, universe, least, inc, exc, stats, refuted)
+    count, cover = _consistent(adj, ids, least, inc, exc, stats, refuted)
     return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
 
 
@@ -152,13 +149,10 @@ def _probe(
         counted = count_tree_covers(g.adj, comp, *pins, st)
         if counted is None:
             check_vertex_limit(comp.bit_count(), vertex_limit)
-            adj, ids = _relabel(g.adj, comp)
-            full = (1 << len(ids)) - 1
-            refuted: dict[int, int] = {}
-            least = _min_cover(adj, full, st, refuted)
-            assert least is not None
-            pins = [_remap(p, {v: r for r, v in enumerate(ids)}) for p in pins]
-            ways, part = _consistent(adj, ids, full, least, *pins, st, refuted)
+            adj, ids, least, refuted = _component_cover(g.adj, comp, st)
+            label = {v: r for r, v in enumerate(ids)}
+            pins = [_remap(p, label) for p in pins]
+            ways, part = _consistent(adj, ids, least, *pins, st, refuted)
             part = _remap(part or 0, ids)
         else:
             _, ways, part = counted

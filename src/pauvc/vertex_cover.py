@@ -333,6 +333,17 @@ def _min_cover(
     return best
 
 
+def _component_cover(
+    adj: tuple[int, ...], comp: int, stats: SolveStats, upper: int | None = None
+) -> tuple[tuple[int, ...], list[int], int | None, dict[int, int]]:
+    """Relabel comp (:func:`_relabel`) and find its minimum cover on a new table."""
+    adj, ids = _relabel(adj, comp)
+    refuted: dict[int, int] = {}
+    least = _min_cover(adj, (1 << len(ids)) - 1, stats, refuted, upper=upper)
+    assert least is not None or upper is not None
+    return adj, ids, least, refuted
+
+
 def _lex_min_cover(
     adj: tuple[int, ...],
     ids: list[int],
@@ -388,10 +399,8 @@ def min_vertex_cover(
     for comp in _components(g.adj, g.full_mask):
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
-        adj, ids = _relabel(g.adj, comp)
-        refuted: dict[int, int] = {}
         upper = None if bound is None else bound - cover.bit_count()
-        part = _min_cover(adj, (1 << len(ids)) - 1, st, refuted, upper=upper)
+        adj, ids, part, refuted = _component_cover(g.adj, comp, st, upper)
         if part is None:
             return None
         cover |= _remap(_lex_min_cover(adj, ids, part, st, refuted), ids)
@@ -537,16 +546,13 @@ def _branch_leaves(
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Leaves of the take-v / take-N(v) tree of the full mask's subgraph.
 
-    Relabels the subgraph, finds a minimum cover, then walks the leaves
-    from it (:func:`_cover_leaves`), both sharing one table of refuted
-    subproblems, and maps each leaf back to ids, its edges in ascending
-    order.  Nothing runs until the first leaf is asked for.
+    Relabels the subgraph and finds a minimum cover (:func:`_component_cover`),
+    walks the leaves from it (:func:`_cover_leaves`) on the same table, and
+    maps each leaf back to ids, its edges in ascending order.  Nothing runs
+    until the first leaf is asked for.
     """
-    adj, ids = _relabel(adj, full)
+    adj, ids, least, refuted = _component_cover(adj, full, stats)
     full = (1 << len(ids)) - 1
-    refuted: dict[int, int] = {}
-    least = _min_cover(adj, full, stats, refuted)
-    assert least is not None
     for forced, pairs in _cover_leaves(adj, ids, full, least, stats, refuted):
         edges = sorted(tuple(sorted((ids[a], ids[b]))) for a, b in pairs)
         yield _remap(forced, ids), tuple(edges)

@@ -152,6 +152,18 @@ class TestCheck:
             json.dumps({"model": "include", "include": [99], "exclude": []}),
         )
         assert main(["check", k4_file, pre]) == 2
+        # Vertices are JSON integers only.  On the path P3, [1.5] read as [1]
+        # would be feasible, and "12" read as [1, 2] not independent.
+        p3 = write(tmp_path / "p3.col", render_dimacs(Graph(3, [(0, 1), (1, 2)])))
+        for bad in (
+            {"model": "include", "include": [1.5]},
+            {"model": "include", "include": [True]},
+            {"model": "exclude", "exclude": "12"},
+            {"model": "exclude", "exclude": ["0"]},
+            {"model": "exclude", "exclude": None},
+        ):
+            pre = write(tmp_path / "bad.json", json.dumps(bad))
+            assert main(["check", p3, pre]) == 2, bad
 
 
 class TestGenerate:

@@ -116,6 +116,17 @@ class TestGraph:
         assert Graph.from_json_dict(g.to_json_dict()) == g
         with pytest.raises(ParseError):
             Graph.from_json_dict({"n": 2})
+        for bad in (
+            {"n": 2, "edges": ["01"]},
+            {"n": 2, "edges": "01"},
+            {"n": 2, "edges": [[0, 1.0]]},
+            {"n": 2, "edges": [[False, True]]},
+            {"n": 2, "edges": [[0, 1, 1]]},
+            {"n": True, "edges": []},
+            {"n": 2.0, "edges": []},
+        ):
+            with pytest.raises(ParseError):
+                Graph.from_json_dict(bad)
 
 
 class TestDimacs:
@@ -294,3 +305,12 @@ class TestPreAssignment:
             PreAssignment.from_json_dict({"model": "nope", "include": [], "exclude": []}, 3)
         with pytest.raises(ParseError):
             PreAssignment.from_json_dict({"model": "include", "include": [9], "exclude": []}, 3)
+        for bad in (
+            {"model": "include", "include": [1.5]},
+            {"model": "include", "include": [True]},
+            {"model": "exclude", "exclude": "12"},
+            {"model": "mixed", "include": [0], "exclude": ["2"]},
+            {"model": "exclude", "exclude": {"1": 1}},
+        ):
+            with pytest.raises(ParseError):
+                PreAssignment.from_json_dict(bad, 3)

@@ -118,10 +118,20 @@ class TestSolveEnum:
 class TestFptSolvers:
     def test_against_enum(self):
         rng = random.Random(311)
+        graphs = []
         for _ in range(200):
             n = rng.randint(1, 9)
-            edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
-            g = Graph(n, edges)
+            graphs.append(Graph(n, random_edges(n, rng.uniform(0.15, 0.75), rng)))
+        # Disjoint unions of 2-3 parts: the wrappers solve each component on
+        # its own, and the oracle enumerates the whole graph at once.
+        for seed in range(60):
+            n, edges = 0, []
+            for part in range(rng.randint(2, 3)):
+                h = gnp_graph(rng.randint(2, 6), rng.uniform(0.2, 0.8), 3 * seed + part)
+                edges += [(n + u, n + v) for u, v in h.edges()]
+                n += h.n
+            graphs.append(Graph(n, edges))
+        for g in graphs:
             for model, solver in (
                 ("include", solve_fpt_include),
                 ("exclude", solve_fpt_exclude),
@@ -130,7 +140,26 @@ class TestFptSolvers:
                 got = solver(g)
                 check_result(g, model, got, want.opt_size)
                 # both streams reach the lexicographically smallest optimum
-                assert got.pre == want.pre
+                assert got.pre == want.pre, (g.n, g.edges(), model)
+                assert got.unique_cover == want.unique_cover
+
+    def test_components_are_solved_apart(self):
+        # Searched as one graph, the branching leaves of separate components
+        # multiply, and so do the candidates of the stream; solved apart,
+        # these five cycles take 140 (include) and 105 (exclude) nodes.
+        starts = range(0, 25, 5)
+        g = Graph(25, [(b + j, b + (j + 1) % 5) for b in starts for j in range(5)])
+        for solver, pins in ((solve_fpt_include, (0, 1)), (solve_fpt_exclude, (0, 2))):
+            r = solver(g, deadline=time.perf_counter() + 5)
+            pinned = r.pre.include | r.pre.exclude
+            assert list(pinned) == [b + v for b in starts for v in pins]
+            assert r.stats.nodes_explored < 1_000
+
+    def test_vertex_limit_caps_each_component(self):
+        p4s = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        assert solve_fpt_exclude(p4s, vertex_limit=5).opt_size == 2
+        with pytest.raises(LimitExceeded):
+            solve_fpt_exclude(p4s, vertex_limit=3)
 
     def test_complete_graphs(self):
         for n in range(3, 9):
@@ -195,7 +224,7 @@ class TestFptSolvers:
             g = Graph(n, edges)
             stats = SolveStats()
             refuted = {}
-            least = solvers._min_cover(g.adj, g.full_mask, stats, refuted)
+            least = pauvc.vertex_cover._min_cover(g.adj, g.full_mask, stats, refuted)
             leaves = solvers._branch_leaves(g.adj, g.full_mask, stats)
             table = solvers._leaf_table(leaves)
             for model in (Model.INCLUDE, Model.EXCLUDE):
@@ -206,7 +235,7 @@ class TestFptSolvers:
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, range(n), g.full_mask, least, inc, exc, stats, refuted
+                        g.adj, range(n), least, inc, exc, stats, refuted
                     )
                     got = solvers._decide(table, model, cand)
                     assert got == (cover if ok else None), (n, edges, model, cand)
@@ -402,10 +431,7 @@ class TestResultPayloads:
         assert r.stats.elapsed >= 0.0
 
     def test_deadline_propagates(self):
-        edges = []
-        for i in range(16):
-            b = 5 * i
-            edges += [(b + j, b + (j + 1) % 5) for j in range(5)]
-        g = Graph(80, edges)
+        # About 17,000 nodes; the deadline is read every 1,024.
+        g = gnp_graph(60, 0.05, 0)
         with pytest.raises(LimitExceeded):
             solve_fpt_exclude(g, deadline=time.perf_counter() - 1.0)

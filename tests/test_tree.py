@@ -194,7 +194,7 @@ def _members(mask):
 def _searched(t, least, include, exclude):
     """The cover-search verdict that graphs other than trees get."""
     ok, cover, reason = pauvc.solvers._check_pre_assignment(
-        t.adj, range(t.n), t.full_mask, least, include, exclude, SolveStats(), {}
+        t.adj, range(t.n), least, include, exclude, SolveStats(), {}
     )
     return (cover if ok else None), reason
 

@@ -379,7 +379,7 @@ class TestPerComponentProbe:
         steps, refuted = SolveStats(), {}
         adj, ids = vertex_cover._relabel(g.adj, g.full_mask)
         least = vertex_cover._min_cover(adj, g.full_mask, steps, refuted)
-        count, cover = _consistent(adj, ids, g.full_mask, least, 0, 0, steps, refuted)
+        count, cover = _consistent(adj, ids, least, 0, 0, steps, refuted)
         assert unique == (count == 1) and least == cover
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
@@ -410,7 +410,7 @@ class TestPerComponentProbe:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
                 ok, cover, reason = _check_pre_assignment(
-                    g.adj, range(n), g.full_mask, sol.cover.mask, pa.include.mask,
+                    g.adj, range(n), sol.cover.mask, pa.include.mask,
                     pa.exclude.mask, SolveStats(), {},
                 )
                 want = (ok, None if cover is None else VertexSet.from_mask(n, cover))
