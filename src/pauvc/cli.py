@@ -133,7 +133,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise AssertionError("generated instance failed verification")
     meta = {
         "expected_tau": expected_tau,
-        "source_seed": args.seed,
+        "source_seed": None if args.input is not None else args.seed,
         "pre_assignment": result.pre.to_json_dict(),
     }
     _write(args.output, render_dimacs(reduced))

@@ -27,21 +27,27 @@ sets c_0(v) = 0, in the exclude model c_1(v) = 0.  The table of T_v maps
 each reachable state s = 3 c_0 + c_1 to the fewest pins inside T_v that
 reach it, with one witness.  State 0, the pair (0, 0), is dropped, since it
 stays (0, 0) up to the root.  A child enters its parent only through the
-pair (c_1(w), s(w)), so its table is projected onto that pair first.  Three
+pair (c_1(w), s(w)), so its table is projected onto that pair first.  Four
 tables built at import time hold the transitions: the pin per model, the
 projection for each of the four cases of (m_0(w) = lo, m_1(w) = lo) with
-lo = min(m_0(w), m_1(w)), and the 9 x 9 merge of capped products.  At the
+lo = min(m_0(w), m_1(w)), the 9 x 9 merge of capped products, and the pin
+followed by the projection, so a pinned table is never built.  At the
 root, tau = min(m_0, m_1), and a pin set is feasible exactly when the sum of
 c_b over the b with m_b = tau is 1; the cheapest such entry is the optimum.
 
 A table has at most eight entries, so merging a child takes O(1) table
 steps and the pass is linear in table steps; a witness is a bit mask, so
-each union also costs O(n/64) machine words.  Among entries with equal pin
-counts the table keeps the lexicographically smaller sorted vertex list:
-the lowest vertex two masks do not share lies in the smaller one.  Two
-candidates for one entry that agree outside a subtree compare as their
-parts inside it do, so keeping the smaller part is exact in whatever order
-children merge, and the answer is the lexicographically smallest optimum.
+each union also costs O(n/64) machine words.  A leaf's projected table is
+always {4: (0, 0)} plus its pinned entry, so it is written directly.  The
+fresh table {4: (0, 0)} merges as the identity, so a vertex adopts its
+first child's projected table in place of a merge.  A table is released
+once merged: only vertices with a merged child, not yet merged themselves,
+hold one.  Among entries with equal pin counts the table keeps the
+lexicographically smaller sorted vertex list: the lowest vertex two masks
+do not share lies in the smaller one.  Two candidates for one entry that
+agree outside a subtree compare as their parts inside it do, so keeping
+the smaller part is exact in whatever order children merge, and the
+answer is the lexicographically smallest optimum.
 Mixed-model instances are answered in the exclude model, which has the
 same optimum.
 :func:`count_tree_covers` counts the covers of one pin set with no tables,
@@ -86,7 +92,8 @@ def _offer(table: dict, key: int, cost: int, mask: int) -> None:
 
 
 # Transitions of the state s = 3 c_0 + c_1: _PIN[include][s] pins the vertex,
-# _PROJECT[2 (m_0 = lo) + (m_1 = lo)][s] is 3 c_1 + s(w), _MERGE[parent][child].
+# _PROJECT[2 (m_0 = lo) + (m_1 = lo)][s] is 3 c_1 + s(w), _MERGE[parent][child],
+# and _PINNED[include][case][s] is _PROJECT[case][_PIN[include][s]].
 _PIN = ([s - s % 3 for s in range(9)], [s % 3 for s in range(9)])
 _PROJECT = [
     [3 * (s % 3) + min(2, e0 * (s // 3) + e1 * (s % 3)) for s in range(9)]
@@ -96,6 +103,7 @@ _MERGE = [
     [3 * min(2, a // 3 * (b // 3)) + min(2, a % 3 * (b % 3)) for b in range(9)]
     for a in range(9)
 ]
+_PINNED = [[[row[s] for s in pin] for row in _PROJECT] for pin in _PIN]
 
 
 def _root(adj: tuple[int, ...], active: int) -> tuple[list[int], list[int]] | None:
@@ -151,12 +159,20 @@ def count_tree_covers(
     # Pinning before the merge: the capped products keep a 0.
     c1 = [0 if exclude >> v & 1 else 1 for v in order]
     for i in range(n - 1, 0, -1):
-        p, lo = parent[i], min(m0[i], m1[i])
-        m0[p] += m1[i]
-        m1[p] += lo
-        c0[p] = min(2, c0[p] * c1[i])
-        s = (c0[i] if m0[i] == lo else 0) + (c1[i] if m1[i] == lo else 0)
-        c1[p] = min(2, c1[p] * s)
+        p, b0, b1 = parent[i], m0[i], m1[i]
+        m0[p] += b1
+        c = c0[p] * c1[i]
+        c0[p] = c if c < 2 else 2
+        if b0 < b1:
+            m1[p] += b0
+            c = c1[p] * c0[i]
+        elif b1 < b0:
+            m1[p] += b1
+            c = c1[p] * c1[i]
+        else:
+            m1[p] += b0
+            c = c1[p] * (c0[i] + c1[i])
+        c1[p] = c if c < 2 else 2
     tau = min(m0[0], m1[0])
     count = min(2, (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0))
     cover = 0
@@ -173,31 +189,40 @@ def _tree_pass(
 
     rooted is ``_root``'s (order, parent) of a connected tree.  Each table
     maps a state index to (pins, mask); the pins are include vertices when
-    include is set, else exclude vertices.
+    include is set, else exclude vertices.  A slot holds None until the
+    vertex's first child adopts it, so a slot still None is a leaf's, with
+    m_0 = 0 < m_1 = 1 and the table {4: (0, 0)}.
     """
     order, parent = rooted
     n = len(order)
-    pin = _PIN[include]
+    pinned = _PINNED[include]
+    leaf_key = pinned[2][4]
     m0, m1 = [0] * (n + 1), [1] * (n + 1)
     # Slot n, which the root's parent -1 reaches, is a parent in state
     # (0, 1): merging the root into it keeps s(root), so its entry 1 holds
     # the cheapest pin set counting exactly one minimum cover.
-    tables: list[dict] = [{4: (0, 0)} for _ in order] + [{1: (0, 0)}]
+    tables: list[dict | None] = [None] * n + [{1: (0, 0)}]
     for i in range(n - 1, -1, -1):
         _node(stats)
-        table = tables[i]  # its children are merged; pin the vertex now
-        bit = 1 << order[i]
-        for s, (cost, mask) in list(table.items()):
-            if pin[s]:
-                _offer(table, pin[s], cost + 1, mask | bit)
-        p, lo = parent[i], min(m0[i], m1[i])
-        project = _PROJECT[2 * (m0[i] == lo) + (m1[i] == lo)]
-        m0[p] += m1[i]
-        m1[p] += lo
-        projected: dict = {}
-        for s, (cost, mask) in table.items():
-            if project[s]:
-                _offer(projected, project[s], cost, mask)
+        p, bit, table, tables[i] = parent[i], 1 << order[i], tables[i], None
+        if table is None:
+            m0[p] += 1
+            projected = {4: (0, 0), leaf_key: (1, bit)}
+        else:
+            b0, b1 = m0[i], m1[i]
+            m0[p] += b1
+            m1[p] += b0 if b0 < b1 else b1
+            case = 2 * (b0 <= b1) + (b1 <= b0)
+            project, pin = _PROJECT[case], pinned[case]
+            projected = {}
+            for s, (cost, mask) in table.items():
+                if project[s]:
+                    _offer(projected, project[s], cost, mask)
+                if pin[s]:
+                    _offer(projected, pin[s], cost + 1, mask | bit)
+        if tables[p] is None:
+            tables[p] = projected
+            continue
         merged: dict = {}
         for a, (cost, mask) in tables[p].items():
             row = _MERGE[a]
@@ -205,7 +230,6 @@ def _tree_pass(
                 if row[b]:
                     _offer(merged, row[b], cost + wcost, mask | wmask)
         tables[p] = merged
-        tables[i] = {}
     # Pinning a minimum cover (include) or its complement (exclude) is
     # always feasible, so some entry counts exactly one cover.
     return min(m0[0], m1[0]), tables[n][1][1]

@@ -238,6 +238,8 @@ class TestGenerate:
         emitted = parse_dimacs(open(out).read())
         meta = json.load(open(out + ".json"))
         assert emitted.n == 0 and meta["expected_tau"] == 0
+        # --seed is unused when the graph is read from --input
+        assert meta["source_seed"] is None
 
     def test_seed_determinism(self, tmp_path):
         a = str(tmp_path / "a.col")

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from pauvc import (
     solve,
     solve_enum,
 )
-from pauvc.tree import count_tree_covers
+from pauvc.tree import _root, _tree_pass, count_tree_covers
 
 MODELS = ("include", "exclude", "mixed")
 
@@ -55,6 +57,19 @@ def prufer_tree(n, code):
         degree[v] -= 1
     edges.append(tuple(u for u in range(n) if degree[u] == 1))
     return Graph(n, edges)
+
+
+# Shapes that meet the tree tables' shortcuts, rooted at vertex 0 as _root
+# does: on the path every internal vertex adopts its one child's table, the
+# stars merge many leaves into their centre (rooted there, or at a leaf),
+# the caterpillar hangs leaves off a path and the spider has long legs.
+SHAPED_TREES = [
+    Graph(13, [(v, v + 1) for v in range(12)]),
+    Graph(12, [(0, v) for v in range(1, 12)]),
+    Graph(12, [(v, 11) for v in range(11)]),
+    Graph(13, [(v, v + 1) for v in range(4)] + [(v % 5, v) for v in range(5, 13)]),
+    Graph(13, [(0, 1), (0, 5), (0, 9)] + [(v, v + 1) for v in range(1, 12) if v % 4]),
+]
 
 
 @st.composite
@@ -86,13 +101,14 @@ class TestPauTree:
 
     def test_against_enum_larger(self):
         rng = random.Random(409)
-        for _ in range(40):
-            n = rng.randint(10, 13)
-            t = random_tree_edges(n, rng)
+        randoms = [random_tree_edges(rng.randint(10, 13), rng) for _ in range(40)]
+        for t in randoms + SHAPED_TREES:
             for model in MODELS:
                 answer = pau_tree(t, model)
                 want = solve_enum(t, model)
                 assert (answer.opt, answer.witness) == (want.opt_size, want.pre)
+                got = solve(t, model)
+                assert (got.pre, got.unique_cover) == (want.pre, want.unique_cover)
 
     def test_every_labelled_tree_up_to_six_vertices(self):
         checked = 0
@@ -325,6 +341,21 @@ class TestTreeFeasibility:
                 solve(p4, model)
 
 
+# sha1 of (include, exclude, unique cover) masks of solve on random_tree(10_000, seed).
+TEN_THOUSAND_DIGESTS = {
+    3: {
+        "include": "8d0990db195159986cd2a073760a89477aa43717",
+        "exclude": "779212c97b0ce6d07996ceb172c629daa2c01378",
+        "mixed": "779212c97b0ce6d07996ceb172c629daa2c01378",
+    },
+    4: {
+        "include": "04821c4bb412be3df92607f6aba8b8379882cef5",
+        "exclude": "f8061730e8ceab7938a9045ccf67dad1e5637220",
+        "mixed": "f8061730e8ceab7938a9045ccf67dad1e5637220",
+    },
+}
+
+
 class TestTreeScale:
     def test_ten_thousand_vertices_without_recursion(self):
         n = 10_000
@@ -349,6 +380,26 @@ class TestTreeScale:
             assert len(result.unique_cover) == answer.tau
             assert is_vertex_cover(t, result.unique_cover)
             assert result.stats.uvc_calls == 1
+            # No oracle reaches this size, so the answers are pinned by digest.
+            pre = result.pre
+            key = (pre.include.mask, pre.exclude.mask, result.unique_cover.mask)
+            digest = hashlib.sha1(repr(key).encode()).hexdigest()
+            assert digest == TEN_THOUSAND_DIGESTS[seed][model], model
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tables_take_constant_memory_per_vertex(self, seed):
+        # Each table is released once merged; keeping them costs over 800
+        # bytes a vertex at this size.
+        t = random_tree(5_000, seed)
+        rooted = _root(t.adj, t.full_mask)
+        for include in (True, False):
+            tracemalloc.start()
+            try:
+                _tree_pass(rooted, include, SolveStats())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * t.n, (include, peak)
 
     def test_solve_is_not_vertex_capped(self):
         # 600 vertices is over the 512 default that caps the exponential routes
