@@ -20,7 +20,7 @@ import time
 
 from .errors import LimitExceeded, ParseError
 from .graph import Graph, PreAssignment, parse_dimacs, render_dimacs
-from .limits import DEFAULT_ENUM_VERTEX_LIMIT, ENV_VERTEX_LIMIT
+from .limits import DEFAULT_ENUM_VERTEX_LIMIT, ENV_VERTEX_LIMIT, general_vertex_limit
 from .random_graphs import gnp_graph, random_tree
 from .reductions import build_bipartite_gadget, build_gc, parse_dimacs_cnf
 from .solvers import PauResult, solve
@@ -45,6 +45,8 @@ def _check_limits(args: argparse.Namespace) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
+    if "vertex_limit" in vars(args) and args.vertex_limit is None:
+        general_vertex_limit()  # refuses a malformed override before any work
 
 
 def _solve(g: Graph, args: argparse.Namespace, deadline: float | None) -> PauResult:

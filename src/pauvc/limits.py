@@ -21,16 +21,20 @@ DEFAULT_BRUTE_LIMIT = 24
 
 
 def general_vertex_limit() -> int:
-    """The vertex cap for exponential solvers (env override, else 512)."""
+    """The vertex cap for exponential solvers (env override, else 512).
+
+    As with ``--vertex-limit``, 0 is a cap, and an override that is not a
+    non-negative integer raises ValueError.
+    """
     raw = os.environ.get(ENV_VERTEX_LIMIT)
     if raw is None:
         return DEFAULT_VERTEX_LIMIT
     try:
         value = int(raw)
     except ValueError:
-        raise LimitExceeded(f"invalid {ENV_VERTEX_LIMIT}={raw!r}") from None
-    if value <= 0:
-        raise LimitExceeded(f"invalid {ENV_VERTEX_LIMIT}={raw!r}")
+        value = -1
+    if value < 0:
+        raise ValueError(f"{ENV_VERTEX_LIMIT} must be a non-negative integer: {raw!r}")
     return value
 
 

@@ -5,13 +5,15 @@ consistent with it, which holds iff it holds on every connected component.
 A tree component takes a linear count; on any other, a pre-assignment pins
 it down iff it minus the forced vertices has a unique minimum cover of the
 residual size.  The cover the tau search found gives one when it fits the
-pins, else one search finds one.  From that cover the leaf walker of the
+pins, else one search finds one.  A cover vertex with exactly one residual
+neighbour w outside that cover proves a second one, the cover with the
+vertex swapped for w, with no search.  Otherwise the leaf walker of the
 take-v / take-N(v) branching tree (``vertex_cover._cover_leaves``) decides
-uniqueness: the minimum covers are the leaves' forced sets plus one
-endpoint of each leaf edge, so the cover is unique iff the first leaf has
-no edges and there is no second leaf.  The walker follows the cover's
-branch with no search and searches each other branch once, when it is
-popped, so a unique cover costs one search per step of its path.  Each
+uniqueness from the cover: the minimum covers are the leaves' forced sets
+plus one endpoint of each leaf edge, so the cover is unique iff the first
+leaf has no edges and there is no second leaf.  The walker follows the
+cover's branch with no search and searches each other branch once, when it
+is popped, so a unique cover costs one search per step of its path.  Each
 component is searched relabeled (``vertex_cover._component_cover``), and
 all its searches share one table of refuted subproblems.
 """
@@ -87,10 +89,12 @@ def _consistent(
     """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
 
     ``least`` is a minimum cover of all of the relabeled component; ``ids``
-    gives each label's id.  The leaf walk starts from its part off the forced
-    vertices when it fits the pins, with no search, and otherwise from a
-    residual cover one search finds; the count is 1 iff the walk's first
-    leaf has no edges and there is no second leaf.
+    gives each label's id.  The residual cover is its part off the forced
+    vertices when it fits the pins, else one search finds one.  A vertex u
+    of it with exactly one residual neighbour w outside it (never none, in a
+    minimum cover) proves a second cover, it minus u plus w, with no search;
+    otherwise the leaf walk from it counts 1 iff its first leaf has no edges
+    and there is no second leaf.
     """
     stats.uvc_calls += 1
     forced = inc_mask
@@ -103,6 +107,14 @@ def _consistent(
         cover = _bounded_cover(adj, active, target, stats, refuted)
         if cover is None:
             return 0, None
+    out = active & ~cover
+    scan = cover
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        nb = adj[bit.bit_length() - 1] & out
+        if nb and not nb & (nb - 1):
+            return 2, cover | forced  # bit swapped for nb: a second cover
     leaves = _cover_leaves(adj, ids, active, cover, stats, refuted)
     _, pairs = next(leaves)
     unique = not pairs and next(leaves, None) is None

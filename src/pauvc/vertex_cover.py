@@ -11,9 +11,10 @@ degree-1 vertices on the way; it prunes by the partition and branches over
 every vertex of its last cliques, one of which every cover within budget
 leaves out.  Grown from the lowest degrees, the partition leaves the high
 degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
-:func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`).
-The searches on one component share a table of the subproblems they
-refute, which only skips subtrees that hold no cover within budget.
+:func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`),
+polished by (1,2)-swaps (:func:`_improve`) when above the bound.  The
+searches on one component share a table of the subproblems they refute,
+which only skips subtrees that hold no cover within budget.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -271,34 +272,81 @@ def _bounded_cover(
 def _greedy_cover(adj: tuple[int, ...], active: int) -> int:
     """A cover of the active subgraph, taken greedily with no search.
 
-    Folds isolated and degree-1 vertices, one scan after another until a
-    scan folds nothing, then takes a lowest maximum-degree vertex, and
-    repeats until no edge is left.
+    Folds the lowest isolated or degree-1 vertex while one is left, taking
+    its neighbour, and otherwise takes a lowest maximum-degree vertex, until
+    no vertex is left.  A degree list (-1 once a vertex leaves) and the mask
+    of degrees below 2 are kept current as vertices leave, so each step
+    costs only the leaving vertex's neighbours and one ``max``.
     """
+    deg = [-1] * len(adj)
+    low = 0  # active vertices of degree < 2
+    scan = active
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        v = bit.bit_length() - 1
+        deg[v] = (adj[v] & active).bit_count()
+        if deg[v] < 2:
+            low |= bit
     cover = 0
     while active:
-        folded = False
-        best_v = -1
-        best_d = 1
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            nb = adj[v] & active
-            d = nb.bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-            elif d < 2:
-                # Its neighbour, if any, covers at least as much.
-                cover |= nb
-                active &= ~(nb | low)
-                scan &= active
-                folded = True
-        if not folded:
-            cover |= 1 << best_v
-            active ^= 1 << best_v
+        if low:
+            bit = low & -low
+            v = bit.bit_length() - 1
+            deg[v] = -1
+            active ^= bit
+            low ^= bit
+            bit = adj[v] & active  # its neighbour, if any, covers at least as much
+            if not bit:
+                continue
+            v = bit.bit_length() - 1
+        else:
+            v = deg.index(max(deg))
+            bit = 1 << v
+        cover |= bit
+        deg[v] = -1
+        active ^= bit
+        low &= active
+        nb = adj[v] & active
+        while nb:
+            bit = nb & -nb
+            nb ^= bit
+            u = bit.bit_length() - 1
+            deg[u] -= 1
+            if deg[u] < 2:
+                low |= bit
+    return cover
+
+
+def _improve(adj: tuple[int, ...], active: int, cover: int) -> int:
+    """The cover after moves that shrink it, until none applies.
+
+    Read on the independent set ``active & ~cover``, these are the (1,2)-swaps
+    of Andrade, Resende and Werneck (2012): a cover vertex with no neighbour
+    outside the cover leaves it, and so do two non-adjacent ones whose one
+    such neighbour is the same x, which joins.  Each pass scans the cover
+    in label order and makes the first move it meets.
+    """
+    move = -1
+    while move:
+        move = 0
+        out = active & ~cover
+        mates: dict[int, int] = {}  # x -> cover vertices whose one out-neighbour is x
+        scan = cover
+        while scan and not move:
+            bit = scan & -scan
+            scan ^= bit
+            v = bit.bit_length() - 1
+            x = adj[v] & out
+            if not x:
+                move = bit
+            elif not x & (x - 1):
+                pair = mates.get(x, 0)
+                mates[x] = pair | bit
+                pair &= ~adj[v]
+                if pair:
+                    move = bit | (pair & -pair) | x
+        cover ^= move
     return cover
 
 
@@ -311,8 +359,9 @@ def _min_cover(
 ) -> int | None:
     """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
-    Searches downward from the cover of :func:`_greedy_cover`, or from one
-    bounded search at ``upper`` when that is smaller, and each further
+    Searches downward from the cover of :func:`_greedy_cover`, polished by
+    :func:`_improve` when it is above the clique-partition bound, or from
+    one bounded search at ``upper`` when that is smaller, and each further
     search asks for a cover one smaller than the best so far.  Searches
     above tau stop at their first leaf, so only the last one, which fails at
     tau - 1, has to refute.  When the best cover reaches the clique-partition
@@ -320,11 +369,13 @@ def _min_cover(
     the searches share ``refuted``.
     """
     best = _greedy_cover(adj, active)
+    floor = _clique_lb(adj, active)
+    if best.bit_count() > floor:
+        best = _improve(adj, active, best)
     if upper is not None and upper < best.bit_count():
         best = _bounded_cover(adj, active, upper, stats, refuted)
         if best is None:
             return None
-    floor = _clique_lb(adj, active)
     while best.bit_count() > floor:
         smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats, refuted)
         if smaller is None:

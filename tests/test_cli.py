@@ -26,6 +26,16 @@ def p4_file(tmp_path):
 
 
 @pytest.fixture
+def p3_file(tmp_path):
+    return write(tmp_path / "p3.col", render_dimacs(Graph(3, [(0, 1), (1, 2)])))
+
+
+@pytest.fixture
+def k3_file(tmp_path):
+    return write(tmp_path / "k3.col", render_dimacs(Graph(3, [(0, 1), (1, 2), (0, 2)])))
+
+
+@pytest.fixture
 def c4_file(tmp_path):
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     return write(tmp_path / "c4.col", render_dimacs(c4))
@@ -86,6 +96,26 @@ class TestSolve:
         assert main(["solve", c4_file]) == 3
         monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "100")
         assert main(["solve", c4_file]) == 0
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+    def test_malformed_vertex_limit_env_exit_2(
+        self, p3_file, k3_file, monkeypatch, capsys, raw
+    ):
+        # It exited 3, as if a limit were hit, and a tree (P3), which takes
+        # no search, never read it.  The flag, when given, overrides it.
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", raw)
+        for path in (p3_file, k3_file):
+            assert main(["solve", path]) == 2
+            captured = capsys.readouterr()
+            assert "PAUVC_VERTEX_LIMIT must be a non-negative integer" in captured.err
+            assert captured.out == ""
+        assert main(["solve", k3_file, "--vertex-limit", "3"]) == 0
+
+    def test_zero_vertex_limit_is_a_cap(self, p3_file, k3_file, monkeypatch):
+        assert main(["solve", k3_file, "--vertex-limit", "0"]) == 3
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "0")
+        assert main(["solve", k3_file]) == 3
+        assert main(["solve", p3_file]) == 0
 
     def test_algo_selector(self, p4_file, capsys):
         for algo in ("auto", "enum", "fpt", "tree"):

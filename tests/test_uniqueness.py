@@ -372,6 +372,7 @@ class TestPerComponentProbe:
         # second search for one: the probe costs exactly the tau search on
         # the relabeled component and one _consistent call sharing one table
         # of refuted subproblems.  The greedy first cover counts no nodes.
+        # 207 nodes before the first cover was polished by swaps, 185 after.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -384,7 +385,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 207
+        assert probed.nodes_explored == steps.nodes_explored == 185
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -445,6 +446,69 @@ class TestPerComponentProbe:
         apexes = VertexSet(g.n, range(0, g.n, 3))
         report = is_feasible(g, PreAssignment.excluding(apexes))
         assert report.feasible and report.witness == apexes.complement()
+
+
+def _walk_count(adj, ids, least, inc, exc):
+    """(count, cover) of _consistent from the leaf walk alone, on fresh tables."""
+    forced = inc
+    for v in range(len(ids)):
+        if exc >> v & 1:
+            forced |= adj[v]
+    active = ((1 << len(ids)) - 1) & ~forced & ~exc
+    cover = least & active
+    if inc & ~least or exc & least:
+        target = least.bit_count() - forced.bit_count()
+        cover = vertex_cover._bounded_cover(adj, active, target, SolveStats(), {})
+        if cover is None:
+            return 0, None
+    leaves = list(vertex_cover._cover_leaves(adj, ids, active, cover, SolveStats(), {}))
+    return 1 if len(leaves) == 1 and not leaves[0][1] else 2, cover | forced
+
+
+class TestSwapCertificate:
+    """A cover vertex with one neighbour outside the cover proves a second cover."""
+
+    def test_same_answers_as_the_leaf_walk(self):
+        # Pins drawn from the lexicographic minimum cover are conflict-free
+        # and minimum-consistent; when they break the tau search's cover,
+        # one pinned search finds the residual cover first.
+        rng = random.Random(1013)
+        counts = {1: 0, 2: 0}
+        certified = walked = 0
+        for seed in range(300):
+            n = rng.randint(2, 16)
+            g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
+            lex = min_vertex_cover(g).cover.mask
+            inc = lex & rng.getrandbits(n) & rng.getrandbits(n)
+            exc = g.full_mask & ~lex & rng.getrandbits(n) & rng.getrandbits(n)
+            adj, ids = vertex_cover._relabel(g.adj, g.full_mask)
+            refuted = {}
+            least = vertex_cover._min_cover(adj, g.full_mask, SolveStats(), refuted)
+            label = {v: r for r, v in enumerate(ids)}
+            pins = [vertex_cover._remap(p, label) for p in (inc, exc)]
+            stats = SolveStats()
+            got = _consistent(adj, ids, least, *pins, stats, refuted)
+            assert got == _walk_count(adj, ids, least, *pins), (seed, inc, exc)
+            counts[got[0]] += 1
+            fits = not pins[0] & ~least and not pins[1] & least
+            if got[0] == 2 and fits:
+                # The walk visits at least its root; the certificate none.
+                certified += stats.nodes_explored == 0
+                walked += stats.nodes_explored > 0
+        assert min(counts.values()) > 0 and certified > 0 and walked > 0
+
+    def test_dense_not_unique_needs_no_walk(self):
+        # The pins fit the tau search's cover and a cover vertex has one
+        # neighbour outside it, so the probe costs the tau search alone:
+        # 105 nodes, against 252 when the leaf walk found the second cover.
+        g = gnp_graph(60, 0.3, 2)
+        assert len(classify(g).components) == 1
+        tau_search = SolveStats()
+        vertex_cover._component_cover(g.adj, g.full_mask, tau_search)
+        pa = PreAssignment.including(VertexSet(60, [1, 2, 3, 4]))
+        stats = SolveStats()
+        assert is_feasible(g, pa, stats=stats).reason is Reason.NOT_UNIQUE
+        assert stats.nodes_explored == tau_search.nodes_explored == 105
 
 
 class TestReduceInstance:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from networkx.algorithms import bipartite
 
 from oracles import (
@@ -180,6 +182,42 @@ def _subgraph(n, edges, active):
     """The active subgraph relabelled to 0..m-1, as (m, edges)."""
     ids = {v: i for i, v in enumerate(v for v in range(n) if active >> v & 1)}
     return len(ids), [(ids[u], ids[v]) for u, v in edges if u in ids and v in ids]
+
+
+@st.composite
+def graphs_with_active(draw):
+    """A graph on at most 14 vertices and an active mask over it."""
+    n = draw(st.integers(1, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, sorted(edges)), draw(st.integers(0, (1 << n) - 1))
+
+
+class TestFirstCover:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(graphs_with_active())
+    def test_greedy_then_swaps(self, drawn):
+        # The greedy cover is a cover.  After the swaps, from it or from
+        # the whole active mask, no cover vertex has no neighbour outside
+        # the cover (0-tight), and no two non-adjacent ones share their one
+        # outside neighbour (a (1,2)-swap).
+        g, active = drawn
+        greedy = vertex_cover._greedy_cover(g.adj, active)
+        assert _covers(g, active, greedy)
+        for start in (greedy, active):
+            polished = vertex_cover._improve(g.adj, active, start)
+            assert _covers(g, active, polished)
+            assert polished.bit_count() <= start.bit_count()
+            out = active & ~polished
+            inside = [v for v in range(g.n) if polished >> v & 1]
+            for u in inside:
+                x = g.adj[u] & out
+                assert x, u
+                if x & (x - 1) == 0:
+                    for v in inside:
+                        assert v == u or g.adj[u] >> v & 1 or g.adj[v] & out != x
+        tau = subset_tau(*_subgraph(g.n, g.edges(), active))
+        assert vertex_cover._min_cover(g.adj, active, SolveStats(), {}).bit_count() == tau
 
 
 class TestSearchKernel:
