@@ -20,12 +20,16 @@ DEFAULT_RESULT_LIMIT = 1 << 20
 DEFAULT_BRUTE_LIMIT = 24
 
 
-def general_vertex_limit() -> int:
-    """The vertex cap for exponential solvers (env override, else 512).
+def general_vertex_limit(limit: int | None = None) -> int:
+    """The vertex cap for exponential solvers: limit, else the env override, else 512.
 
     As with ``--vertex-limit``, 0 is a cap, and an override that is not a
-    non-negative integer raises ValueError.
+    non-negative integer raises ValueError.  Public calls that cap
+    components one by one resolve it on entry, so a malformed override is
+    refused before any work, whatever the graph.
     """
+    if limit is not None:
+        return limit
     raw = os.environ.get(ENV_VERTEX_LIMIT)
     if raw is None:
         return DEFAULT_VERTEX_LIMIT
@@ -40,6 +44,6 @@ def general_vertex_limit() -> int:
 
 def check_vertex_limit(n: int, limit: int | None) -> None:
     """Raise LimitExceeded when a graph with n vertices is over the cap."""
-    cap = general_vertex_limit() if limit is None else limit
+    cap = general_vertex_limit(limit)
     if n > cap:
         raise LimitExceeded(f"graph has {n} vertices, limit is {cap}")

@@ -66,7 +66,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graph import Graph, Model, PreAssignment, VertexSet, _components, _list_order
-from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit
+from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit, general_vertex_limit
 from .tree import _root, _tree_pass, count_tree_covers
 from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
@@ -268,12 +268,14 @@ def _decide(table: list[_LeafRow], model: Model, cand: int) -> int | None:
                 continue
         elif cand & forced:
             continue
-        if any(cand & e == e for e in edges):
-            continue
-        touched = cand & matched
-        if found is not None or touched.bit_count() < len(edges):
-            return None
-        found = forced | (touched if model is Model.INCLUDE else matched ^ touched)
+        for e in edges:
+            if cand & e == e:
+                break  # cand holds an edge whole
+        else:
+            touched = cand & matched
+            if found is not None or touched.bit_count() < len(edges):
+                return None
+            found = forced | (touched if model is Model.INCLUDE else matched ^ touched)
     return found
 
 
@@ -403,6 +405,7 @@ def solve(
     model = Model(model)
     if algo not in ("auto", "enum", "fpt", "tree"):
         raise ValueError(f"unknown algo {algo!r}")
+    vertex_limit = general_vertex_limit(vertex_limit)
     started = time.perf_counter()
     stats = SolveStats(deadline)
     inc = exc = cover = 0

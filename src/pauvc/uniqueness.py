@@ -7,13 +7,13 @@ it down iff it minus the forced vertices has a unique minimum cover of the
 residual size.  The cover the tau search found gives one when it fits the
 pins, else one search finds one.  A cover vertex with exactly one residual
 neighbour w outside that cover proves a second one, the cover with the
-vertex swapped for w, with no search.  Otherwise the leaf walker of the
-take-v / take-N(v) branching tree (``vertex_cover._cover_leaves``) decides
-uniqueness from the cover: the minimum covers are the leaves' forced sets
-plus one endpoint of each leaf edge, so the cover is unique iff the first
-leaf has no edges and there is no second leaf.  The walker follows the
-cover's branch with no search and searches each other branch once, when it
-is popped, so a unique cover costs one search per step of its path.  Each
+vertex swapped for w, with no search.  Otherwise every other minimum cover
+holds a vertex outside the first, the out-vertices, and the first of them
+it holds, w, splits the other covers: such a cover leaves the out-vertices
+before w out, so it takes their neighbours, and the rest of it covers what
+is left minus w within the budget left.  One bounded search per
+out-vertex decides each part, taken in descending residual degree until
+the budget runs out, so a unique cover costs one failed search each.  Each
 component is searched relabeled (``vertex_cover._component_cover``), and
 all its searches share one table of refuted subproblems.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graph import Graph, PreAssignment, VertexSet, _components, delete
-from .limits import check_vertex_limit
+from .limits import check_vertex_limit, general_vertex_limit
 from .tree import count_tree_covers
 from .vertex_cover import (
     SolveStats,
@@ -32,7 +32,6 @@ from .vertex_cover import (
     _bits,
     _bounded_cover,
     _component_cover,
-    _cover_leaves,
     _remap,
 )
 
@@ -92,9 +91,12 @@ def _consistent(
     gives each label's id.  The residual cover is its part off the forced
     vertices when it fits the pins, else one search finds one.  A vertex u
     of it with exactly one residual neighbour w outside it (never none, in a
-    minimum cover) proves a second cover, it minus u plus w, with no search;
-    otherwise the leaf walk from it counts 1 iff its first leaf has no edges
-    and there is no second leaf.
+    minimum cover) proves a second cover, it minus u plus w, with no search.
+    Otherwise each out-vertex w with a residual neighbour, by descending
+    degree and then label, takes one search for a cover of the rest minus
+    w within the cover's size less one, where the rest and that budget
+    have lost the earlier out-vertices and their neighbours.  A hit, plus w
+    and those neighbours, is a second cover.
     """
     stats.uvc_calls += 1
     forced = inc_mask
@@ -115,10 +117,19 @@ def _consistent(
         nb = adj[bit.bit_length() - 1] & out
         if nb and not nb & (nb - 1):
             return 2, cover | forced  # bit swapped for nb: a second cover
-    leaves = _cover_leaves(adj, ids, active, cover, stats, refuted)
-    _, pairs = next(leaves)
-    unique = not pairs and next(leaves, None) is None
-    return 1 if unique else 2, cover | forced
+    rest = active
+    budget = cover.bit_count() - 1
+    order = sorted((-(adj[w] & active).bit_count(), w) for w in _bits(out))
+    for minus_degree, w in order:
+        if budget < 0 or not minus_degree:
+            break
+        bit = 1 << w
+        if _bounded_cover(adj, rest & ~bit, budget, stats, refuted) is not None:
+            return 2, cover | forced
+        nb = adj[w] & rest
+        rest &= ~(nb | bit)
+        budget -= nb.bit_count()
+    return 1, cover | forced
 
 
 _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
@@ -150,6 +161,7 @@ def _probe(
     component takes the linear count if it is a tree, else the capped
     search on its relabeled copy; counts multiply (capped at 2) and covers unite.
     """
+    vertex_limit = general_vertex_limit(vertex_limit)
     st = stats if stats is not None else SolveStats()
     conflict = _pin_conflict(g.adj, inc, exc)
     if conflict is not None:

@@ -20,8 +20,9 @@ down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
 visits only nodes that hold a leaf.  Every minimum cover extends one
 leaf, so it folds no degree-1 vertex.  Its leaves drive the
-fixed-parameter solvers, :func:`branch_to_matchings`,
-:func:`enumerate_min_vertex_covers` and the uniqueness test.
+fixed-parameter solvers, :func:`branch_to_matchings` and
+:func:`enumerate_min_vertex_covers`; the uniqueness test needs no leaves
+and runs :func:`_bounded_cover` directly.
 """
 
 from __future__ import annotations
@@ -552,44 +553,57 @@ def _cover_leaves(
     other gets one :func:`_bounded_cover` search when popped, and is
     dropped if that finds none.  So every node visited holds a leaf, and
     each leaf's forced set plus one endpoint per edge is a minimum cover.
-    One degree scan per node finds v or, below degree 2, the leaf's edges.
+
+    v is ``keys.index(max(keys))`` over a key per label, degree * m plus
+    its id's rank from the top (-1 once it leaves), so a node whose top key
+    is below 2m is a leaf.  Each entry carries its parent's keys and the
+    vertices it removed, applied to a copy once it survives its search.
     """
     k = cover.bit_count()
-    stack = [(active, 0, cover)]
+    m = len(ids)
+    keys = [-1] * m
+    for rank, v in enumerate(sorted(range(m), key=ids.__getitem__, reverse=True)):
+        if active >> v & 1:
+            keys[v] = (adj[v] & active).bit_count() * m + rank
+    stack = [(active, 0, cover, keys, 0)]
     while stack:
-        active, forced, cover = stack.pop()
+        active, forced, cover, keys, removed = stack.pop()
         if cover < 0:
             found = _bounded_cover(adj, active, k - forced.bit_count(), stats, refuted)
             if found is None:
                 continue
             cover = found
         _node(stats)
-        best_v = -1
-        best_d = 1
-        pairs = []
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            nb = adj[v] & active
-            d = nb.bit_count()
-            if d > best_d or d == best_d > 1 and ids[v] < ids[best_v]:
-                best_d = d
-                best_v = v
-            elif d == 1 and nb > low:
-                pairs.append((v, nb.bit_length() - 1))
-        if best_v < 0:
+        if removed:
+            keys = keys[:]
+            while removed:
+                low = removed & -removed
+                removed ^= low
+                v = low.bit_length() - 1
+                keys[v] = -1
+                nb = adj[v] & active
+                while nb:
+                    low = nb & -nb
+                    nb ^= low
+                    keys[low.bit_length() - 1] -= m
+        top = max(keys, default=-1)
+        if top < 2 * m:
+            pairs = []
+            for v in _bits(active):
+                nb = adj[v] & active
+                if nb >> v:
+                    pairs.append((v, nb.bit_length() - 1))
             yield forced, tuple(pairs)
             continue
-        bit = 1 << best_v
-        nb = adj[best_v] & active
+        v = keys.index(top)
+        bit = 1 << v
+        nb = adj[v] & active
         if cover & bit:
             nb_cover, v_cover = -1, cover ^ bit
         else:
             nb_cover, v_cover = cover & ~nb, -1
-        stack.append((active & ~(nb | bit), forced | nb, nb_cover))
-        stack.append((active ^ bit, forced | bit, v_cover))
+        stack.append((active & ~(nb | bit), forced | nb, nb_cover, keys, nb | bit))
+        stack.append((active ^ bit, forced | bit, v_cover, keys, bit))
 
 
 def _branch_leaves(

@@ -16,12 +16,16 @@ from pauvc import (
     branch_to_matchings,
     classify,
     delete,
+    enumerate_min_vertex_covers,
     gnp_graph,
+    has_unique_min_vc,
     include_to_exclude,
     is_feasible,
+    min_vertex_cover,
     mixed_to_exclude,
     pau_tree,
     random_tree,
+    reduce_instance,
     solve,
     solve_enum,
     solve_fpt_exclude,
@@ -322,6 +326,25 @@ class TestDispatcher:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             solve(Graph(1, []), "include", "magic")
+
+    def test_malformed_vertex_limit_env_refused_on_entry(self, monkeypatch):
+        # P3 is a tree and takes no search, so solve read the override only
+        # for K3; every call that takes vertex_limit now reads it on entry.
+        monkeypatch.setenv("PAUVC_VERTEX_LIMIT", "abc")
+        calls = [
+            lambda g: solve(g, "include"),
+            lambda g: solve(g, "exclude", "enum"),
+            lambda g: is_feasible(g, PreAssignment.including(VertexSet(3, [1]))),
+            lambda g: reduce_instance(g, PreAssignment.including(VertexSet(3, [1]))),
+            has_unique_min_vc,
+            min_vertex_cover,
+            branch_to_matchings,
+            enumerate_min_vertex_covers,
+        ]
+        for g in (Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (1, 2), (0, 2)])):
+            for call in calls:
+                with pytest.raises(ValueError, match="PAUVC_VERTEX_LIMIT"):
+                    call(g)
 
     def test_disconnected_composition(self):
         rng = random.Random(359)

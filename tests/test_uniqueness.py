@@ -30,6 +30,7 @@ from pauvc import (
     pau_tree,
     random_tree,
     reduce_instance,
+    solve,
     vertex_cover,
 )
 from pauvc.uniqueness import _check_pre_assignment, _consistent
@@ -112,11 +113,11 @@ class TestHasUniqueMinVc:
 
 
 class TestAgainstBruteForce:
-    """The downward tau search and the second-cover walk on mid-size graphs.
+    """The downward tau search and the second-cover search on mid-size graphs.
 
     Pre-assignments are drawn as the dense benchmark draws them: a subset of
     one minimum cover (include) or of its complement (exclude), so every
-    check is minimum-consistent and reaches the uniqueness walk.
+    check is minimum-consistent and reaches the uniqueness test.
     """
 
     def test_random_graphs(self):
@@ -368,11 +369,13 @@ class TestPerComponentProbe:
     """is_feasible decides each connected component on its own pins."""
 
     def test_one_tau_search_per_component(self):
-        # The leaf walk starts from the cover the tau search found, with no
-        # second search for one: the probe costs exactly the tau search on
-        # the relabeled component and one _consistent call sharing one table
-        # of refuted subproblems.  The greedy first cover counts no nodes.
-        # 207 nodes before the first cover was polished by swaps, 185 after.
+        # The uniqueness test starts from the cover the tau search found,
+        # with no second search for one: the probe costs exactly the tau
+        # search on the relabeled component and one _consistent call sharing
+        # one table of refuted subproblems.  The greedy first cover counts
+        # no nodes.  207 nodes before the first cover was polished by swaps,
+        # 185 after; 148 once one search per out-vertex of the cover
+        # replaced the leaf walk.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -385,7 +388,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 185
+        assert probed.nodes_explored == steps.nodes_explored == 148
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -469,18 +472,31 @@ class TestSwapCertificate:
     """A cover vertex with one neighbour outside the cover proves a second cover."""
 
     def test_same_answers_as_the_leaf_walk(self):
-        # Pins drawn from the lexicographic minimum cover are conflict-free
-        # and minimum-consistent; when they break the tau search's cover,
-        # one pinned search finds the residual cover first.
+        # Two algorithms: the certificate plus one search per out-vertex,
+        # against the leaf walk.  Pins drawn from the lexicographic minimum
+        # cover are conflict-free and minimum-consistent; when they break the
+        # tau search's cover, one pinned search finds the residual cover
+        # first.  On sparse graphs the pins are a solve witness, whole
+        # (count 1) or less one vertex (count 2, the witness being minimum).
         rng = random.Random(1013)
         counts = {1: 0, 2: 0}
-        certified = walked = 0
-        for seed in range(300):
-            n = rng.randint(2, 16)
-            g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
-            lex = min_vertex_cover(g).cover.mask
-            inc = lex & rng.getrandbits(n) & rng.getrandbits(n)
-            exc = g.full_mask & ~lex & rng.getrandbits(n) & rng.getrandbits(n)
+        certified = searched = 0
+        for seed in range(400):
+            if seed % 2:
+                n = rng.randint(2, 16)
+                g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
+                lex = min_vertex_cover(g).cover.mask
+                inc = lex & rng.getrandbits(n) & rng.getrandbits(n)
+                exc = g.full_mask & ~lex & rng.getrandbits(n) & rng.getrandbits(n)
+            else:
+                n = rng.randint(2, 30)
+                g = gnp_graph(n, rng.uniform(0.05, 0.2), seed)
+                pre = solve(g, rng.choice(("include", "exclude"))).pre
+                inc, exc = pre.include.mask, pre.exclude.mask
+                if rng.random() < 0.5 and inc | exc:
+                    drop = rng.choice(list(vertex_cover._bits(inc | exc)))
+                    inc &= ~(1 << drop)
+                    exc &= ~(1 << drop)
             adj, ids = vertex_cover._relabel(g.adj, g.full_mask)
             refuted = {}
             least = vertex_cover._min_cover(adj, g.full_mask, SolveStats(), refuted)
@@ -492,10 +508,22 @@ class TestSwapCertificate:
             counts[got[0]] += 1
             fits = not pins[0] & ~least and not pins[1] & least
             if got[0] == 2 and fits:
-                # The walk visits at least its root; the certificate none.
+                # The certificate takes no search; otherwise one finds it.
                 certified += stats.nodes_explored == 0
-                walked += stats.nodes_explored > 0
-        assert min(counts.values()) > 0 and certified > 0 and walked > 0
+                searched += stats.nodes_explored > 0
+        assert min(counts.values()) > 50 and certified > 0 and searched > 0
+
+    def test_graphs_without_edges(self):
+        # No out-vertex has a neighbour, so nothing is searched: count 1.
+        for n in (0, 1, 5):
+            adj, ids, least, refuted = vertex_cover._component_cover(
+                Graph(n).adj, (1 << n) - 1, SolveStats()
+            )
+            stats = SolveStats()
+            assert _consistent(adj, ids, least, 0, 0, stats, refuted) == (1, 0)
+            assert stats.nodes_explored == 0
+            unique, sol = has_unique_min_vc(Graph(n))
+            assert unique and sol.tau == 0
 
     def test_dense_not_unique_needs_no_walk(self):
         # The pins fit the tau search's cover and a cover vertex has one

@@ -547,6 +547,12 @@ class TestBranchToMatchings:
                 assert hits == 1, (n, edges, sorted(cover))
                 assert tau == len(cover)
 
+    def test_graphs_without_edges(self):
+        # One leaf, with nothing forced and no edges, also with no vertex.
+        for n in (0, 1, 5):
+            assert leaf_masks(Graph(n)) == [(0, ())]
+            assert enumerate_min_vertex_covers(Graph(n)) == [VertexSet(n)]
+
     def test_leaf_sizes_add_up(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
         for leaf in branch_to_matchings(g):
