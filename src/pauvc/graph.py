@@ -395,18 +395,33 @@ class Classification:
     parts: tuple[VertexSet, VertexSet] | None
 
 
-def _components(adj: tuple[int, ...], active: int) -> Iterator[int]:
-    """Connected components of the active subgraph as masks, lowest vertex first."""
-    while active:
-        comp = frontier = active & -active
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & active & ~comp
-            comp |= frontier
-        active &= ~comp
-        yield comp
+Rooting = tuple[list[int], list[int]]
+
+
+def _components(adj: tuple[int, ...]) -> Iterator[tuple[int, Rooting | None]]:
+    """Connected components as (mask, rooting), lowest vertex first.
+
+    One breadth-first walk per component, from its lowest vertex, taking
+    each vertex's new neighbours in ascending order.  The rooting is that
+    walk's (order, parent), parent[i] being the position of order[i]'s
+    parent (-1 at the root), when the component is a tree, else None: in a
+    tree the walk meets no reached neighbour but the parent.
+    """
+    rest = (1 << len(adj)) - 1
+    while rest:
+        comp = rest & -rest
+        order, parent, tree = [comp.bit_length() - 1], [-1], True
+        for i, v in enumerate(order):
+            nb = adj[v]
+            known = nb & comp
+            tree = tree and known.bit_count() < 2
+            fresh = nb ^ known
+            if fresh:
+                comp |= fresh
+                parent += [i] * fresh.bit_count()
+                order += _bits(fresh)
+        rest ^= comp
+        yield comp, (order, parent) if tree else None
 
 
 def classify(g: Graph) -> Classification:
@@ -419,7 +434,7 @@ def classify(g: Graph) -> Classification:
     components: list[VertexSet] = []
     part0 = 0
     bipartite = True
-    for comp in _components(adj, g.full_mask):
+    for comp, _ in _components(adj):
         components.append(VertexSet.from_mask(g.n, comp))
         layer = seen = comp & -comp
         even = True

@@ -65,9 +65,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph import Graph, Model, PreAssignment, VertexSet, _components, _list_order
+from .graph import (
+    Graph, Model, PreAssignment, Rooting, VertexSet, _components, _list_order
+)
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit, general_vertex_limit
-from .tree import _root, _tree_pass, count_tree_covers
+from .tree import _tree_pass, count_tree_covers
 from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
     SolveStats,
@@ -365,16 +367,11 @@ def mixed_to_exclude(g: Graph, pa: PreAssignment, ustar: VertexSet) -> VertexSet
 # The dispatcher.
 
 
-def _solve_tree(
-    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
-) -> _Pins | None:
-    """The tree pass's optimum, checked by the linear count; None off trees."""
-    rooted = _root(adj, active)
-    if rooted is None:
-        return None
+def _solve_tree(rooted: Rooting, model: Model, stats: SolveStats) -> _Pins:
+    """The tree pass's optimum on a rooted tree component, checked by the count."""
     _, mask = _tree_pass(rooted, model is Model.INCLUDE, stats)
     pins = (mask, 0) if model is Model.INCLUDE else (0, mask)
-    _, count, cover = count_tree_covers(adj, active, *pins, stats, rooted=rooted)
+    _, count, cover = count_tree_covers(rooted, *pins, stats)
     if count != 1:
         raise AssertionError("tree solver produced an infeasible witness")
     return (*pins, cover)
@@ -391,16 +388,18 @@ def solve(
 ) -> PauResult:
     """Solve one instance with the chosen strategy.
 
-    Each connected component is solved in place, on g's own neighbour
-    masks with the component as the active set, and the answers are
-    united: sizes add, witnesses and covers merge, and the counters of one
-    ``SolveStats`` add up.  algo "auto" routes tree components to the tree
-    solver and every other component to the fixed-parameter solver for the
-    model; "enum", "fpt", and "tree" force a strategy.  Mixed-model
-    instances take the exclude model on those two routes and are reported
-    with an empty include set.  vertex_limit caps each component on the
-    fixed-parameter route and enum_vertex_limit on the enumeration; the
-    linear tree route has no cap.
+    One walk (``graph._components``) splits g into connected components
+    and roots the trees.  Each component is solved in place, on g's own
+    neighbour masks with the component as the active set, and the answers
+    are united: sizes add, witnesses and covers merge, and the counters of
+    one ``SolveStats`` add up.  algo "auto" routes tree components to the
+    tree solver and every other component to the fixed-parameter solver
+    for the model; "enum", "fpt", and "tree" force a strategy, and "tree"
+    refuses a component that is not a tree, naming its lowest vertex.
+    Mixed-model instances take the exclude model on those two routes and
+    are reported with an empty include set.  vertex_limit caps each
+    component on the fixed-parameter route and enum_vertex_limit on the
+    enumeration; the linear tree route has no cap.
     """
     model = Model(model)
     if algo not in ("auto", "enum", "fpt", "tree"):
@@ -409,17 +408,18 @@ def solve(
     started = time.perf_counter()
     stats = SolveStats(deadline)
     inc = exc = cover = 0
-    for comp in _components(g.adj, g.full_mask):
+    for comp, rooted in _components(g.adj):
         if algo == "enum":
             check_vertex_limit(comp.bit_count(), enum_vertex_limit)
             pins = _solve_enum(g.adj, comp, model, stats)
+        elif rooted and algo != "fpt":
+            pins = _solve_tree(rooted, model, stats)
+        elif algo == "tree":
+            lowest = (comp & -comp).bit_length() - 1
+            raise ValueError(f"component of vertex {lowest} is not a tree")
         else:
-            pins = None if algo == "fpt" else _solve_tree(g.adj, comp, model, stats)
-            if pins is None:
-                if algo == "tree":
-                    raise ValueError("input graph is not a connected tree")
-                check_vertex_limit(comp.bit_count(), vertex_limit)
-                pins = _solve_fpt(g.adj, comp, model, stats)
+            check_vertex_limit(comp.bit_count(), vertex_limit)
+            pins = _solve_fpt(g.adj, comp, model, stats)
         inc |= pins[0]
         exc |= pins[1]
         cover |= pins[2]

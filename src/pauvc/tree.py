@@ -52,16 +52,16 @@ Mixed-model instances are answered in the exclude model, which has the
 same optimum.
 :func:`count_tree_covers` counts the covers of one pin set with no tables,
 so ``solve`` checks the tables' witnesses with it, on the rooting the
-tables used.  Both passes run on a graph's neighbour masks, over the
-connected tree an active mask selects.
+tables used.  Both passes read only that rooting, the (order, parent) that
+``graph._components`` yields for a tree component, and no adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, Model, PreAssignment, VertexSet
-from .vertex_cover import SolveStats, _bits, _node
+from .graph import Graph, Model, PreAssignment, Rooting, VertexSet, _components
+from .vertex_cover import SolveStats, _node
 
 __all__ = ["TreeAnswer", "count_tree_covers", "pau_tree"]
 
@@ -106,51 +106,19 @@ _MERGE = [
 _PINNED = [[[row[s] for s in pin] for row in _PROJECT] for pin in _PIN]
 
 
-def _root(adj: tuple[int, ...], active: int) -> tuple[list[int], list[int]] | None:
-    """BFS order of the active subgraph from its lowest vertex, and parents.
-
-    parent[i] is the position of order[i]'s parent (-1 at the root).
-    Returns None unless the active subgraph is a connected tree: an edge
-    back to a reached vertex other than the parent closes a cycle.
-    """
-    if not active:
-        return None
-    root = active & -active
-    order, parent, seen = [root.bit_length() - 1], [-1], root
-    for i, v in enumerate(order):
-        nb = adj[v] & active
-        fresh = nb & ~seen
-        if nb ^ fresh != (1 << order[parent[i]] if i else 0):
-            return None
-        seen |= fresh
-        parent += [i] * fresh.bit_count()
-        order += _bits(fresh)
-    return (order, parent) if seen == active else None
-
-
 def count_tree_covers(
-    adj: tuple[int, ...],
-    active: int,
-    include: int,
-    exclude: int,
-    stats: SolveStats,
-    *,
-    rooted: tuple[list[int], list[int]] | None = None,
-) -> tuple[int, int, int | None] | None:
-    """Count the minimum covers of the active subgraph consistent with the pins.
+    rooted: Rooting, include: int, exclude: int, stats: SolveStats
+) -> tuple[int, int, int | None]:
+    """Count the minimum covers of a rooted tree consistent with the pins.
 
-    Returns None unless the active subgraph is a connected tree, else its
-    tau, the count capped at 2, and one such cover when the count is at
-    least 1.  Counts c_0, c_1 bottom up, then rebuilds the cover top down:
-    a child of an out-vertex is in it, any other vertex takes the one
-    status b with m_b = min(m_0, m_1) and c_b >= 1 (the out status when
-    both qualify).  Counts one ``stats.uvc_calls`` and no search nodes.
-    rooted, when given, is ``_root(adj, active)`` of a connected tree,
-    computed once by a caller that also runs the tables on it.
+    rooted is a tree component's (order, parent) from ``graph._components``.
+    Returns the tree's tau, the count capped at 2, and one such cover when
+    the count is at least 1.  Counts c_0, c_1 bottom up, then rebuilds the
+    cover top down: a child of an out-vertex is in it, any other vertex
+    takes the one status b with m_b = min(m_0, m_1) and c_b >= 1 (the out
+    status when both qualify).  Counts one ``stats.uvc_calls`` and no
+    search nodes.
     """
-    rooted = rooted or _root(adj, active)
-    if rooted is None:
-        return None
     order, parent = rooted
     stats.uvc_calls += 1
     n = len(order)
@@ -182,16 +150,15 @@ def count_tree_covers(
     return tau, count, cover if count else None
 
 
-def _tree_pass(
-    rooted: tuple[list[int], list[int]], include: bool, stats: SolveStats
-) -> tuple[int, int]:
+def _tree_pass(rooted: Rooting, include: bool, stats: SolveStats) -> tuple[int, int]:
     """tau and the optimum pin mask of a rooted tree, by the tables.
 
-    rooted is ``_root``'s (order, parent) of a connected tree.  Each table
-    maps a state index to (pins, mask); the pins are include vertices when
-    include is set, else exclude vertices.  A slot holds None until the
-    vertex's first child adopts it, so a slot still None is a leaf's, with
-    m_0 = 0 < m_1 = 1 and the table {4: (0, 0)}.
+    rooted is a tree component's (order, parent), as for
+    :func:`count_tree_covers`.  Each table maps a state index to (pins,
+    mask); the pins are include vertices when include is set, else exclude
+    vertices.  A slot holds None until the vertex's first child adopts it,
+    so a slot still None is a leaf's, with m_0 = 0 < m_1 = 1 and the table
+    {4: (0, 0)}.
     """
     order, parent = rooted
     n = len(order)
@@ -243,7 +210,8 @@ def pau_tree(
 ) -> TreeAnswer:
     """Optimum pre-assignment for a connected tree under the given model.
 
-    Raises ValueError when the graph is not a connected tree.  The witness
+    The tree is rooted by the component walk, whose first component must
+    be the whole graph and a tree; otherwise ValueError.  The witness
     is the optimum pre-assignment with the lexicographically smallest
     sorted vertex list, the one :func:`solve_enum` returns.  Mixed-model
     instances are answered in the exclude model, which has the same
@@ -252,8 +220,8 @@ def pau_tree(
     """
     model = Model(model)
     st = stats if stats is not None else SolveStats()
-    rooted = _root(t.adj, t.full_mask)
-    if rooted is None:
+    comp, rooted = next(_components(t.adj), (0, None))
+    if rooted is None or comp != t.full_mask:
         raise ValueError("input graph is not a connected tree")
     tau, pins = _tree_pass(rooted, model is Model.INCLUDE, st)
     members, empty = VertexSet.from_mask(t.n, pins), VertexSet(t.n)

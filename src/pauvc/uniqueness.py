@@ -157,9 +157,10 @@ def _probe(
 ) -> tuple[Reason | None, int | None]:
     """Why the pins fail (None when feasible) and a consistent minimum cover.
 
-    A pin conflict is answered with no cover and no search.  Otherwise each
-    component takes the linear count if it is a tree, else the capped
-    search on its relabeled copy; counts multiply (capped at 2) and covers unite.
+    A pin conflict is answered with no cover and no search.  Otherwise one
+    walk splits g into components; a tree component takes the linear count
+    on the walk's rooting, any other the capped search on its relabeled
+    copy.  Counts multiply (capped at 2) and covers unite.
     """
     vertex_limit = general_vertex_limit(vertex_limit)
     st = stats if stats is not None else SolveStats()
@@ -168,18 +169,17 @@ def _probe(
         return conflict, None
     cover = 0
     count = 1
-    for comp in _components(g.adj, g.full_mask):
+    for comp, rooted in _components(g.adj):
         pins = (inc & comp, exc & comp)
-        counted = count_tree_covers(g.adj, comp, *pins, st)
-        if counted is None:
+        if rooted:
+            _, ways, part = count_tree_covers(rooted, *pins, st)
+        else:
             check_vertex_limit(comp.bit_count(), vertex_limit)
             adj, ids, least, refuted = _component_cover(g.adj, comp, st)
             label = {v: r for r, v in enumerate(ids)}
             pins = [_remap(p, label) for p in pins]
             ways, part = _consistent(adj, ids, least, *pins, st, refuted)
             part = _remap(part or 0, ids)
-        else:
-            _, ways, part = counted
         count = min(2, count * ways)
         cover |= part or 0
     return _REASON_BY_COUNT[count], cover if count else None

@@ -448,7 +448,7 @@ def min_vertex_cover(
         return None
     st = stats if stats is not None else SolveStats()
     cover = 0
-    for comp in _components(g.adj, g.full_mask):
+    for comp, _ in _components(g.adj):
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
         upper = None if bound is None else bound - cover.bit_count()

@@ -122,6 +122,12 @@ class TestSolve:
             assert main(["solve", "--algo", algo, "--model", "exclude", p4_file]) == 0
             assert "opt_size     1" in capsys.readouterr().out
 
+    def test_tree_algo_on_a_cycle_exit_2(self, k3_file, capsys):
+        assert main(["solve", "--algo", "tree", k3_file]) == 2
+        captured = capsys.readouterr()
+        assert "component of vertex 0 is not a tree" in captured.err
+        assert captured.out == ""
+
 
 class TestTimeCap:
     def test_nonpositive_cap_exit_2(self, k4_file, capsys):

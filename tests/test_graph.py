@@ -3,6 +3,8 @@ import random
 import networkx as nx
 import pytest
 
+from oracles import random_union
+
 from pauvc import (
     Classification,
     Graph,
@@ -13,13 +15,15 @@ from pauvc import (
     VertexSet,
     classify,
     delete,
+    gnp_graph,
     is_independent_dominating_set,
     is_independent_set,
     is_vertex_cover,
     parse_dimacs,
+    random_tree,
     render_dimacs,
 )
-from pauvc.graph import _bits, _list_order
+from pauvc.graph import _bits, _components, _list_order
 
 
 class TestVertexSet:
@@ -256,6 +260,63 @@ class TestClassify:
                 assert left.mask | right.mask == g.full_mask
                 assert not left.mask & right.mask
                 assert all((u in left) != (v in left) for u, v in edges)
+
+
+def _walk_inputs():
+    """Seeded inputs for the walk: sparse gnp, disjoint unions, corner cases."""
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    yield Graph(0)
+    yield Graph(5)
+    yield Graph(4, triangle + [(2, 3)])  # plus a pendant
+    yield Graph(4, triangle)  # plus an isolated vertex: m = n - 1, not a forest
+    rng = random.Random(463)
+    for n in range(41):
+        yield gnp_graph(n, rng.choice((0.03, 0.06, 0.1, 0.15)), n)
+    for _ in range(40):
+        sizes = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        label = list(range(sum(sizes)))
+        rng.shuffle(label)
+        edges, offset = [], 0
+        for size in sizes:
+            part = random_tree(size, rng.randint(0, 2 ** 32 - 1))
+            edges += [(label[u + offset], label[v + offset]) for u, v in part.edges()]
+            offset += size
+        yield Graph(offset, edges)
+        yield Graph(*random_union(30, 10, rng))  # trees, cycles, gnp, isolated
+
+
+def _reference_bfs(ref, root):
+    """BFS order and parent positions, taking neighbours in ascending order."""
+    order, parent, seen = [root], [-1], {root}
+    for i, v in enumerate(order):
+        for w in sorted(ref[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                parent.append(i)
+    return order, parent
+
+
+class TestComponents:
+    def test_agrees_with_networkx(self):
+        trees = cyclic = 0
+        for g in _walk_inputs():
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            walked = list(_components(g.adj))
+            want = sorted(sorted(comp) for comp in nx.connected_components(ref))
+            assert [list(_bits(comp)) for comp, _ in walked] == want
+            for (_, rooted), members in zip(walked, want):
+                assert (rooted is not None) == nx.is_tree(ref.subgraph(members))
+                if rooted is None:
+                    cyclic += 1
+                    continue
+                trees += 1
+                order, parent = rooted
+                assert (order, parent) == _reference_bfs(ref, members[0])
+                pairs = zip(parent[1:], order[1:])
+                assert all(g.has_edge(order[p], v) for p, v in pairs)
+        assert trees > 300 and cyclic > 40, (trees, cyclic)
 
 
 class TestDelete:

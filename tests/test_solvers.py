@@ -411,6 +411,16 @@ class TestDispatcher:
                 assert sorted(calls) == sorted(sizes)
                 check_result(g, model, result, solve_enum(g, model).opt_size)
 
+    def test_tree_algo_takes_forests_and_names_other_components(self):
+        assert solve(Graph(4, [(0, 1), (2, 3)]), "include", "tree").opt_size == 2
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        shifted = [(u + 2, v + 2) for u, v in triangle]
+        # A triangle plus an isolated vertex has m = n - 1 edges.
+        for g, lowest in ((Graph(4, triangle), 0), (Graph(5, [(0, 1)] + shifted), 2)):
+            for model in ("include", "exclude", "mixed"):
+                with pytest.raises(ValueError, match=f"component of vertex {lowest} "):
+                    solve(g, model, "tree")
+
     def test_mixed_reported_as_mixed(self):
         g = Graph(2, [(0, 1)])
         r = solve(g, "mixed", "fpt")

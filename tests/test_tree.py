@@ -35,7 +35,8 @@ from pauvc import (
     solve,
     solve_enum,
 )
-from pauvc.tree import _root, _tree_pass, count_tree_covers
+from pauvc.graph import _components
+from pauvc.tree import _tree_pass, count_tree_covers
 
 MODELS = ("include", "exclude", "mixed")
 
@@ -59,10 +60,11 @@ def prufer_tree(n, code):
     return Graph(n, edges)
 
 
-# Shapes that meet the tree tables' shortcuts, rooted at vertex 0 as _root
-# does: on the path every internal vertex adopts its one child's table, the
-# stars merge many leaves into their centre (rooted there, or at a leaf),
-# the caterpillar hangs leaves off a path and the spider has long legs.
+# Shapes that meet the tree tables' shortcuts, rooted at vertex 0 as the
+# component walk does: on the path every internal vertex adopts its one
+# child's table, the stars merge many leaves into their centre (rooted
+# there, or at a leaf), the caterpillar hangs leaves off a path and the
+# spider has long legs.
 SHAPED_TREES = [
     Graph(13, [(v, v + 1) for v in range(12)]),
     Graph(12, [(0, v) for v in range(1, 12)]),
@@ -196,7 +198,14 @@ class TestPauTree:
             for model in MODELS:
                 with pytest.raises(ValueError):
                     pau_tree(g, model)
-            assert count_tree_covers(g.adj, g.full_mask, 0, 0, SolveStats()) is None
+            assert next(_components(g.adj))[1] is None  # the triangle
+
+
+def _rooting(t):
+    """The (order, parent) the component walk gives a connected tree."""
+    [(comp, rooted)] = _components(t.adj)
+    assert comp == t.full_mask and rooted is not None
+    return rooted
 
 
 def _pins(n, rng, p):
@@ -253,7 +262,7 @@ class TestTreeFeasibility:
             want = _searched(t, cover, include, exclude)
             assert _counted(t, include, exclude) == want
             # a vertex pinned both ways admits no cover
-            counted = count_tree_covers(t.adj, t.full_mask, 1, 1, SolveStats())
+            counted = count_tree_covers(_rooting(t), 1, 1, SolveStats())
             assert counted[1:] == (0, None)
         assert checked == 600
 
@@ -266,7 +275,7 @@ class TestTreeFeasibility:
             include = _pins(n, rng, 0.2)
             exclude = _pins(n, rng, 0.2) & ~include
             tau, count, cover = count_tree_covers(
-                t.adj, t.full_mask, include, exclude, SolveStats()
+                _rooting(t), include, exclude, SolveStats()
             )
             inc, exc = _members(include), _members(exclude)
             hits = [sum(1 << v for v in c) for c in covers if consistent(c, inc, exc)]
@@ -282,7 +291,7 @@ class TestTreeFeasibility:
         inc, exc = _members(include), _members(exclude)
         hits = [sum(1 << v for v in c) for c in covers if consistent(c, inc, exc)]
         tau, count, cover = count_tree_covers(
-            t.adj, t.full_mask, include, exclude, SolveStats()
+            _rooting(t), include, exclude, SolveStats()
         )
         assert (tau, count) == (len(covers[0]), min(2, len(hits)))
         assert cover in hits if hits else cover is None
@@ -290,7 +299,7 @@ class TestTreeFeasibility:
     def test_one_decision_per_call(self):
         t = random_tree(50, 7)
         stats = SolveStats()
-        count_tree_covers(t.adj, t.full_mask, 0, 0, stats)
+        count_tree_covers(_rooting(t), 0, 0, stats)
         assert (stats.uvc_calls, stats.nodes_explored) == (1, 0)
         stats = SolveStats()
         is_feasible(t, PreAssignment.including(VertexSet(t.n)), stats=stats)
@@ -391,7 +400,7 @@ class TestTreeScale:
         # Each table is released once merged; keeping them costs over 800
         # bytes a vertex at this size.
         t = random_tree(5_000, seed)
-        rooted = _root(t.adj, t.full_mask)
+        rooted = _rooting(t)
         for include in (True, False):
             tracemalloc.start()
             try:
