@@ -70,7 +70,7 @@ class Cnf1in3:
 def parse_dimacs_cnf(text: str | bytes) -> Cnf1in3:
     """Parse DIMACS CNF with exactly three literals per clause."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("ascii", errors="replace")
     num_vars: int | None = None
     declared = 0
     clauses: list[tuple[int, int, int]] = []

@@ -38,18 +38,19 @@ contains the lexicographically smallest minimum feasible pre-assignment.
   sorted vertex list smaller, so the lexicographically smallest E uses
   pool vertices only.
 
-No candidate needs a search.  The leaves partition the minimum covers, and
-the covers extending leaf L' = (F', p edges) are F' plus one endpoint per
-edge, never a vertex outside F' and the matched set M'.  So the number of
-minimum covers consistent with a candidate is a sum over leaves.  An
-include set I meets a cover of L' only if I lies inside F' | M' and holds
-no edge whole; then each edge I touches has its endpoint fixed and each
-other edge is free, so L' adds 2^(edges I does not touch).  An exclude set
-E avoids a cover of L' only if E misses F' and holds no edge whole; then
-each edge E touches must take its other endpoint, and L' again adds 2^(edges
-E does not touch).  The candidate is feasible iff the sum is exactly 1, and
-the one cover is F' plus the endpoints in I, or F' plus the endpoints
-outside E.
+No candidate needs a search.  The leaves partition the minimum covers.
+``vertex_cover._branch_leaves`` gives each leaf L' as the row (F', M',
+edges): its p edges as two-bit masks and their union M', the matched set.
+The covers extending L' are F' plus one endpoint per edge, never a vertex
+outside F' | M'.  So the number of minimum covers consistent with a
+candidate is a sum over leaves.  An include set I meets a cover of L' only
+if I lies inside F' | M' and holds no edge whole; then each edge I touches
+has its endpoint fixed and each other edge is free, so L' adds 2^(edges I
+does not touch).  An exclude set E avoids a cover of L' only if E misses
+F' and holds no edge whole; then each edge E touches must take its other
+endpoint, and L' again adds 2^(edges E does not touch).  The candidate is
+feasible iff the sum is exactly 1, and the one cover is F' plus the
+endpoints in I, or F' plus the endpoints outside E.
 
 So the first feasible candidate has the optimum size and is the witness
 :func:`solve_enum` returns for the same graph.  Mixed-model questions are
@@ -63,7 +64,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import (
     Graph, Model, PreAssignment, Rooting, VertexSet, _components, _list_order
@@ -75,9 +76,11 @@ from .vertex_cover import (
     SolveStats,
     _bits,
     _branch_leaves,
+    _check_deadline,
     _component_cover,
     _node,
     _remap,
+    _selections,
 )
 
 __all__ = [
@@ -190,20 +193,6 @@ def solve_enum(
 # Fixed-parameter strategies via branching to matchings.
 
 
-_LeafRow = tuple[int, int, tuple[int, ...]]
-
-
-def _leaf_table(
-    leaves: Iterable[tuple[int, tuple[tuple[int, int], ...]]],
-) -> list[_LeafRow]:
-    """Per leaf: the forced mask, the matched mask and each edge's two bits."""
-    table = []
-    for forced, pairs in leaves:
-        edges = tuple((1 << a) | (1 << b) for a, b in pairs)
-        table.append((forced, sum(edges), edges))
-    return table
-
-
 def _leaf_pool(
     adj: tuple[int, ...], active: int, model: Model, forced: int, matched: int
 ) -> list[int]:
@@ -224,7 +213,7 @@ def _candidate_stream(
     adj: tuple[int, ...],
     active: int,
     model: Model,
-    table: list[_LeafRow],
+    table: list[tuple],
     stats: SolveStats,
 ) -> Iterator[int]:
     """Candidate masks by size, each size sorted by vertex list.
@@ -240,14 +229,8 @@ def _candidate_stream(
             if len(edges) > k:
                 continue
             if i not in expanded:
-                selections = [0]
-                for e in edges:
-                    low = e & -e
-                    selections = [
-                        s | pick for s in selections for pick in (low, e ^ low)
-                    ]
                 pool = _leaf_pool(adj, active, model, forced, matched)
-                expanded[i] = (selections, pool)
+                expanded[i] = (_selections(0, edges), pool)
             selections, pool = expanded[i]
             for combo in combinations(pool, k - len(edges)):
                 rest = sum(combo)  # distinct single bits, so the sum is their union
@@ -257,11 +240,11 @@ def _candidate_stream(
         yield from sorted(batch, key=_list_order(active.bit_length()))
 
 
-def _decide(table: list[_LeafRow], model: Model, cand: int) -> int | None:
+def _decide(table: list[tuple], model: Model, cand: int) -> int | None:
     """The unique minimum cover consistent with cand, or None if not unique.
 
-    Counts the consistent minimum covers leaf by leaf, as the module
-    docstring derives, and stops as soon as the count passes 1.
+    Counts the consistent minimum covers over the rows of ``_branch_leaves``,
+    as the module docstring derives, and stops once the count passes 1.
     """
     found = None
     for forced, matched, edges in table:
@@ -288,9 +271,11 @@ def _solve_fpt(
 
     The mixed model is answered in the exclude model.
     """
-    table = _leaf_table(_branch_leaves(adj, active, stats))
+    table = list(_branch_leaves(adj, active, stats))
     for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1
+        if stats.uvc_calls & 1023 == 0:
+            _check_deadline(stats)
         cover = _decide(table, model, cand)
         if cover is not None:
             return (cand, 0, cover) if model is Model.INCLUDE else (0, cand, cover)

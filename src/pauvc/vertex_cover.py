@@ -19,10 +19,13 @@ which only skips subtrees that hold no cover within budget.
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
 visits only nodes that hold a leaf.  Every minimum cover extends one
-leaf, so it folds no degree-1 vertex.  Its leaves drive the
-fixed-parameter solvers, :func:`branch_to_matchings` and
-:func:`enumerate_min_vertex_covers`; the uniqueness test needs no leaves
-and runs :func:`_bounded_cover` directly.
+leaf, so it folds no degree-1 vertex.  A leaf is its forced mask and its
+edges as two-bit masks; :func:`_branch_leaves` maps them to ids and adds
+their union, the row the fixed-parameter solver decides on, and
+:func:`_selections` lists a leaf's 2^p choices of one endpoint per edge,
+for that solver and :func:`enumerate_min_vertex_covers`.
+:func:`branch_to_matchings` returns the leaves as vertex pairs.  The
+uniqueness test needs no leaves and runs :func:`_bounded_cover` directly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator
 
 from .errors import LimitExceeded
 from .graph import Graph, VertexSet, _bits, _components, _list_order
-from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit
+from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit, general_vertex_limit
 
 __all__ = [
     "VcSolution",
@@ -54,8 +57,8 @@ class SolveStats:
     search, and on the fixed-parameter route one per stream candidate,
     each decided by counting its covers over the branching leaves.  When a
     deadline (``time.perf_counter`` value) is set, the search checks it
-    cooperatively every 1024 nodes and raises :class:`LimitExceeded` once
-    it passes.
+    cooperatively every 1024 nodes, and that route every 1024 decisions,
+    and raises :class:`LimitExceeded` once it passes.
     """
 
     __slots__ = ("nodes_explored", "uvc_calls", "elapsed", "deadline")
@@ -107,8 +110,12 @@ _REFUTED_CAP = 1 << 18
 def _node(stats: SolveStats) -> None:
     stats.nodes_explored += 1
     if stats.deadline is not None and stats.nodes_explored & 1023 == 0:
-        if time.perf_counter() > stats.deadline:
-            raise LimitExceeded("time cap exceeded")
+        _check_deadline(stats)
+
+
+def _check_deadline(stats: SolveStats) -> None:
+    if stats.deadline is not None and time.perf_counter() > stats.deadline:
+        raise LimitExceeded("time cap exceeded")
 
 
 def _remap(mask: int, to: list[int] | dict[int, int]) -> int:
@@ -441,9 +448,10 @@ def min_vertex_cover(
     tau(g) exceeds it (the decision variant).  Ties among equal-size
     covers go to the smallest sorted vertex list, so runs are reproducible;
     that minimum composes over components, since the lowest vertex where
-    two unions differ lies in one component.
+    two unions differ lies in one component.  vertex_limit caps each
+    component that is searched, not the whole graph.
     """
-    check_vertex_limit(g.n, vertex_limit)
+    vertex_limit = general_vertex_limit(vertex_limit)
     if bound is not None and _clique_lb(g.adj, g.full_mask) > bound:
         return None
     st = stats if stats is not None else SolveStats()
@@ -451,6 +459,7 @@ def min_vertex_cover(
     for comp, _ in _components(g.adj):
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex
+        check_vertex_limit(comp.bit_count(), vertex_limit)
         upper = None if bound is None else bound - cover.bit_count()
         adj, ids, part, refuted = _component_cover(g.adj, comp, st, upper)
         if part is None:
@@ -541,8 +550,8 @@ def _cover_leaves(
     cover: int,
     stats: SolveStats,
     refuted: dict[int, int],
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Leaves (forced mask, isolated edges) of the take-v / take-N(v) tree.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Leaves (forced mask, two-bit edge masks) of the take-v / take-N(v) tree.
 
     ``cover`` is a minimum cover of the active subgraph, of size k.  The
     walk is depth-first and branches on a maximum-degree vertex v of lowest
@@ -588,12 +597,8 @@ def _cover_leaves(
                     keys[low.bit_length() - 1] -= m
         top = max(keys, default=-1)
         if top < 2 * m:
-            pairs = []
-            for v in _bits(active):
-                nb = adj[v] & active
-                if nb >> v:
-                    pairs.append((v, nb.bit_length() - 1))
-            yield forced, tuple(pairs)
+            nbs = ((1 << v, adj[v] & active) for v in _bits(active))
+            yield forced, tuple(bit | nb for bit, nb in nbs if nb > bit)
             continue
         v = keys.index(top)
         bit = 1 << v
@@ -608,19 +613,29 @@ def _cover_leaves(
 
 def _branch_leaves(
     adj: tuple[int, ...], full: int, stats: SolveStats
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Leaves of the take-v / take-N(v) tree of the full mask's subgraph.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Leaves (forced, matched, edges) of the take-v / take-N(v) tree, by id.
 
-    Relabels the subgraph and finds a minimum cover (:func:`_component_cover`),
-    walks the leaves from it (:func:`_cover_leaves`) on the same table, and
-    maps each leaf back to ids, its edges in ascending order.  Nothing runs
-    until the first leaf is asked for.
+    Relabels the full mask's subgraph, finds a minimum cover
+    (:func:`_component_cover`) and walks the leaves from it
+    (:func:`_cover_leaves`) on the same table.  Each edge maps back to a
+    two-bit id mask, by ascending lower endpoint, and ``matched`` is their
+    union.  Nothing runs until the first leaf is asked for.
     """
     adj, ids, least, refuted = _component_cover(adj, full, stats)
     full = (1 << len(ids)) - 1
-    for forced, pairs in _cover_leaves(adj, ids, full, least, stats, refuted):
-        edges = sorted(tuple(sorted((ids[a], ids[b]))) for a, b in pairs)
-        yield _remap(forced, ids), tuple(edges)
+    for forced, edges in _cover_leaves(adj, ids, full, least, stats, refuted):
+        edges = sorted((_remap(e, ids) for e in edges), key=lambda e: e & -e)
+        yield _remap(forced, ids), sum(edges), tuple(edges)
+
+
+def _selections(base: int, edges: tuple[int, ...]) -> list[int]:
+    """base plus one endpoint of each two-bit edge mask, all 2^p ways, lower first."""
+    out = [base]
+    for e in edges:
+        low = e & -e
+        out = [s | pick for s in out for pick in (low, e ^ low)]
+    return out
 
 
 def enumerate_min_vertex_covers(
@@ -636,20 +651,16 @@ def enumerate_min_vertex_covers(
     plus one endpoint of each matched edge, and the leaves partition the
     minimum covers, so each cover appears exactly once.  Raises
     LimitExceeded when more than max_results covers exist, before
-    expanding the leaf that passes the cap.
+    expanding the leaf that passes the cap.  The walk searches all of g
+    as one instance, so vertex_limit caps the whole graph.
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
-    total = 0
     masks: list[int] = []
-    for forced, pairs in _branch_leaves(g.adj, g.full_mask, st):
-        total += 1 << len(pairs)
-        if total > max_results:
+    for forced, _, edges in _branch_leaves(g.adj, g.full_mask, st):
+        if len(masks) + (1 << len(edges)) > max_results:
             raise LimitExceeded(f"more than {max_results} minimum covers")
-        combos = [forced]
-        for a, b in pairs:
-            combos = [c | (1 << x) for c in combos for x in (a, b)]
-        masks.extend(combos)
+        masks.extend(_selections(forced, edges))
     masks.sort(key=_list_order(g.n))
     return [VertexSet.from_mask(g.n, m) for m in masks]
 
@@ -665,11 +676,14 @@ def branch_to_matchings(
     Returns the leaves whose minimum covers are exactly the minimum covers
     of g extending them: forced vertices plus one endpoint per matching
     edge.  Branches that hold no minimum cover are never walked, so the
-    leaf families partition all minimum covers of g.
+    leaf families partition all minimum covers of g.  The walk searches all
+    of g as one instance, so vertex_limit caps the whole graph.
     """
     check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
     return [
-        BranchLeaf(VertexSet.from_mask(g.n, forced), pairs)
-        for forced, pairs in _branch_leaves(g.adj, g.full_mask, st)
+        BranchLeaf(
+            VertexSet.from_mask(g.n, forced), tuple(tuple(_bits(e)) for e in edges)
+        )
+        for forced, _, edges in _branch_leaves(g.adj, g.full_mask, st)
     ]

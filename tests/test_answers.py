@@ -1,0 +1,37 @@
+"""The answer ledger: every recorded output of every seeded input holds.
+
+``answers.json`` keeps one record per input; ``record_answers.py`` writes
+it and says what each field holds.  Each test rebuilds one input's graph
+from its record and compares every field, so a failure names the input
+and the field that moved.
+"""
+
+import json
+
+import pytest
+
+from pauvc import Graph
+from record_answers import LEDGER, answers
+
+RECORDS = json.loads(LEDGER.read_text())
+
+
+def test_ledger_covers_every_family():
+    families = {r["input"].split("(")[0] for r in RECORDS}
+    assert families == {
+        "gnp", "bipartite_part", "random_union", "build_gc",
+        "build_bipartite_gadget", "random_tree",
+    }
+    assert sum("solve/mixed/fpt" in r for r in RECORDS) >= 100
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[r["input"] for r in RECORDS])
+def test_answers_unchanged(record):
+    g = Graph(record["n"], [tuple(e) for e in record["edges"]])
+    got = answers(g)
+    recorded = {k: v for k, v in record.items() if k not in ("input", "n", "edges")}
+    assert got.keys() == recorded.keys(), f"{record['input']}: fields differ"
+    for field, value in recorded.items():
+        assert got[field] == value, (
+            f"{record['input']}: {field} was {value}, is {got[field]}"
+        )

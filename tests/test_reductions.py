@@ -96,6 +96,7 @@ class TestParseCnf:
             "p cnf 3 1\n1 2 4 0\n",            # variable out of range
             "p sat 3 1\n1 2 3 0\n",            # wrong format tag
             "",                                # empty
+            b"p cnf 1 1\n1 -1 \xff 0\n",        # a byte that is not ASCII
         ],
     )
     def test_malformed(self, text):

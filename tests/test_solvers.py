@@ -14,6 +14,7 @@ from pauvc import (
     SolveStats,
     VertexSet,
     branch_to_matchings,
+    build_bipartite_gadget,
     classify,
     delete,
     enumerate_min_vertex_covers,
@@ -229,8 +230,7 @@ class TestFptSolvers:
             stats = SolveStats()
             refuted = {}
             least = pauvc.vertex_cover._min_cover(g.adj, g.full_mask, stats, refuted)
-            leaves = solvers._branch_leaves(g.adj, g.full_mask, stats)
-            table = solvers._leaf_table(leaves)
+            table = list(solvers._branch_leaves(g.adj, g.full_mask, stats))
             for model in (Model.INCLUDE, Model.EXCLUDE):
                 stream = solvers._candidate_stream(
                     g.adj, g.full_mask, model, table, stats
@@ -468,3 +468,14 @@ class TestResultPayloads:
         g = gnp_graph(60, 0.05, 0)
         with pytest.raises(LimitExceeded):
             solve_fpt_exclude(g, deadline=time.perf_counter() - 1.0)
+
+    def test_deadline_holds_between_decisions(self):
+        # The include solve of this 64-vertex gadget spends seconds deciding
+        # the candidates of its 756 leaves, after the walk's last node.
+        h = gnp_graph(32, 0.15, 0)
+        h = Graph(h.n, [(u, v) for u, v in h.edges() if (u - v) % 2])
+        g = build_bipartite_gadget(h)
+        started = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="time cap exceeded"):
+            solve(g, "include", deadline=started + 1.0)
+        assert time.perf_counter() - started < 2.0

@@ -120,9 +120,19 @@ class TestMinVertexCover:
         assert stats.nodes_explored <= 5_500
 
     def test_vertex_limit(self):
-        g = Graph(4, [(0, 1)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(LimitExceeded):
             min_vertex_cover(g, vertex_limit=3)
+
+    def test_vertex_limit_caps_each_searched_component(self):
+        # 60 disjoint 10-cycles: 600 vertices, over the default cap of 512,
+        # but no component the search takes is.
+        g = Graph(600, [(b + i, b + (i + 1) % 10) for b in range(0, 600, 10)
+                        for i in range(10)])
+        assert min_vertex_cover(g).tau == 300
+        assert min_vertex_cover(Graph(4, [(0, 1)]), vertex_limit=3).tau == 1
+        with pytest.raises(LimitExceeded, match="10 vertices, limit is 9"):
+            min_vertex_cover(g, vertex_limit=9)
 
     def test_stats_counted(self):
         g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
