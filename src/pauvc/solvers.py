@@ -38,6 +38,17 @@ contains the lexicographically smallest minimum feasible pre-assignment.
   sorted vertex list smaller, so the lexicographically smallest E uses
   pool vertices only.
 
+The stream drops the candidates that a swap refutes.  A selection S names
+a target cover U: F plus S (include), or F plus the endpoints outside S
+(exclude).  If u in U has exactly one neighbour w off U, then U - u + w is
+a second minimum cover, so an include set for U needs u and an exclude
+set needs w.  For a matched u, w is its partner, which S settles, so only
+u in F adds a pin.  An exclude pin w is in S or the pool, as no other
+outside vertex neighbours u.  So S contributes S, its pins and a subset of
+the rest of the pool.  A dropped candidate lies inside U or avoids U, so U
+and U - u + w are both consistent with it; the lexicographically smallest
+minimum feasible set holds its target's pins, so the stream stays complete.
+
 No candidate needs a search.  The leaves partition the minimum covers.
 ``vertex_cover._branch_leaves`` gives each leaf L' as the row (F', M',
 edges): its p edges as two-bit masks and their union M', the matched set.
@@ -209,6 +220,31 @@ def _leaf_pool(
     return pool
 
 
+def _pinned_selections(
+    adj: tuple[int, ...], active: int, model: Model, leaf: tuple, stats: SolveStats
+) -> list[tuple[int, int, list[int], list[int]]]:
+    """A leaf's selections as groups (base size, pins, pool less pins, selections)."""
+    forced, matched, edges = leaf
+    include = model is Model.INCLUDE
+    pool = _leaf_pool(adj, active, model, forced, matched)
+    outside = active & ~forced & ~matched
+    swaps = [(1 << u, out, adj[u] & matched)
+             for u in _bits(forced) if (out := adj[u] & outside).bit_count() < 2]
+    groups: dict[int, list[int]] = {}
+    for sel in _selections(0, edges):
+        _node(stats)
+        off = matched ^ sel if include else sel  # matched vertices off the target
+        pins = 0
+        for bit, out, nbrs in swaps:
+            w = out | nbrs & off
+            if w.bit_count() == 1:
+                pins |= bit if include else w
+        groups.setdefault(pins & ~sel, []).append(sel)
+    return [(len(edges) + pins.bit_count(), pins,
+             [b for b in pool if not b & pins] if pins else pool, selections)
+            for pins, selections in groups.items()]
+
+
 def _candidate_stream(
     adj: tuple[int, ...],
     active: int,
@@ -218,25 +254,27 @@ def _candidate_stream(
 ) -> Iterator[int]:
     """Candidate masks by size, each size sorted by vertex list.
 
-    A leaf with p matching edges first contributes at size p, so its 2^p
-    selections and its pool are built only once the stream gets there.
-    Every generated candidate counts as a search node, so deadlines fire.
+    A leaf with p matching edges is expanded once the stream reaches size
+    p: its 2^p selections are grouped by the pins their targets force, and
+    a group contributes from its base size on.  Each selection expanded and
+    each candidate generated counts as a node, so deadlines fire throughout.
     """
-    expanded: dict[int, tuple[list[int], list[int]]] = {}
+    expanded: dict[int, list[tuple[int, int, list[int], list[int]]]] = {}
     for k in range(active.bit_count() + 1):
         batch: set[int] = set()
-        for i, (forced, matched, edges) in enumerate(table):
-            if len(edges) > k:
+        for i, leaf in enumerate(table):
+            if len(leaf[2]) > k:
                 continue
             if i not in expanded:
-                pool = _leaf_pool(adj, active, model, forced, matched)
-                expanded[i] = (_selections(0, edges), pool)
-            selections, pool = expanded[i]
-            for combo in combinations(pool, k - len(edges)):
-                rest = sum(combo)  # distinct single bits, so the sum is their union
-                for sel in selections:
-                    _node(stats)
-                    batch.add(sel | rest)
+                expanded[i] = _pinned_selections(adj, active, model, leaf, stats)
+            for size, pins, pool, selections in expanded[i]:
+                if size > k:
+                    continue
+                for combo in combinations(pool, k - size):
+                    rest = sum(combo) | pins  # distinct bits: the sum is their union
+                    for sel in selections:
+                        _node(stats)
+                        batch.add(sel | rest)
         yield from sorted(batch, key=_list_order(active.bit_length()))
 
 

@@ -52,13 +52,13 @@ __all__ = [
 class SolveStats:
     """Counters threaded through a solver run.
 
-    nodes_explored counts branching nodes and generated pre-assignment
-    candidates.  uvc_calls counts feasibility decisions: one per probe
-    search, and on the fixed-parameter route one per stream candidate,
-    each decided by counting its covers over the branching leaves.  When a
-    deadline (``time.perf_counter`` value) is set, the search checks it
-    cooperatively every 1024 nodes, and that route every 1024 decisions,
-    and raises :class:`LimitExceeded` once it passes.
+    nodes_explored counts branching nodes, generated candidates and
+    expanded leaf selections.  uvc_calls counts feasibility decisions: one
+    per probe search, and on the fixed-parameter route one per stream
+    candidate, each decided by counting its covers over the branching
+    leaves.  When a deadline (``time.perf_counter`` value) is set, the
+    search checks it cooperatively every 1024 nodes, and that route every
+    1024 decisions, and raises :class:`LimitExceeded` once it passes.
     """
 
     __slots__ = ("nodes_explored", "uvc_calls", "elapsed", "deadline")

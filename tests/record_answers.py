@@ -18,7 +18,8 @@ outputs whose contract fixes them (:func:`answers`):
 - ``min_covers``: ``enumerate_min_vertex_covers``, for n <= 16;
 - ``solve/<model>/<algo>``: ``solve``'s optimum, include set, exclude set
   and unique cover, in every model with algo ``auto`` and ``fpt`` for
-  n <= 22, and ``enum`` for n <= 12.
+  n <= 22 and for the inputs of :func:`pinned_inputs`, and ``enum`` for
+  n <= 12.
 
 The node and decision counters are not recorded: speed work moves them.
 A change that re-records the file says which records moved, and why.
@@ -98,8 +99,26 @@ def inputs() -> list[tuple[str, Graph]]:
     return out
 
 
-def answers(g: Graph) -> dict:
-    """Each recorded field of g, as JSON values."""
+def pinned_inputs() -> list[tuple[str, Graph]]:
+    """Larger inputs whose solves are recorded at every n.
+
+    Sparse gnp graphs and gadgets, on which the pins each target cover
+    forces (a forced vertex with one neighbour off the cover) drop most
+    candidates of the fixed-parameter stream.
+    """
+    out = []
+    for n, p, seed in ((30, 0.12, 0), (38, 0.08, 0), (40, 0.12, 0), (50, 0.07, 50),
+                       (52, 0.06, 52), (60, 0.05, 60), (60, 0.06, 60)):
+        out.append((f"gnp({n}, {p}, {seed})", gnp_graph(n, p, seed)))
+    for n in (12, 14, 16, 17, 18):
+        base = bipartite_part(gnp_graph(n, 0.3, n))
+        out.append((f"build_bipartite_gadget(bipartite_part(gnp({n}, 0.3, {n})))",
+                    build_bipartite_gadget(base)))
+    return out
+
+
+def answers(g: Graph, solved: bool) -> dict:
+    """Each recorded field of g, as JSON values, with ``solve`` if solved."""
     out: dict = {
         "leaves": [
             [list(leaf.forced), [list(e) for e in leaf.matching]]
@@ -128,7 +147,7 @@ def answers(g: Graph) -> dict:
         ]
     if g.n <= COVERS_MAX_N:
         out["min_covers"] = [list(c) for c in enumerate_min_vertex_covers(g)]
-    if g.n <= SOLVE_MAX_N:
+    if solved:
         algos = ("auto", "fpt", "enum") if g.n <= ENUM_MAX_N else ("auto", "fpt")
         for model in MODELS:
             for algo in algos:
@@ -142,9 +161,12 @@ def answers(g: Graph) -> dict:
 
 def main() -> None:
     lines = []
-    for name, g in inputs():
+    for (name, g), solved in [
+        *((item, item[1].n <= SOLVE_MAX_N) for item in inputs()),
+        *((item, True) for item in pinned_inputs()),
+    ]:
         record = {"input": name, "n": g.n, "edges": [list(e) for e in g.edges()]}
-        record.update(answers(g))
+        record.update(answers(g, solved))
         lines.append(json.dumps(record, separators=(",", ":")))
     # One record per line, so a diff names the inputs that moved.
     LEDGER.write_text("[\n" + ",\n".join(lines) + "\n]\n")

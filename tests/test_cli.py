@@ -137,8 +137,8 @@ class TestTimeCap:
             assert "time cap must be positive" in capsys.readouterr().err
 
     def test_cap_exit_3(self, tmp_path, capsys):
-        # The include-model solve of this graph runs for well over 10 s.
-        g = write(tmp_path / "g.col", render_dimacs(gnp_graph(150, 0.02, 0)))
+        # The include-model solve of this graph has not ended after 30 s.
+        g = write(tmp_path / "g.col", render_dimacs(gnp_graph(400, 0.0075, 0)))
         rc = main(["solve", g, "--model", "include", "--time-cap", "0.5"])
         assert rc == 3
         assert "time cap exceeded" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from oracles import brute_pau_opt, random_edges, random_union
+from record_answers import bipartite_part
 import pauvc.solvers
 from pauvc import (
     Graph,
@@ -464,18 +465,36 @@ class TestResultPayloads:
         assert r.stats.elapsed >= 0.0
 
     def test_deadline_propagates(self):
-        # About 17,000 nodes; the deadline is read every 1,024.
-        g = gnp_graph(60, 0.05, 0)
+        # About 3,200 nodes; the deadline is read every 1,024.
+        g = gnp_graph(120, 0.03, 0)
         with pytest.raises(LimitExceeded):
             solve_fpt_exclude(g, deadline=time.perf_counter() - 1.0)
 
     def test_deadline_holds_between_decisions(self):
-        # The include solve of this 64-vertex gadget spends seconds deciding
-        # the candidates of its 756 leaves, after the walk's last node.
-        h = gnp_graph(32, 0.15, 0)
-        h = Graph(h.n, [(u, v) for u, v in h.edges() if (u - v) % 2])
-        g = build_bipartite_gadget(h)
+        # The include solve of this 80-vertex gadget walks for under 1 s,
+        # then spends about 20 s expanding the selections of its leaves and
+        # deciding their candidates.
+        g = build_bipartite_gadget(bipartite_part(gnp_graph(40, 0.15, 0)))
         started = time.perf_counter()
         with pytest.raises(LimitExceeded, match="time cap exceeded"):
             solve(g, "include", deadline=started + 1.0)
         assert time.perf_counter() - started < 2.0
+
+    def test_sparse_and_gadget_solves_end_in_time(self):
+        # The pins each target cover forces leave these solves few
+        # candidates to decide: 11 per gnp model and 4 for the gadget.
+        g = gnp_graph(150, 0.02, 0)
+        for model, witness in (
+            ("include", [13, 53, 58, 64, 78, 85, 97]),
+            ("exclude", [3, 19, 58, 61, 85, 97, 100]),
+        ):
+            r = solve(g, model, deadline=time.perf_counter() + 2.0)
+            assert list(r.pre.include if model == "include" else r.pre.exclude) == witness
+        g = build_bipartite_gadget(bipartite_part(gnp_graph(32, 0.15, 0)))
+        started = time.perf_counter()
+        try:
+            opt = solve(g, "include", deadline=started + 5.0).opt_size
+        except LimitExceeded:
+            opt = None
+        assert time.perf_counter() - started < 7.5
+        assert opt in (None, 14)
