@@ -68,6 +68,9 @@ So the first feasible candidate has the optimum size and is the witness
 answered in the exclude model; the two are equivalent instance by
 instance.  Every route works on neighbour masks over an active mask, so
 :func:`solve`, which both wrappers call, runs it per connected component.
+The enumeration and the leaf walk search a component through its record
+(``vertex_cover._Component``), which checks the vertex cap it is given
+before any search.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from typing import Iterator
 from .graph import (
     Graph, Model, PreAssignment, Rooting, VertexSet, _components, _list_order
 )
-from .limits import DEFAULT_ENUM_VERTEX_LIMIT, check_vertex_limit, general_vertex_limit
+from .limits import DEFAULT_ENUM_VERTEX_LIMIT, general_vertex_limit
 from .tree import _tree_pass, count_tree_covers
 from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
@@ -88,9 +91,8 @@ from .vertex_cover import (
     _bits,
     _branch_leaves,
     _check_deadline,
-    _component_cover,
+    _Component,
     _node,
-    _remap,
     _selections,
 )
 
@@ -152,7 +154,11 @@ def _result(
 
 
 def _solve_enum(
-    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    model: Model,
+    stats: SolveStats,
+    vertex_limit: int | None,
 ) -> _Pins:
     """The first feasible pre-assignment of the active subgraph by size.
 
@@ -160,22 +166,21 @@ def _solve_enum(
     by its exclude sets in lexicographic order.  The include model takes
     only include sets of the whole size, the exclude model only the empty one.
     """
-    adj, ids, least, refuted = _component_cover(adj, active, stats)
-    vertices = sorted(range(len(ids)), key=ids.__getitem__)
+    comp = _Component(adj, active, stats, vertex_limit)
+    vertices = comp.order
     for k in range(len(vertices) + 1):
-        prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
+        if model is Model.INCLUDE:
+            prefixes = combinations(vertices, k)
+        else:
+            prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
         for inc in prefixes:
-            if model is Model.INCLUDE and len(inc) < k:
-                continue
             inc_mask = sum(1 << v for v in inc)
             rest = [v for v in vertices if not inc_mask >> v & 1]
             for exc in combinations(rest, k - len(inc)):
                 exc_mask = sum(1 << v for v in exc)
-                ok, cover, _ = _check_pre_assignment(
-                    adj, ids, least, inc_mask, exc_mask, stats, refuted
-                )
+                ok, cover, _ = _check_pre_assignment(comp, inc_mask, exc_mask, stats)
                 if ok:
-                    return tuple(_remap(m, ids) for m in (inc_mask, exc_mask, cover))
+                    return tuple(comp.to_ids(m) for m in (inc_mask, exc_mask, cover))
     raise AssertionError("no feasible pre-assignment found, which cannot happen")
 
 
@@ -193,10 +198,9 @@ def solve_enum(
     the lexicographically smallest minimum feasible pre-assignment.
     """
     model = Model(model)
-    check_vertex_limit(g.n, vertex_limit)
     stats = SolveStats(deadline)
     started = time.perf_counter()
-    pins = _solve_enum(g.adj, g.full_mask, model, stats)
+    pins = _solve_enum(g.adj, g.full_mask, model, stats, vertex_limit)
     return _result(g, model, pins, stats, started)
 
 
@@ -303,13 +307,17 @@ def _decide(table: list[tuple], model: Model, cand: int) -> int | None:
 
 
 def _solve_fpt(
-    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats
+    adj: tuple[int, ...],
+    active: int,
+    model: Model,
+    stats: SolveStats,
+    vertex_limit: int | None,
 ) -> _Pins:
     """The first feasible candidate of the active subgraph's stream.
 
     The mixed model is answered in the exclude model.
     """
-    table = list(_branch_leaves(adj, active, stats))
+    table = list(_branch_leaves(_Component(adj, active, stats, vertex_limit), stats))
     for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1
         if stats.uvc_calls & 1023 == 0:
@@ -433,16 +441,14 @@ def solve(
     inc = exc = cover = 0
     for comp, rooted in _components(g.adj):
         if algo == "enum":
-            check_vertex_limit(comp.bit_count(), enum_vertex_limit)
-            pins = _solve_enum(g.adj, comp, model, stats)
+            pins = _solve_enum(g.adj, comp, model, stats, enum_vertex_limit)
         elif rooted and algo != "fpt":
             pins = _solve_tree(rooted, model, stats)
         elif algo == "tree":
             lowest = (comp & -comp).bit_length() - 1
             raise ValueError(f"component of vertex {lowest} is not a tree")
         else:
-            check_vertex_limit(comp.bit_count(), vertex_limit)
-            pins = _solve_fpt(g.adj, comp, model, stats)
+            pins = _solve_fpt(g.adj, comp, model, stats, vertex_limit)
         inc |= pins[0]
         exc |= pins[1]
         cover |= pins[2]

@@ -14,8 +14,9 @@ before w out, so it takes their neighbours, and the rest of it covers what
 is left minus w within the budget left.  One bounded search per
 out-vertex decides each part, taken in descending residual degree until
 the budget runs out, so a unique cover costs one failed search each.  Each
-component is searched relabeled (``vertex_cover._component_cover``), and
-all its searches share one table of refuted subproblems.
+component is searched through its record (``vertex_cover._Component``),
+which caps and relabels it, and all its searches share the record's table
+of refuted subproblems.
 """
 
 from __future__ import annotations
@@ -24,16 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graph import Graph, PreAssignment, VertexSet, _components, delete
-from .limits import check_vertex_limit, general_vertex_limit
+from .limits import general_vertex_limit
 from .tree import count_tree_covers
-from .vertex_cover import (
-    SolveStats,
-    VcSolution,
-    _bits,
-    _bounded_cover,
-    _component_cover,
-    _remap,
-)
+from .vertex_cover import SolveStats, VcSolution, _bits, _bounded_cover, _Component
 
 __all__ = [
     "Reason",
@@ -77,21 +71,15 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
 
 
 def _consistent(
-    adj: tuple[int, ...],
-    ids: list[int],
-    least: int,
-    inc_mask: int,
-    exc_mask: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
+    comp: _Component, inc_mask: int, exc_mask: int, stats: SolveStats
 ) -> tuple[int, int | None]:
     """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
 
-    ``least`` is a minimum cover of all of the relabeled component; ``ids``
-    gives each label's id.  The residual cover is its part off the forced
-    vertices when it fits the pins, else one search finds one.  A vertex u
-    of it with exactly one residual neighbour w outside it (never none, in a
-    minimum cover) proves a second cover, it minus u plus w, with no search.
+    Pins and cover are in the component's labels.  The residual cover is
+    the part of its minimum cover off the forced vertices when that fits
+    the pins, else one search finds one.  A vertex u of it with exactly
+    one residual neighbour w outside it (never none, in a minimum cover)
+    proves a second cover, it minus u plus w, with no search.
     Otherwise each out-vertex w with a residual neighbour, by descending
     degree and then label, takes one search for a cover of the rest minus
     w within the cover's size less one, where the rest and that budget
@@ -99,10 +87,11 @@ def _consistent(
     and those neighbours, is a second cover.
     """
     stats.uvc_calls += 1
+    adj, least, refuted = comp.adj, comp.least, comp.refuted
     forced = inc_mask
     for v in _bits(exc_mask):
         forced |= adj[v]
-    active = ((1 << len(ids)) - 1) & ~forced & ~exc_mask
+    active = comp.full & ~forced & ~exc_mask
     cover = least & active
     if inc_mask & ~least or exc_mask & least:
         target = least.bit_count() - forced.bit_count()
@@ -136,19 +125,13 @@ _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
 
 
 def _check_pre_assignment(
-    adj: tuple[int, ...],
-    ids: list[int],
-    least: int,
-    inc: int,
-    exc: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
+    comp: _Component, inc: int, exc: int, stats: SolveStats
 ) -> tuple[bool, int | None, Reason | None]:
     """Feasibility of (include, exclude) masks; the rest as in :func:`_consistent`."""
-    conflict = _pin_conflict(adj, inc, exc)
+    conflict = _pin_conflict(comp.adj, inc, exc)
     if conflict is not None:
         return False, None, conflict
-    count, cover = _consistent(adj, ids, least, inc, exc, stats, refuted)
+    count, cover = _consistent(comp, inc, exc, stats)
     return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
 
 
@@ -159,8 +142,8 @@ def _probe(
 
     A pin conflict is answered with no cover and no search.  Otherwise one
     walk splits g into components; a tree component takes the linear count
-    on the walk's rooting, any other the capped search on its relabeled
-    copy.  Counts multiply (capped at 2) and covers unite.
+    on the walk's rooting, any other the search on its record, which caps
+    it.  Counts multiply (capped at 2) and covers unite.
     """
     vertex_limit = general_vertex_limit(vertex_limit)
     st = stats if stats is not None else SolveStats()
@@ -169,17 +152,14 @@ def _probe(
         return conflict, None
     cover = 0
     count = 1
-    for comp, rooted in _components(g.adj):
-        pins = (inc & comp, exc & comp)
+    for mask, rooted in _components(g.adj):
         if rooted:
-            _, ways, part = count_tree_covers(rooted, *pins, st)
+            _, ways, part = count_tree_covers(rooted, inc & mask, exc & mask, st)
         else:
-            check_vertex_limit(comp.bit_count(), vertex_limit)
-            adj, ids, least, refuted = _component_cover(g.adj, comp, st)
-            label = {v: r for r, v in enumerate(ids)}
-            pins = [_remap(p, label) for p in pins]
-            ways, part = _consistent(adj, ids, least, *pins, st, refuted)
-            part = _remap(part or 0, ids)
+            comp = _Component(g.adj, mask, st, vertex_limit)
+            pins = comp.to_labels(inc & mask), comp.to_labels(exc & mask)
+            ways, part = _consistent(comp, *pins, st)
+            part = comp.to_ids(part or 0)
         count = min(2, count * ways)
         cover |= part or 0
     return _REASON_BY_COUNT[count], cover if count else None

@@ -3,18 +3,19 @@
 Every search runs on bit masks, so a subproblem is just an active mask,
 and keeps its open subproblems on an explicit stack, so no graph is too
 deep for it.  Callers split a graph with ``graph._components`` and search
-each component on a copy relabeled in ascending degree (:func:`_relabel`),
-mapping covers and leaves back.  :func:`_bounded_cover` needs only one
-cover within a budget.  In one pass per node it grows a greedy clique
-partition (:func:`_clique_lb` is its bound) and folds isolated and
-degree-1 vertices on the way; it prunes by the partition and branches over
-every vertex of its last cliques, one of which every cover within budget
-leaves out.  Grown from the lowest degrees, the partition leaves the high
+each component through one record, :class:`_Component`, which checks the
+vertex cap, relabels the component in ascending degree, finds its minimum
+cover and maps masks between ids and labels.  :func:`_bounded_cover`
+needs only one cover within a budget.  In one pass per node it grows a
+greedy clique partition (:func:`_clique_lb` is its bound) and folds
+isolated and degree-1 vertices on the way; it prunes by the partition and
+branches over every vertex of its last cliques, one of which every cover
+within budget leaves out.  Grown from the lowest degrees, the partition leaves the high
 degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
 :func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`),
 polished by (1,2)-swaps (:func:`_improve`) when above the bound.  The
-searches on one component share a table of the subproblems they refute,
-which only skips subtrees that hold no cover within budget.
+searches on one component share its record's table of the subproblems
+they refute, which only skips subtrees that hold no cover within budget.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .errors import LimitExceeded
@@ -121,27 +123,6 @@ def _check_deadline(stats: SolveStats) -> None:
 def _remap(mask: int, to: list[int] | dict[int, int]) -> int:
     """The mask with each bit v moved to bit to[v]."""
     return sum(1 << to[v] for v in _bits(mask))
-
-
-def _relabel(adj: tuple[int, ...], active: int) -> tuple[tuple[int, ...], list[int]]:
-    """The active subgraph relabeled 0..m-1 in ascending degree, ties by id.
-
-    Returns its adjacency and the id of each label.
-    """
-    ids = sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
-    label_bit = [0] * len(adj)
-    for r, v in enumerate(ids):
-        label_bit[v] = 1 << r
-    rows = []
-    for v in ids:
-        row = 0
-        nb = adj[v] & active
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            row |= label_bit[low.bit_length() - 1]
-        rows.append(row)
-    return tuple(rows), ids
 
 
 def _clique_lb(adj: tuple[int, ...], active: int) -> int:
@@ -392,41 +373,79 @@ def _min_cover(
     return best
 
 
-def _component_cover(
-    adj: tuple[int, ...], comp: int, stats: SolveStats, upper: int | None = None
-) -> tuple[tuple[int, ...], list[int], int | None, dict[int, int]]:
-    """Relabel comp (:func:`_relabel`) and find its minimum cover on a new table."""
-    adj, ids = _relabel(adj, comp)
-    refuted: dict[int, int] = {}
-    least = _min_cover(adj, (1 << len(ids)) - 1, stats, refuted, upper=upper)
-    assert least is not None or upper is not None
-    return adj, ids, least, refuted
+class _Component:
+    """One searched component: capped, relabeled and tau-searched.
+
+    ``adj`` is the component relabeled 0..m-1 in ascending degree, ties by
+    id, ``ids`` gives each label's id, ``order`` lists the labels in
+    ascending id order and ``full`` is the mask of all of them.  ``least``
+    is a minimum cover in labels, found by :func:`_min_cover` (None when
+    tau exceeds ``upper``), and ``refuted`` is the table of refuted
+    subproblems that every search on the component shares.  The cap is
+    checked before anything is relabeled.
+    """
+
+    __slots__ = ("adj", "ids", "order", "full", "least", "refuted", "_label_bit")
+
+    def __init__(
+        self,
+        adj: tuple[int, ...],
+        comp: int,
+        stats: SolveStats,
+        vertex_limit: int | None,
+        upper: int | None = None,
+    ) -> None:
+        check_vertex_limit(comp.bit_count(), vertex_limit)
+        ids = sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
+        label_bit = [0] * len(adj)  # by id; 0 outside the component
+        for r, v in enumerate(ids):
+            label_bit[v] = 1 << r
+        rows = []
+        for v in ids:
+            row = 0
+            nb = adj[v] & comp
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                row |= label_bit[low.bit_length() - 1]
+            rows.append(row)
+        self.adj = tuple(rows)
+        self.ids = ids
+        self.order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.full = (1 << len(ids)) - 1
+        self.refuted: dict[int, int] = {}
+        self.least = _min_cover(self.adj, self.full, stats, self.refuted, upper)
+        self._label_bit = label_bit
+
+    def to_labels(self, mask: int) -> int:
+        """The id mask, a part of the component, in labels."""
+        return sum(self._label_bit[v] for v in _bits(mask))
+
+    def to_ids(self, mask: int) -> int:
+        """The label mask in ids."""
+        return _remap(mask, self.ids)
 
 
-def _lex_min_cover(
-    adj: tuple[int, ...],
-    ids: list[int],
-    cover: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
-) -> int:
-    """The lexicographically smallest minimum cover of a relabeled component, by id.
+def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
+    """The lexicographically smallest minimum cover of a component, by id, in labels.
 
     Walks the labels in ascending id order, keeping v whenever some
-    minimum cover extends the decisions so far with v included.  ``cover``,
-    a minimum cover, is kept agreeing with the decisions, so a vertex in it
-    is kept with no search; any other takes one bounded search, and the
-    minimum cover it finds, if any, becomes ``cover``.
+    minimum cover extends the decisions so far with v included.  The
+    cover held, at first the component's minimum cover, is kept agreeing
+    with the decisions, so a vertex in it is kept with no search; any
+    other takes one bounded search, and the minimum cover it finds, if
+    any, becomes the cover held.
     """
+    adj, cover = comp.adj, comp.least
     tau = cover.bit_count()
     out_nb = decided = 0  # neighbours of the vertices decided out; all decided
-    for v in sorted(range(len(ids)), key=ids.__getitem__):
+    for v in comp.order:
         decided |= 1 << v
         if cover >> v & 1:
             continue
         forced = (cover & decided) | (1 << v) | out_nb
-        rest = ((1 << len(ids)) - 1) & ~decided & ~forced
-        found = _bounded_cover(adj, rest, tau - forced.bit_count(), stats, refuted)
+        rest = comp.full & ~decided & ~forced
+        found = _bounded_cover(adj, rest, tau - forced.bit_count(), stats, comp.refuted)
         if found is None:
             out_nb |= adj[v]
         else:
@@ -443,8 +462,8 @@ def min_vertex_cover(
 ) -> VcSolution | None:
     """Compute tau(g) and the lexicographically smallest minimum cover.
 
-    Solves per connected component, relabeled (:func:`_relabel`), from the
-    cover its tau search finds.  With a bound, returns None as soon as
+    Solves per connected component (:class:`_Component`), from the cover
+    its tau search finds.  With a bound, returns None as soon as
     tau(g) exceeds it (the decision variant).  Ties among equal-size
     covers go to the smallest sorted vertex list, so runs are reproducible;
     that minimum composes over components, since the lowest vertex where
@@ -456,15 +475,14 @@ def min_vertex_cover(
         return None
     st = stats if stats is not None else SolveStats()
     cover = 0
-    for comp, _ in _components(g.adj):
-        if comp & (comp - 1) == 0:
+    for mask, _ in _components(g.adj):
+        if mask & (mask - 1) == 0:
             continue  # an isolated vertex
-        check_vertex_limit(comp.bit_count(), vertex_limit)
         upper = None if bound is None else bound - cover.bit_count()
-        adj, ids, part, refuted = _component_cover(g.adj, comp, st, upper)
-        if part is None:
+        comp = _Component(g.adj, mask, st, vertex_limit, upper)
+        if comp.least is None:
             return None
-        cover |= _remap(_lex_min_cover(adj, ids, part, st, refuted), ids)
+        cover |= comp.to_ids(_lex_min_cover(comp, st))
     return VcSolution(cover.bit_count(), VertexSet.from_mask(g.n, cover))
 
 
@@ -544,20 +562,15 @@ def min_vertex_cover_bipartite(
 
 
 def _cover_leaves(
-    adj: tuple[int, ...],
-    ids: list[int],
-    active: int,
-    cover: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
+    comp: _Component, active: int, cover: int, stats: SolveStats
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Leaves (forced mask, two-bit edge masks) of the take-v / take-N(v) tree.
 
-    ``cover`` is a minimum cover of the active subgraph, of size k.  The
-    walk is depth-first and branches on a maximum-degree vertex v of lowest
-    id (``ids`` gives each label's id, so relabeling keeps the tree), the
-    take-v child first, until only isolated edges remain.  Each
-    stack entry carries a cover of its residual within budget
+    ``active`` is a subset of the component's labels and ``cover`` a
+    minimum cover of its subgraph, of size k.  The walk is depth-first and
+    branches on a maximum-degree vertex v of lowest id (so relabeling
+    keeps the tree), the take-v child first, until only isolated edges
+    remain.  Each stack entry carries a cover of its residual within budget
     k - |forced|, or -1: the child the cover takes inherits it, and the
     other gets one :func:`_bounded_cover` search when popped, and is
     dropped if that finds none.  So every node visited holds a leaf, and
@@ -568,10 +581,11 @@ def _cover_leaves(
     is below 2m is a leaf.  Each entry carries its parent's keys and the
     vertices it removed, applied to a copy once it survives its search.
     """
+    adj, refuted = comp.adj, comp.refuted
     k = cover.bit_count()
-    m = len(ids)
+    m = len(comp.ids)
     keys = [-1] * m
-    for rank, v in enumerate(sorted(range(m), key=ids.__getitem__, reverse=True)):
+    for rank, v in enumerate(reversed(comp.order)):
         if active >> v & 1:
             keys[v] = (adj[v] & active).bit_count() * m + rank
     stack = [(active, 0, cover, keys, 0)]
@@ -612,30 +626,27 @@ def _cover_leaves(
 
 
 def _branch_leaves(
-    adj: tuple[int, ...], full: int, stats: SolveStats
+    comp: _Component, stats: SolveStats
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Leaves (forced, matched, edges) of the take-v / take-N(v) tree, by id.
 
-    Relabels the full mask's subgraph, finds a minimum cover
-    (:func:`_component_cover`) and walks the leaves from it
-    (:func:`_cover_leaves`) on the same table.  Each edge maps back to a
-    two-bit id mask, by ascending lower endpoint, and ``matched`` is their
-    union.  Nothing runs until the first leaf is asked for.
+    Walks the component's leaves from its minimum cover
+    (:func:`_cover_leaves`).  Each edge maps back to a two-bit id mask, by
+    ascending lower endpoint, and ``matched`` is their union.
     """
-    adj, ids, least, refuted = _component_cover(adj, full, stats)
-    full = (1 << len(ids)) - 1
-    for forced, edges in _cover_leaves(adj, ids, full, least, stats, refuted):
-        edges = sorted((_remap(e, ids) for e in edges), key=lambda e: e & -e)
-        yield _remap(forced, ids), sum(edges), tuple(edges)
+    for forced, edges in _cover_leaves(comp, comp.full, comp.least, stats):
+        edges = sorted(map(comp.to_ids, edges), key=lambda e: e & -e)
+        yield comp.to_ids(forced), sum(edges), tuple(edges)
 
 
-def _selections(base: int, edges: tuple[int, ...]) -> list[int]:
-    """base plus one endpoint of each two-bit edge mask, all 2^p ways, lower first."""
-    out = [base]
-    for e in edges:
-        low = e & -e
-        out = [s | pick for s in out for pick in (low, e ^ low)]
-    return out
+def _selections(base: int, edges: tuple[int, ...]) -> Iterator[int]:
+    """base plus one endpoint of each two-bit edge mask, all 2^p ways, one at a time.
+
+    The first edge varies slowest, and each edge gives its lower endpoint
+    first.
+    """
+    for picks in product(*((e & -e, e & (e - 1)) for e in edges)):
+        yield base | sum(picks)  # distinct bits: the sum is their union
 
 
 def enumerate_min_vertex_covers(
@@ -654,10 +665,10 @@ def enumerate_min_vertex_covers(
     expanding the leaf that passes the cap.  The walk searches all of g
     as one instance, so vertex_limit caps the whole graph.
     """
-    check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
+    comp = _Component(g.adj, g.full_mask, st, vertex_limit)
     masks: list[int] = []
-    for forced, _, edges in _branch_leaves(g.adj, g.full_mask, st):
+    for forced, _, edges in _branch_leaves(comp, st):
         if len(masks) + (1 << len(edges)) > max_results:
             raise LimitExceeded(f"more than {max_results} minimum covers")
         masks.extend(_selections(forced, edges))
@@ -679,11 +690,11 @@ def branch_to_matchings(
     leaf families partition all minimum covers of g.  The walk searches all
     of g as one instance, so vertex_limit caps the whole graph.
     """
-    check_vertex_limit(g.n, vertex_limit)
     st = stats if stats is not None else SolveStats()
+    comp = _Component(g.adj, g.full_mask, st, vertex_limit)
     return [
         BranchLeaf(
             VertexSet.from_mask(g.n, forced), tuple(tuple(_bits(e)) for e in edges)
         )
-        for forced, _, edges in _branch_leaves(g.adj, g.full_mask, st)
+        for forced, _, edges in _branch_leaves(comp, st)
     ]

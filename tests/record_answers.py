@@ -19,7 +19,11 @@ outputs whose contract fixes them (:func:`answers`):
 - ``solve/<model>/<algo>``: ``solve``'s optimum, include set, exclude set
   and unique cover, in every model with algo ``auto`` and ``fpt`` for
   n <= 22 and for the inputs of :func:`pinned_inputs`, and ``enum`` for
-  n <= 12.
+  n <= 12;
+- ``solve_enum/<model>``: ``solve_enum``'s optimum, include set, exclude
+  set and unique cover on the whole graph, for n <= 12;
+- ``pau_tree/<model>``: ``pau_tree``'s tau, optimum, include set and
+  exclude set, for the inputs that are connected trees.
 
 The node and decision counters are not recorded: speed work moves them.
 A change that re-records the file says which records moved, and why.
@@ -36,19 +40,23 @@ from oracles import random_union
 from pauvc import (
     Cnf1in3,
     Graph,
+    GraphKind,
     Model,
     PreAssignment,
     VertexSet,
     branch_to_matchings,
     build_bipartite_gadget,
     build_gc,
+    classify,
     enumerate_min_vertex_covers,
     gnp_graph,
     has_unique_min_vc,
     is_feasible,
     min_vertex_cover,
+    pau_tree,
     random_tree,
     solve,
+    solve_enum,
 )
 
 LEDGER = Path(__file__).with_name("answers.json")
@@ -156,6 +164,19 @@ def answers(g: Graph, solved: bool) -> dict:
                     r.opt_size, list(r.pre.include), list(r.pre.exclude),
                     list(r.unique_cover),
                 ]
+        if g.n <= ENUM_MAX_N:
+            for model in MODELS:
+                r = solve_enum(g, model)
+                out[f"solve_enum/{model}"] = [
+                    r.opt_size, list(r.pre.include), list(r.pre.exclude),
+                    list(r.unique_cover),
+                ]
+    if classify(g).kind is GraphKind.TREE:
+        for model in MODELS:
+            t = pau_tree(g, model)
+            out[f"pau_tree/{model}"] = [
+                t.tau, t.opt, list(t.witness.include), list(t.witness.exclude),
+            ]
     return out
 
 

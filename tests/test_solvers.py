@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -229,9 +230,8 @@ class TestFptSolvers:
             edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
             g = Graph(n, edges)
             stats = SolveStats()
-            refuted = {}
-            least = pauvc.vertex_cover._min_cover(g.adj, g.full_mask, stats, refuted)
-            table = list(solvers._branch_leaves(g.adj, g.full_mask, stats))
+            comp = pauvc.vertex_cover._Component(g.adj, g.full_mask, stats, None)
+            table = list(solvers._branch_leaves(comp, stats))
             for model in (Model.INCLUDE, Model.EXCLUDE):
                 stream = solvers._candidate_stream(
                     g.adj, g.full_mask, model, table, stats
@@ -240,10 +240,11 @@ class TestFptSolvers:
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
                     ok, cover, _ = solvers._check_pre_assignment(
-                        g.adj, range(n), least, inc, exc, stats, refuted
+                        comp, comp.to_labels(inc), comp.to_labels(exc), stats
                     )
                     got = solvers._decide(table, model, cand)
-                    assert got == (cover if ok else None), (n, edges, model, cand)
+                    want = comp.to_ids(cover) if ok else None
+                    assert got == want, (n, edges, model, cand)
                     verdicts[ok] += 1
         assert min(verdicts.values()) >= 100
 
@@ -479,6 +480,24 @@ class TestResultPayloads:
         with pytest.raises(LimitExceeded, match="time cap exceeded"):
             solve(g, "include", deadline=started + 1.0)
         assert time.perf_counter() - started < 2.0
+
+    def test_wide_leaf_reads_the_deadline_as_it_expands(self):
+        # A leaf of 20 disjoint edges has 1,048,576 selections, about 60 MB
+        # when all are built before the first deadline check.
+        g = Graph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+        leaf = (0, g.full_mask, tuple(3 << 2 * i for i in range(20)))
+        for model in (Model.INCLUDE, Model.EXCLUDE):
+            stats = SolveStats(time.perf_counter() - 1.0)
+            tracemalloc.start()
+            try:
+                with pytest.raises(LimitExceeded, match="time cap exceeded"):
+                    pauvc.solvers._pinned_selections(
+                        g.adj, g.full_mask, model, leaf, stats
+                    )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (model, peak)
 
     def test_sparse_and_gadget_solves_end_in_time(self):
         # The pins each target cover forces leave these solves few

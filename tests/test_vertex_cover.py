@@ -335,7 +335,7 @@ class TestSearchKernel:
         # these 120 searches took 2-5 nodes.
         for s in range(60):
             t = random_tree(5 + 3 * s, s)
-            adj, _ = vertex_cover._relabel(t.adj, t.full_mask)
+            adj = vertex_cover._Component(t.adj, t.full_mask, SolveStats(), None).adj
             tau = min_vertex_cover(t).tau
             for k in (tau, tau - 1):
                 stats = SolveStats()
