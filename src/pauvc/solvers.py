@@ -154,11 +154,7 @@ def _result(
 
 
 def _solve_enum(
-    adj: tuple[int, ...],
-    active: int,
-    model: Model,
-    stats: SolveStats,
-    vertex_limit: int | None,
+    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats, cap: int | None
 ) -> _Pins:
     """The first feasible pre-assignment of the active subgraph by size.
 
@@ -166,13 +162,15 @@ def _solve_enum(
     by its exclude sets in lexicographic order.  The include model takes
     only include sets of the whole size, the exclude model only the empty one.
     """
-    comp = _Component(adj, active, stats, vertex_limit)
+    comp = _Component(adj, active, stats, cap)
     vertices = comp.order
     for k in range(len(vertices) + 1):
         if model is Model.INCLUDE:
             prefixes = combinations(vertices, k)
+        elif model is Model.EXCLUDE:
+            prefixes = [()]
         else:
-            prefixes = [()] if model is Model.EXCLUDE else _include_prefixes(vertices, k)
+            prefixes = _include_prefixes(vertices, k)
         for inc in prefixes:
             inc_mask = sum(1 << v for v in inc)
             rest = [v for v in vertices if not inc_mask >> v & 1]
@@ -307,17 +305,13 @@ def _decide(table: list[tuple], model: Model, cand: int) -> int | None:
 
 
 def _solve_fpt(
-    adj: tuple[int, ...],
-    active: int,
-    model: Model,
-    stats: SolveStats,
-    vertex_limit: int | None,
+    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats, cap: int | None
 ) -> _Pins:
     """The first feasible candidate of the active subgraph's stream.
 
     The mixed model is answered in the exclude model.
     """
-    table = list(_branch_leaves(_Component(adj, active, stats, vertex_limit), stats))
+    table = list(_branch_leaves(_Component(adj, active, stats, cap), stats))
     for cand in _candidate_stream(adj, active, model, table, stats):
         stats.uvc_calls += 1
         if stats.uvc_calls & 1023 == 0:

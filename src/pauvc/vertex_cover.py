@@ -642,11 +642,18 @@ def _branch_leaves(
 def _selections(base: int, edges: tuple[int, ...]) -> Iterator[int]:
     """base plus one endpoint of each two-bit edge mask, all 2^p ways, one at a time.
 
-    The first edge varies slowest, and each edge gives its lower endpoint
-    first.
+    The first edge varies slowest, each giving its lower endpoint first.
+    The last ten edges' 1,024 choices are listed once, each built from the
+    one before, and the first edges' picks vary over them: O(1) each.
     """
-    for picks in product(*((e & -e, e & (e - 1)) for e in edges)):
-        yield base | sum(picks)  # distinct bits: the sum is their union
+    tails = [0]
+    for e in edges[-10:]:
+        low = e & -e
+        tails = [t | pick for t in tails for pick in (low, e ^ low)]
+    for picks in product(*((e & -e, e & (e - 1)) for e in edges[:-10])):
+        head = base | sum(picks)  # distinct bits: the sum is their union
+        for t in tails:
+            yield head | t
 
 
 def enumerate_min_vertex_covers(

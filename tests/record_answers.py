@@ -125,6 +125,14 @@ def pinned_inputs() -> list[tuple[str, Graph]]:
     return out
 
 
+def cases() -> list[tuple[str, Graph, bool]]:
+    """Every recorded input, in ledger order, and whether its solves are recorded."""
+    return [
+        *((name, g, g.n <= SOLVE_MAX_N) for name, g in inputs()),
+        *((name, g, True) for name, g in pinned_inputs()),
+    ]
+
+
 def answers(g: Graph, solved: bool) -> dict:
     """Each recorded field of g, as JSON values, with ``solve`` if solved."""
     out: dict = {
@@ -182,10 +190,7 @@ def answers(g: Graph, solved: bool) -> dict:
 
 def main() -> None:
     lines = []
-    for (name, g), solved in [
-        *((item, item[1].n <= SOLVE_MAX_N) for item in inputs()),
-        *((item, True) for item in pinned_inputs()),
-    ]:
+    for name, g, solved in cases():
         record = {"input": name, "n": g.n, "edges": [list(e) for e in g.edges()]}
         record.update(answers(g, solved))
         lines.append(json.dumps(record, separators=(",", ":")))

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from pauvc import Graph
-from record_answers import LEDGER, SOLVE_MAX_N, answers
+from record_answers import LEDGER, SOLVE_MAX_N, answers, cases
 
 RECORDS = json.loads(LEDGER.read_text())
 
@@ -23,6 +23,17 @@ def test_ledger_covers_every_family():
         "build_bipartite_gadget", "random_tree",
     }
     assert sum("solve/mixed/fpt" in r for r in RECORDS) >= 100
+
+
+def test_ledger_holds_the_recorders_inputs():
+    # The other tests rebuild each graph from its record; this one checks
+    # that the records are the recorder's inputs, in order, each solved
+    # where the recorder solves it.
+    want = [(name, g.n, [list(e) for e in g.edges()], solved)
+            for name, g, solved in cases()]
+    got = [(r["input"], r["n"], r["edges"], "solve/include/auto" in r)
+           for r in RECORDS]
+    assert got == want
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[r["input"] for r in RECORDS])

@@ -230,8 +230,10 @@ class TestFptSolvers:
             edges = random_edges(n, rng.uniform(0.15, 0.75), rng)
             g = Graph(n, edges)
             stats = SolveStats()
+            # The table and the reference search each get their own record.
+            walked = pauvc.vertex_cover._Component(g.adj, g.full_mask, stats, None)
+            table = list(solvers._branch_leaves(walked, stats))
             comp = pauvc.vertex_cover._Component(g.adj, g.full_mask, stats, None)
-            table = list(solvers._branch_leaves(comp, stats))
             for model in (Model.INCLUDE, Model.EXCLUDE):
                 stream = solvers._candidate_stream(
                     g.adj, g.full_mask, model, table, stats

@@ -216,9 +216,15 @@ def _members(mask):
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
-def _searched(t, include, exclude):
-    """The cover-search verdict that graphs other than trees get."""
+def _searched(t, least, include, exclude):
+    """The cover-search verdict that graphs other than trees get.
+
+    The search starts from the minimum cover least, by id, on an empty
+    table of refuted subproblems.
+    """
     comp = pauvc.vertex_cover._Component(t.adj, t.full_mask, SolveStats(), None)
+    comp.least = comp.to_labels(least)
+    comp.refuted.clear()
     ok, cover, reason = pauvc.solvers._check_pre_assignment(
         comp, comp.to_labels(include), comp.to_labels(exclude), SolveStats()
     )
@@ -255,12 +261,12 @@ class TestTreeFeasibility:
                 for pins in pin_sets:
                     include, exclude = (pins, 0) if model == "include" else (0, pins)
                     got = _counted(t, include, exclude)
-                    want = _searched(t, include, exclude)
+                    want = _searched(t, cover, include, exclude)
                     assert got == want, (t.edges(), pins)
                     checked += 1
             include = _pins(n, rng, 0.15)
             exclude = _pins(n, rng, 0.15) & ~include
-            want = _searched(t, include, exclude)
+            want = _searched(t, cover, include, exclude)
             assert _counted(t, include, exclude) == want
             # a vertex pinned both ways admits no cover
             counted = count_tree_covers(_rooting(t), 1, 1, SolveStats())

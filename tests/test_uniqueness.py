@@ -399,7 +399,10 @@ class TestPerComponentProbe:
             n, edges = random_union(40, 12, rng)
             g = Graph(n, edges)
             sol = min_vertex_cover(g)
+            # The reference starts from the lexicographic cover, not the
+            # probe's tau search, on an empty table each time.
             comp = vertex_cover._Component(g.adj, g.full_mask, SolveStats(), None)
+            comp.least = comp.to_labels(sol.cover.mask)
             inside = list(sol.cover)
             outside = [v for v in range(n) if v not in sol.cover]
             pin_sets = []
@@ -416,6 +419,7 @@ class TestPerComponentProbe:
             for inc, exc in pin_sets:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
+                comp.refuted.clear()
                 ok, cover, reason = _check_pre_assignment(
                     comp, comp.to_labels(pa.include.mask),
                     comp.to_labels(pa.exclude.mask), SolveStats(),
@@ -470,7 +474,8 @@ class TestPerComponentProbe:
 
 
 def _walk_count(comp, inc, exc):
-    """(count, cover) of _consistent from the leaf walk alone, on a fresh record."""
+    """(count, cover) of _consistent from the leaf walk alone, on an empty table."""
+    comp.refuted.clear()
     adj, least = comp.adj, comp.least
     forced = inc
     for v in range(len(comp.ids)):
