@@ -10,8 +10,9 @@ needs only one cover within a budget.  In one pass per node it grows a
 greedy clique partition (:func:`_clique_lb` is its bound) and folds
 isolated and degree-1 vertices on the way; it prunes by the partition and
 branches over every vertex of its last cliques, one of which every cover
-within budget leaves out.  Grown from the lowest degrees, the partition leaves the high
-degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
+within budget leaves out, less those unit propagation (Li and Quan's MaxSAT
+reasoning) refutes.  Grown from the lowest degrees, the partition leaves the
+high degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
 :func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`),
 polished by (1,2)-swaps (:func:`_improve`) when above the bound.  The
 searches on one component share its record's table of the subproblems
@@ -176,6 +177,18 @@ def _bounded_cover(
     partition order: the i-th child leaves the i-th tail vertex out, taking
     its neighbours, and takes the tail vertices before it.
 
+    Unit propagation over the partition (Li and Quan's MaxSAT reasoning,
+    2010) drops children first.  From the last child back, it chooses the
+    vertex v a child leaves out, takes v's neighbours and propagates over
+    the first need - 1 cliques no conflict has used: a clique all taken is
+    a conflict, one with a single vertex left chooses it.  A conflict uses
+    up the cliques it read and drops v's child; the first v with none ends
+    the filter.  A dropped child takes the tail before it, so its
+    independent set lies in those cliques and the dropped vertices, at
+    most one in each, and misses one of each conflict's disjoint group (v
+    and its cliques): it has at most need - 1.  The kept children keep
+    their order, so the same cover comes first.
+
     Under the children of each branching frame lies a marker (cover -1):
     popping it means no child held a cover, so the frame's active mask and
     budget as popped, before its folds, go into ``refuted``, which maps an
@@ -242,8 +255,10 @@ def _bounded_cover(
         if not tail:
             continue  # fewer than need cliques, as when k < 0
         stack.append((*key, -1))
+        dropped = _dropped_tail(adj, cliques, need) if need > 1 else 0
         children = []
         for clique in reversed(tail):
+            clique &= ~dropped
             while clique:
                 v = clique.bit_length() - 1
                 bit = 1 << v
@@ -256,6 +271,40 @@ def _bounded_cover(
                 k -= 1
         stack.extend(reversed(children))
     return None
+
+
+def _conflict(adj: tuple[int, ...], taken: int, cliques: list[int]) -> int:
+    """The cliques unit propagation reads until one is all ``taken``, as a mask; or 0."""
+    used = 0
+    while True:
+        left = []
+        for c in cliques:
+            free = c & ~taken
+            if free & (free - 1):
+                left.append(c)
+            elif not free:
+                return used | c
+            else:
+                taken |= adj[free.bit_length() - 1]
+                used |= c
+        if len(left) == len(cliques):
+            return 0
+        cliques = left
+
+
+def _dropped_tail(adj: tuple[int, ...], cliques: list[int], need: int) -> int:
+    """Mask of the tail vertices whose children :func:`_bounded_cover` drops."""
+    prefix, dropped = cliques[: need - 1], 0
+    for clique in cliques[need - 1 :]:
+        while clique:
+            bit = clique & -clique
+            clique ^= bit
+            used = _conflict(adj, adj[bit.bit_length() - 1], prefix)
+            if not used:
+                return dropped
+            dropped |= bit
+            prefix = [c for c in prefix if not c & used]
+    return dropped
 
 
 def _greedy_cover(adj: tuple[int, ...], active: int) -> int:
@@ -385,7 +434,7 @@ class _Component:
     checked before anything is relabeled.
     """
 
-    __slots__ = ("adj", "ids", "order", "full", "least", "refuted", "_label_bit")
+    __slots__ = ("adj", "ids", "order", "full", "least", "refuted", "_label_bit", "_lo")
 
     def __init__(
         self,
@@ -397,13 +446,14 @@ class _Component:
     ) -> None:
         check_vertex_limit(comp.bit_count(), vertex_limit)
         ids = sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
-        label_bit = [0] * len(adj)  # by id; 0 outside the component
+        lo = max((comp & -comp).bit_length() - 1, 0)  # the lowest id
+        label_bit = [0] * (comp.bit_length() - lo)  # by id - lo; 0 outside
         for r, v in enumerate(ids):
-            label_bit[v] = 1 << r
+            label_bit[v - lo] = 1 << r
         rows = []
         for v in ids:
             row = 0
-            nb = adj[v] & comp
+            nb = (adj[v] & comp) >> lo
             while nb:
                 low = nb & -nb
                 nb ^= low
@@ -415,11 +465,11 @@ class _Component:
         self.full = (1 << len(ids)) - 1
         self.refuted: dict[int, int] = {}
         self.least = _min_cover(self.adj, self.full, stats, self.refuted, upper)
-        self._label_bit = label_bit
+        self._label_bit, self._lo = label_bit, lo
 
     def to_labels(self, mask: int) -> int:
         """The id mask, a part of the component, in labels."""
-        return sum(self._label_bit[v] for v in _bits(mask))
+        return sum(self._label_bit[v] for v in _bits(mask >> self._lo))
 
     def to_ids(self, mask: int) -> int:
         """The label mask in ids."""

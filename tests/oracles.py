@@ -392,3 +392,128 @@ def pruned_branch_leaves(n, edges, tau):
         stack.append((active & ~(nb | bit), forced | nb))
         stack.append((active ^ bit, forced | bit))
     return leaves
+
+
+# ---------------------------------------------------------------------------
+# The package's bounded cover search as it was before it filtered the
+# children of each branching frame by unit propagation over the clique
+# partition.  The filter may only drop children that hold no cover within
+# budget, so both return the same first cover, or None; only the nodes they
+# visit differ.  Its body is the old search, unchanged.
+
+_REFUTED_CAP = 1 << 18
+
+
+def _node(stats):
+    stats.nodes_explored += 1
+
+
+def unfiltered_bounded_cover(
+    adj: tuple[int, ...],
+    active: int,
+    k: int,
+    stats,
+    refuted: dict[int, int],
+) -> int | None:
+    """Mask of a vertex cover of size <= k of the active subgraph, or None.
+
+    Depth-first on an explicit stack, returning the first cover found, and
+    None at once for a negative k; a stack entry holds a subproblem and the
+    cover its path has taken so far.  A cover within budget leaves out an
+    independent set of need vertices, need = |active| - k, so a frame with
+    need <= 0 returns its cover plus every active vertex.
+
+    Otherwise one pass grows the greedy clique partition of
+    :func:`_clique_lb`, each clique from the lowest free vertex, its seed,
+    and folds on the way: a seed of degree <= 1 is dropped and its
+    neighbour taken, leaving any clique already built.  Then the vertices
+    that lost a neighbour to a fold are tested again, each fold queueing
+    its own, until nothing folds.  A second member whose only neighbour is
+    its seed stays unless it lost a neighbour here; testing each second
+    member cost more time on dense graphs than the nodes it saved.  The
+    independent set holds at most one vertex per clique, so fewer than need
+    cliques prune the frame, and else it holds a vertex of the tail, the
+    cliques need..c.  The frame branches over every tail vertex in reverse
+    partition order: the i-th child leaves the i-th tail vertex out, taking
+    its neighbours, and takes the tail vertices before it.
+
+    Under the children of each branching frame lies a marker (cover -1):
+    popping it means no child held a cover, so the frame's active mask and
+    budget as popped, before its folds, go into ``refuted``, which maps an
+    active mask to the largest budget known to admit no cover.  Subproblems
+    it already refutes are skipped when popped, which never changes the
+    cover returned, only the nodes visited.  It may serve every search on
+    one adjacency, and stops growing at _REFUTED_CAP entries.
+    """
+    stack = [(active, k, 0)]
+    while stack:
+        active, k, cover = stack.pop()
+        if cover < 0:
+            if len(refuted) < _REFUTED_CAP and refuted.get(active, -1) < k:
+                refuted[active] = k
+            continue
+        if refuted.get(active, -1) >= k:
+            continue
+        _node(stats)
+        if active.bit_count() <= k:
+            return cover | active
+        key = (active, k)
+        cliques = []
+        free = active
+        lost = 0  # vertices that lost a neighbour to a fold
+        trimmed = 0  # placed vertices a fold removed
+        while free:
+            low = free & -free
+            nb = adj[low.bit_length() - 1] & active
+            if nb & (nb - 1):
+                common = nb & free
+                clique = low
+                while common:
+                    u_bit = common & -common
+                    clique |= u_bit
+                    common &= adj[u_bit.bit_length() - 1]
+                free &= ~clique
+                cliques.append(clique)
+                continue
+            if nb:
+                cover |= nb
+                k -= 1
+                lost |= adj[nb.bit_length() - 1]
+            trimmed |= nb & ~free
+            active &= ~(nb | low)
+            free &= active
+        lost &= active
+        while lost:
+            low = lost & -lost
+            nb = adj[low.bit_length() - 1] & active
+            if nb & (nb - 1) == 0:
+                if nb:
+                    cover |= nb
+                    k -= 1
+                    lost |= adj[nb.bit_length() - 1]
+                trimmed |= nb | low
+                active &= ~(nb | low)
+            lost &= active & ~low
+        need = active.bit_count() - k
+        if need <= 0:
+            return cover | active
+        if trimmed:
+            cliques = [c & active for c in cliques if c & active]
+        tail = cliques[need - 1 :]
+        if not tail:
+            continue  # fewer than need cliques, as when k < 0
+        stack.append((*key, -1))
+        children = []
+        for clique in reversed(tail):
+            while clique:
+                v = clique.bit_length() - 1
+                bit = 1 << v
+                clique ^= bit
+                nb = adj[v] & active
+                children.append((active & ~(nb | bit), k - nb.bit_count(), cover | nb))
+                # The later children take this vertex.
+                active ^= bit
+                cover |= bit
+                k -= 1
+        stack.extend(reversed(children))
+    return None

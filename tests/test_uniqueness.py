@@ -377,7 +377,8 @@ class TestPerComponentProbe:
         # one table of refuted subproblems.  The greedy first cover counts
         # no nodes.  207 nodes before the first cover was polished by swaps,
         # 185 after; 148 once one search per out-vertex of the cover
-        # replaced the leaf walk.
+        # replaced the leaf walk; 86 once unit propagation over the clique
+        # partition dropped children of the bounded search.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -390,7 +391,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 148
+        assert probed.nodes_explored == steps.nodes_explored == 86
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -549,7 +550,8 @@ class TestSwapCertificate:
     def test_dense_not_unique_needs_no_walk(self):
         # The pins fit the tau search's cover and a cover vertex has one
         # neighbour outside it, so the probe costs the tau search alone:
-        # 105 nodes, against 252 when the leaf walk found the second cover.
+        # 105 nodes, against 252 when the leaf walk found the second cover,
+        # and 45 once unit propagation dropped children of the tau search.
         g = gnp_graph(60, 0.3, 2)
         assert len(classify(g).components) == 1
         tau_search = SolveStats()
@@ -557,7 +559,7 @@ class TestSwapCertificate:
         pa = PreAssignment.including(VertexSet(60, [1, 2, 3, 4]))
         stats = SolveStats()
         assert is_feasible(g, pa, stats=stats).reason is Reason.NOT_UNIQUE
-        assert stats.nodes_explored == tau_search.nodes_explored == 105
+        assert stats.nodes_explored == tau_search.nodes_explored == 45
 
 
 class TestReduceInstance:

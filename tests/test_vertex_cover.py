@@ -16,6 +16,7 @@ from oracles import (
     pruned_branch_leaves,
     random_edges,
     subset_tau,
+    unfiltered_bounded_cover,
 )
 from pauvc import (
     Graph,
@@ -144,20 +145,22 @@ class TestMinVertexCover:
         # Deadline checks run every 1024 nodes, so the instance must burn
         # well past that: 5-cycles defeat the clique bound, and chaining
         # them keeps the graph one component, which is searched whole.
-        # 24 of them take about 8,200 nodes; 16 take only about 1,100.
+        # 24 of them took about 8,200 nodes (7,893 later) and 16 only about
+        # 1,100; once unit propagation dropped children, 24 took 271 and
+        # these 96 take 3,673.
         edges = []
-        for i in range(24):
+        for i in range(96):
             b = 5 * i
             edges += [(b + j, b + (j + 1) % 5) for j in range(5)]
-        chain = edges + [(5 * i - 5, 5 * i) for i in range(1, 24)]
-        g = Graph(120, chain)
+        chain = edges + [(5 * i - 5, 5 * i) for i in range(1, 96)]
+        g = Graph(480, chain)
         stats = SolveStats(deadline=time.perf_counter() - 1.0)
         with pytest.raises(LimitExceeded):
             min_vertex_cover(g, stats=stats)
         assert stats.nodes_explored < 100_000
-        # Apart, the same cycles are 24 small components.
+        # Apart, the same cycles are 96 small components.
         stats = SolveStats()
-        assert min_vertex_cover(Graph(120, edges), stats=stats).tau == 72
+        assert min_vertex_cover(Graph(480, edges), stats=stats).tau == 288
         assert stats.nodes_explored < 1_000
 
     def test_many_components_no_recursion_limit(self, monkeypatch):
@@ -167,6 +170,17 @@ class TestMinVertexCover:
         sol = min_vertex_cover(g)
         assert sol.tau == 2 * k
         assert set(sol.cover) == {3 * i + j for i in range(k) for j in (0, 1)}
+
+    def test_label_map_spans_the_component(self):
+        # The id -> label list runs from the component's lowest id to its
+        # highest, so a small component of a large graph gets a short one:
+        # one len(adj) long per component made many triangles quadratic.
+        g = Graph(60_000, triangle(30_000))
+        tri = 0b111 << 30_000
+        comp = vertex_cover._Component(g.adj, tri, SolveStats(), None)
+        assert len(comp._label_bit) == 3
+        assert comp.to_ids(comp.to_labels(tri)) == tri
+        assert comp.to_ids(comp.least).bit_count() == 2
 
     def test_bound_below_tau_refuted_by_whole_graph(self):
         # Three components: searched one at a time, a bound of tau - 1 is
@@ -328,6 +342,26 @@ class TestSearchKernel:
             for active in (g.full_mask, rng.getrandbits(n)):
                 check(g, active, seed)
 
+    def test_filter_keeps_the_first_cover(self):
+        # Unit propagation drops only children that hold no cover within
+        # budget and keeps the rest in order, so the search returns the
+        # unfiltered search's first cover, or None, on every input.
+        rng = random.Random(233)
+        nodes = {"unfiltered": 0, "filtered": 0}
+        for seed in range(1000):
+            n = rng.randint(2, 26)
+            g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
+            for active in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                tau = vertex_cover._min_cover(g.adj, active, SolveStats(), {}).bit_count()
+                for k in range(tau - 2, tau + 2):
+                    old, new = SolveStats(), SolveStats()
+                    want = unfiltered_bounded_cover(g.adj, active, k, old, {})
+                    got = vertex_cover._bounded_cover(g.adj, active, k, new, {})
+                    assert got == want, (seed, active, k)
+                    nodes["unfiltered"] += old.nodes_explored
+                    nodes["filtered"] += new.nodes_explored
+        assert nodes["filtered"] < nodes["unfiltered"]
+
     def test_trees_fold_whole_in_one_node(self):
         # A forest folds to nothing, so at tau the search returns from its
         # root, and at tau - 1 its folds overrun the budget there.  Without
@@ -344,8 +378,9 @@ class TestSearchKernel:
                 assert stats.nodes_explored == 1, (s, k)
 
     def test_sparse_tau_search_stays_small(self):
-        # 269 nodes; 695 when the vertices that lost a neighbour to a fold
-        # are not tested again after the partition pass.
+        # 163 nodes, 269 before unit propagation dropped children; 695 when
+        # the vertices that lost a neighbour to a fold are not tested again
+        # after the partition pass.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(200, 0.015, 0), stats=stats).tau == 95
         assert stats.nodes_explored < 400
@@ -354,15 +389,17 @@ class TestSearchKernel:
         # The max-degree split alone takes 27,222 nodes here, branching on
         # a tail of at most 3 vertices in id order about 14,900, and on the
         # whole tail in ascending-degree order 11,261; with one
-        # fold-and-partition pass per node, 11,334.
+        # fold-and-partition pass per node, 11,334; with unit propagation
+        # dropping children, 4,582.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
-        assert stats.nodes_explored < 20_000
+        assert stats.nodes_explored < 6_000
 
     def test_tau_search_node_count(self):
         # gnp(80, 0.25): tau 65, where a triangle-plus-edge packing stays
         # near 2n/3 and prunes only deep in the tree.  1,302 nodes with the
-        # greedy first cover counted, 1,261 without it.
+        # greedy first cover counted, 1,261 without it, 544 once unit
+        # propagation dropped children.
         g = gnp_graph(80, 0.25, 2)
         stats = SolveStats()
         cover = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
