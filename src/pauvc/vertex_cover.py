@@ -11,8 +11,11 @@ greedy clique partition (:func:`_clique_lb` is its bound) and folds
 isolated and degree-1 vertices on the way; it prunes by the partition and
 branches over every vertex of its last cliques, one of which every cover
 within budget leaves out, less those unit propagation (Li and Quan's MaxSAT
-reasoning) refutes.  Grown from the lowest degrees, the partition leaves the
-high degrees in that tail, as in the colouring order of Tomita and Seki's MCQ.
+reasoning) refutes.  The conflicts of one tail clique share one group of
+cliques, used up once that clique is done: an independent set holds at most
+one vertex of the clique, and the groups of different cliques are disjoint.
+Grown from the lowest degrees, the partition leaves the high degrees in
+that tail, as in the colouring order of Tomita and Seki's MCQ.
 :func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`),
 polished by (1,2)-swaps (:func:`_improve`) when above the bound.  The
 searches on one component share its record's table of the subproblems
@@ -180,14 +183,18 @@ def _bounded_cover(
     Unit propagation over the partition (Li and Quan's MaxSAT reasoning,
     2010) drops children first.  From the last child back, it chooses the
     vertex v a child leaves out, takes v's neighbours and propagates over
-    the first need - 1 cliques no conflict has used: a clique all taken is
-    a conflict, one with a single vertex left chooses it.  A conflict uses
-    up the cliques it read and drops v's child; the first v with none ends
-    the filter.  A dropped child takes the tail before it, so its
-    independent set lies in those cliques and the dropped vertices, at
-    most one in each, and misses one of each conflict's disjoint group (v
-    and its cliques): it has at most need - 1.  The kept children keep
-    their order, so the same cover comes first.
+    the first need - 1 cliques that no earlier tail clique's group used: a
+    clique all taken is a conflict, one with a single vertex left chooses
+    it.  A conflict drops v's child; the first v with none ends the filter.
+    The cliques that the conflicts of one tail clique read form its group,
+    used up once that clique is done.  A dropped child takes the tail
+    before it, so its independent set lies in the first need - 1 cliques
+    and the tail cliques up to v's, at most one vertex in each.  Of each
+    such tail clique and its group it misses a clique: a vertex w it holds
+    in that tail clique is a dropped one, and w's conflict lies in the
+    group.  The groups are disjoint, each taken from the cliques the
+    earlier ones left, so the set has at most need - 1 vertices.  The kept
+    children keep their order, so the same cover comes first.
 
     Under the children of each branching frame lies a marker (cover -1):
     popping it means no child held a cover, so the frame's active mask and
@@ -296,6 +303,7 @@ def _dropped_tail(adj: tuple[int, ...], cliques: list[int], need: int) -> int:
     """Mask of the tail vertices whose children :func:`_bounded_cover` drops."""
     prefix, dropped = cliques[: need - 1], 0
     for clique in cliques[need - 1 :]:
+        group = 0  # the cliques this tail clique's conflicts used
         while clique:
             bit = clique & -clique
             clique ^= bit
@@ -303,7 +311,8 @@ def _dropped_tail(adj: tuple[int, ...], cliques: list[int], need: int) -> int:
             if not used:
                 return dropped
             dropped |= bit
-            prefix = [c for c in prefix if not c & used]
+            group |= used
+        prefix = [c for c in prefix if not c & group]
     return dropped
 
 
@@ -481,10 +490,14 @@ def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
 
     Walks the labels in ascending id order, keeping v whenever some
     minimum cover extends the decisions so far with v included.  The
-    cover held, at first the component's minimum cover, is kept agreeing
-    with the decisions, so a vertex in it is kept with no search; any
-    other takes one bounded search, and the minimum cover it finds, if
-    any, becomes the cover held.
+    cover held, C, at first the component's minimum cover, is kept
+    agreeing with the decisions, so a vertex in it is kept with no search.
+    So is a v outside C that is the one neighbour outside C of an
+    undecided u in C: C - u + v covers every edge, is as small, and agrees
+    with the decisions (no vertex decided out is u's neighbour, since
+    those lie outside C), so it becomes the cover held.  Any other v takes
+    one bounded search, and the minimum cover it finds, if any, becomes
+    the cover held.
     """
     adj, cover = comp.adj, comp.least
     tau = cover.bit_count()
@@ -493,13 +506,19 @@ def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
         decided |= 1 << v
         if cover >> v & 1:
             continue
-        forced = (cover & decided) | (1 << v) | out_nb
-        rest = comp.full & ~decided & ~forced
-        found = _bounded_cover(adj, rest, tau - forced.bit_count(), stats, comp.refuted)
-        if found is None:
-            out_nb |= adj[v]
+        for u in _bits(adj[v] & cover & ~decided):
+            if adj[u] & ~cover == 1 << v:
+                cover ^= 1 << u | 1 << v
+                break
         else:
-            cover = found | forced
+            forced = (cover & decided) | (1 << v) | out_nb
+            rest = comp.full & ~decided & ~forced
+            budget = tau - forced.bit_count()
+            found = _bounded_cover(adj, rest, budget, stats, comp.refuted)
+            if found is None:
+                out_nb |= adj[v]
+            else:
+                cover = found | forced
     return cover
 
 

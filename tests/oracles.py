@@ -517,3 +517,40 @@ def unfiltered_bounded_cover(
                 k -= 1
         stack.extend(reversed(children))
     return None
+
+
+# ---------------------------------------------------------------------------
+# The package's lexicographic cover walk as it was before it swapped a
+# vertex into the cover it holds: one bounded search per vertex outside that
+# cover, here the unfiltered search above.  The lexicographically smallest
+# minimum cover is unique, so both walks return it.  Its body is the old
+# walk, unchanged but for its name and the search it calls.
+
+
+def unswapped_lex_min_cover(comp, stats) -> int:
+    """The lexicographically smallest minimum cover of a component, by id, in labels.
+
+    Walks the labels in ascending id order, keeping v whenever some
+    minimum cover extends the decisions so far with v included.  The
+    cover held, at first the component's minimum cover, is kept agreeing
+    with the decisions, so a vertex in it is kept with no search; any
+    other takes one bounded search, and the minimum cover it finds, if
+    any, becomes the cover held.
+    """
+    adj, cover = comp.adj, comp.least
+    tau = cover.bit_count()
+    out_nb = decided = 0  # neighbours of the vertices decided out; all decided
+    for v in comp.order:
+        decided |= 1 << v
+        if cover >> v & 1:
+            continue
+        forced = (cover & decided) | (1 << v) | out_nb
+        rest = comp.full & ~decided & ~forced
+        found = unfiltered_bounded_cover(
+            adj, rest, tau - forced.bit_count(), stats, comp.refuted
+        )
+        if found is None:
+            out_nb |= adj[v]
+        else:
+            cover = found | forced
+    return cover

@@ -378,7 +378,8 @@ class TestPerComponentProbe:
         # no nodes.  207 nodes before the first cover was polished by swaps,
         # 185 after; 148 once one search per out-vertex of the cover
         # replaced the leaf walk; 86 once unit propagation over the clique
-        # partition dropped children of the bounded search.
+        # partition dropped children of the bounded search, and 74 once the
+        # dropped vertices of one tail clique shared one conflict group.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -391,7 +392,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 86
+        assert probed.nodes_explored == steps.nodes_explored == 74
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -551,7 +552,9 @@ class TestSwapCertificate:
         # The pins fit the tau search's cover and a cover vertex has one
         # neighbour outside it, so the probe costs the tau search alone:
         # 105 nodes, against 252 when the leaf walk found the second cover,
-        # and 45 once unit propagation dropped children of the tau search.
+        # 45 once unit propagation dropped children of the tau search, and
+        # 32 once the dropped vertices of one tail clique shared one
+        # conflict group.
         g = gnp_graph(60, 0.3, 2)
         assert len(classify(g).components) == 1
         tau_search = SolveStats()
@@ -559,7 +562,7 @@ class TestSwapCertificate:
         pa = PreAssignment.including(VertexSet(60, [1, 2, 3, 4]))
         stats = SolveStats()
         assert is_feasible(g, pa, stats=stats).reason is Reason.NOT_UNIQUE
-        assert stats.nodes_explored == tau_search.nodes_explored == 45
+        assert stats.nodes_explored == tau_search.nodes_explored == 32
 
 
 class TestReduceInstance:

@@ -17,6 +17,7 @@ from oracles import (
     random_edges,
     subset_tau,
     unfiltered_bounded_cover,
+    unswapped_lex_min_cover,
 )
 from pauvc import (
     Graph,
@@ -38,10 +39,17 @@ from pauvc import (
     solve,
     vertex_cover,
 )
+from pauvc.graph import _components
 
 
 def triangle(b):
     return [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
+
+
+def triangle_chain(k):
+    """k triangles, triangle i joined to triangle i + 1 by the edge (3i+2, 3i+3)."""
+    edges = [e for b in range(0, 3 * k, 3) for e in triangle(b)]
+    return Graph(3 * k, edges + [(3 * i + 2, 3 * i + 3) for i in range(k - 1)])
 
 
 def lex_min_cover(n, edges):
@@ -108,17 +116,52 @@ class TestMinVertexCover:
         assert has_unique_min_vc(g)[1].tau == tau
 
     def test_triangle_chain_lex_walk(self):
-        # Triangle i joined to triangle i + 1 by the edge (3i+2, 3i+3).  The
-        # lexicographic walk searches only for vertices outside the minimum
-        # cover it holds; one search per vertex took (2k+1)^2 = 10,201 nodes.
-        k = 100
-        edges = [e for b in range(0, 3 * k, 3) for e in triangle(b)]
-        edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
-        g = Graph(3 * k, edges)
+        # The lexicographic walk searches only for vertices outside the
+        # minimum cover it holds; one search per vertex took (2k+1)^2 =
+        # 10,201 nodes, one per vertex outside it 5,052, and 99 once a
+        # vertex with a swap partner in the cover joins it with no search.
+        # The cover is the one the walk without swaps finds: the lowest two
+        # vertices of each triangle.
+        g = triangle_chain(100)
         stats = SolveStats()
         sol = min_vertex_cover(g, stats=stats)
-        assert sol.tau == 2 * k
-        assert stats.nodes_explored <= 5_500
+        assert sol.tau == 200
+        assert stats.nodes_explored <= 500
+        comp = vertex_cover._Component(g.adj, g.full_mask, SolveStats(), None)
+        want = comp.to_ids(unswapped_lex_min_cover(comp, SolveStats()))
+        assert sol.cover.mask == want
+        assert want == sum(1 << v for v in range(300) if v % 3 != 2)
+
+    def test_swaps_keep_the_lexicographic_cover(self):
+        # A vertex outside the cover held joins it in place of a cover
+        # vertex whose one neighbour outside the cover it is; the walk that
+        # searches for every such vertex returns the same cover.
+        nodes = {"unswapped": 0, "swapped": 0}
+        for n, p, seed in itertools.product(
+            range(2, 31), (0.05, 0.1, 0.2, 0.35, 0.5, 0.7), (0, 1, 2)
+        ):
+            g = gnp_graph(n, p, seed)
+            old, new = SolveStats(), SolveStats()
+            want = 0
+            for mask, _ in _components(g.adj):
+                if mask & (mask - 1):
+                    comp = vertex_cover._Component(g.adj, mask, old, None)
+                    want |= comp.to_ids(unswapped_lex_min_cover(comp, old))
+            assert min_vertex_cover(g, stats=new).cover.mask == want, (n, p, seed)
+            nodes["unswapped"] += old.nodes_explored
+            nodes["swapped"] += new.nodes_explored
+        assert nodes["swapped"] < nodes["unswapped"]
+
+    def test_long_triangle_chain_is_fast(self):
+        # 400 triangles took 80,202 nodes and 12 s with one search per
+        # vertex outside the cover held; the cover keeps the pattern of the
+        # 100-triangle chain's, which the walk without swaps confirms.
+        g = triangle_chain(400)
+        start = time.perf_counter()
+        stats = SolveStats(deadline=start + 2.0)
+        sol = min_vertex_cover(g, vertex_limit=g.n, stats=stats)
+        assert time.perf_counter() - start < 2.0
+        assert sol.cover.mask == sum(1 << v for v in range(1200) if v % 3 != 2)
 
     def test_vertex_limit(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -136,7 +179,11 @@ class TestMinVertexCover:
             min_vertex_cover(g, vertex_limit=9)
 
     def test_stats_counted(self):
-        g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        # Four chained 5-cycles still take a search (11 nodes).  K6 took 1
+        # node, and none once the lexicographic walk swapped in each vertex
+        # the cover it held left out.
+        edges = [(b + j, b + (j + 1) % 5) for b in range(0, 20, 5) for j in range(5)]
+        g = Graph(20, edges + [(b - 5, b) for b in range(5, 20, 5)])
         stats = SolveStats()
         min_vertex_cover(g, stats=stats)
         assert stats.nodes_explored > 0
@@ -147,7 +194,8 @@ class TestMinVertexCover:
         # them keeps the graph one component, which is searched whole.
         # 24 of them took about 8,200 nodes (7,893 later) and 16 only about
         # 1,100; once unit propagation dropped children, 24 took 271 and
-        # these 96 take 3,673.
+        # these 96 took 3,673, and 1,415 once the lexicographic walk swapped
+        # vertices into the cover it held.
         edges = []
         for i in range(96):
             b = 5 * i
@@ -378,9 +426,10 @@ class TestSearchKernel:
                 assert stats.nodes_explored == 1, (s, k)
 
     def test_sparse_tau_search_stays_small(self):
-        # 163 nodes, 269 before unit propagation dropped children; 695 when
-        # the vertices that lost a neighbour to a fold are not tested again
-        # after the partition pass.
+        # 146 nodes once the dropped vertices of one tail clique shared a
+        # conflict group, 163 before, 269 before unit propagation dropped
+        # children; 695 when the vertices that lost a neighbour to a fold
+        # are not tested again after the partition pass.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(200, 0.015, 0), stats=stats).tau == 95
         assert stats.nodes_explored < 400
@@ -390,16 +439,18 @@ class TestSearchKernel:
         # a tail of at most 3 vertices in id order about 14,900, and on the
         # whole tail in ascending-degree order 11,261; with one
         # fold-and-partition pass per node, 11,334; with unit propagation
-        # dropping children, 4,582.
+        # dropping children, 4,582; with one conflict group per tail clique
+        # and swaps in the lexicographic walk, 3,731.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
-        assert stats.nodes_explored < 6_000
+        assert stats.nodes_explored < 4_500
 
     def test_tau_search_node_count(self):
         # gnp(80, 0.25): tau 65, where a triangle-plus-edge packing stays
         # near 2n/3 and prunes only deep in the tree.  1,302 nodes with the
         # greedy first cover counted, 1,261 without it, 544 once unit
-        # propagation dropped children.
+        # propagation dropped children, 465 with one conflict group per
+        # tail clique.
         g = gnp_graph(80, 0.25, 2)
         stats = SolveStats()
         cover = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
