@@ -15,8 +15,7 @@ is left minus w within the budget left.  One bounded search per
 out-vertex decides each part, taken in descending residual degree until
 the budget runs out, so a unique cover costs one failed search each.  Each
 component is searched through its record (``vertex_cover._Component``),
-which caps and relabels it, and all its searches share the record's table
-of refuted subproblems.
+which caps and relabels it.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def _consistent(
     and those neighbours, is a second cover.
     """
     stats.uvc_calls += 1
-    adj, least, refuted = comp.adj, comp.least, comp.refuted
+    adj, least = comp.adj, comp.least
     forced = inc_mask
     for v in _bits(exc_mask):
         forced |= adj[v]
@@ -95,7 +94,7 @@ def _consistent(
     cover = least & active
     if inc_mask & ~least or exc_mask & least:
         target = least.bit_count() - forced.bit_count()
-        cover = _bounded_cover(adj, active, target, stats, refuted)
+        cover = _bounded_cover(adj, active, target, stats)
         if cover is None:
             return 0, None
     out = active & ~cover
@@ -113,7 +112,7 @@ def _consistent(
         if budget < 0 or not minus_degree:
             break
         bit = 1 << w
-        if _bounded_cover(adj, rest & ~bit, budget, stats, refuted) is not None:
+        if _bounded_cover(adj, rest & ~bit, budget, stats) is not None:
             return 2, cover | forced
         nb = adj[w] & rest
         rest &= ~(nb | bit)

@@ -5,21 +5,21 @@ and keeps its open subproblems on an explicit stack, so no graph is too
 deep for it.  Callers split a graph with ``graph._components`` and search
 each component through one record, :class:`_Component`, which checks the
 vertex cap, relabels the component in ascending degree, finds its minimum
-cover and maps masks between ids and labels.  :func:`_bounded_cover`
-needs only one cover within a budget.  In one pass per node it grows a
-greedy clique partition (:func:`_clique_lb` is its bound) and folds
-isolated and degree-1 vertices on the way; it prunes by the partition and
-branches over every vertex of its last cliques, one of which every cover
-within budget leaves out, less those unit propagation (Li and Quan's MaxSAT
-reasoning) refutes.  The conflicts of one tail clique share one group of
-cliques, used up once that clique is done: an independent set holds at most
-one vertex of the clique, and the groups of different cliques are disjoint.
+cover and maps masks between ids and labels.  :func:`_covers` yields
+ever smaller covers within a budget, and :func:`_bounded_cover` takes its
+first.  In one pass per node it grows a greedy clique partition
+(:func:`_clique_lb` is its bound) and folds isolated and degree-1
+vertices on the way; it prunes by the partition and branches over every
+vertex of its last cliques, one of which every cover within budget leaves
+out, less those unit propagation (Li and Quan's MaxSAT reasoning)
+refutes.  The conflicts of one tail clique share one group of cliques,
+used up once that clique is done: an independent set holds at most one
+vertex of the clique, and the groups of different cliques are disjoint.
 Grown from the lowest degrees, the partition leaves the high degrees in
 that tail, as in the colouring order of Tomita and Seki's MCQ.
-:func:`_min_cover` starts it from a greedy cover (:func:`_greedy_cover`),
-polished by (1,2)-swaps (:func:`_improve`) when above the bound.  The
-searches on one component share its record's table of the subproblems
-they refute, which only skips subtrees that hold no cover within budget.
+:func:`_min_cover` runs it once, from below a greedy cover
+(:func:`_greedy_cover`) polished by (1,2)-swaps (:func:`_improve`) when
+above the bound.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -107,12 +107,6 @@ class BranchLeaf:
     matching: tuple[tuple[int, int], ...]
 
 
-# Entries one table of refuted subproblems may hold; past it the table is
-# only read.  An entry took about 90 bytes on a 120-vertex graph, so a full
-# table holds about 24 MB there.
-_REFUTED_CAP = 1 << 18
-
-
 def _node(stats: SolveStats) -> None:
     stats.nodes_explored += 1
     if stats.deadline is not None and stats.nodes_explored & 1023 == 0:
@@ -151,20 +145,24 @@ def _clique_lb(adj: tuple[int, ...], active: int) -> int:
     return active.bit_count() - cliques
 
 
-def _bounded_cover(
-    adj: tuple[int, ...],
-    active: int,
-    k: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
-) -> int | None:
-    """Mask of a vertex cover of size <= k of the active subgraph, or None.
+def _covers(
+    adj: tuple[int, ...], active: int, k: int, stats: SolveStats
+) -> Iterator[int]:
+    """Masks of covers of the active subgraph, each within k and smaller than the last.
 
-    Depth-first on an explicit stack, returning the first cover found, and
-    None at once for a negative k; a stack entry holds a subproblem and the
-    cover its path has taken so far.  A cover within budget leaves out an
-    independent set of need vertices, need = |active| - k, so a frame with
-    need <= 0 returns its cover plus every active vertex.
+    Depth-first on an explicit stack; a stack entry holds a subproblem and
+    the cover its path has taken so far.  A cover within budget leaves out
+    an independent set of need vertices, need = |active| - k, so a frame
+    with need <= 0 yields its cover plus every active vertex.  The search
+    then goes on, on the same stack, with k one below that cover's size, so
+    the last cover yielded is minimum when k was at least tau, and none is
+    yielded when k is below it.  An entry stores its budget plus ``cut``,
+    how far k has fallen since the search started, and a frame subtracts
+    the current cut when popped; a frame that yields goes on with need 1.
+    Lowering k is sound: the frames chose their tails, and the children
+    they dropped, for a larger budget, and every cover within a smaller one
+    also fits the larger one, so the children kept still hold every such
+    cover.
 
     Otherwise one pass grows the greedy clique partition of
     :func:`_clique_lb`, each clique from the lowest free vertex, its seed,
@@ -175,10 +173,10 @@ def _bounded_cover(
     its seed stays unless it lost a neighbour here; testing each second
     member cost more time on dense graphs than the nodes it saved.  The
     independent set holds at most one vertex per clique, so fewer than need
-    cliques prune the frame, and else it holds a vertex of the tail, the
-    cliques need..c.  The frame branches over every tail vertex in reverse
-    partition order: the i-th child leaves the i-th tail vertex out, taking
-    its neighbours, and takes the tail vertices before it.
+    cliques prune the frame, as when k < 0, and else it holds a vertex of
+    the tail, the cliques need..c.  The frame branches over every tail
+    vertex in reverse partition order: the i-th child leaves the i-th tail
+    vertex out, taking its neighbours, and takes the tail vertices before it.
 
     Unit propagation over the partition (Li and Quan's MaxSAT reasoning,
     2010) drops children first.  From the last child back, it chooses the
@@ -195,28 +193,17 @@ def _bounded_cover(
     group.  The groups are disjoint, each taken from the cliques the
     earlier ones left, so the set has at most need - 1 vertices.  The kept
     children keep their order, so the same cover comes first.
-
-    Under the children of each branching frame lies a marker (cover -1):
-    popping it means no child held a cover, so the frame's active mask and
-    budget as popped, before its folds, go into ``refuted``, which maps an
-    active mask to the largest budget known to admit no cover.  Subproblems
-    it already refutes are skipped when popped, which never changes the
-    cover returned, only the nodes visited.  It may serve every search on
-    one adjacency, and stops growing at _REFUTED_CAP entries.
     """
+    cut = 0
     stack = [(active, k, 0)]
     while stack:
         active, k, cover = stack.pop()
-        if cover < 0:
-            if len(refuted) < _REFUTED_CAP and refuted.get(active, -1) < k:
-                refuted[active] = k
-            continue
-        if refuted.get(active, -1) >= k:
-            continue
+        k -= cut
         _node(stats)
         if active.bit_count() <= k:
-            return cover | active
-        key = (active, k)
+            yield cover | active
+            cut += k - active.bit_count() + 1
+            k = active.bit_count() - 1  # need 1
         cliques = []
         free = active
         lost = 0  # vertices that lost a neighbour to a fold
@@ -255,15 +242,17 @@ def _bounded_cover(
             lost &= active & ~low
         need = active.bit_count() - k
         if need <= 0:
-            return cover | active
+            yield cover | active
+            cut += 1 - need
+            k, need = k + need - 1, 1
         if trimmed:
             cliques = [c & active for c in cliques if c & active]
         tail = cliques[need - 1 :]
         if not tail:
-            continue  # fewer than need cliques, as when k < 0
-        stack.append((*key, -1))
+            continue  # fewer than need cliques
         dropped = _dropped_tail(adj, cliques, need) if need > 1 else 0
         children = []
+        k += cut  # as stored
         for clique in reversed(tail):
             clique &= ~dropped
             while clique:
@@ -277,7 +266,13 @@ def _bounded_cover(
                 cover |= bit
                 k -= 1
         stack.extend(reversed(children))
-    return None
+
+
+def _bounded_cover(
+    adj: tuple[int, ...], active: int, k: int, stats: SolveStats
+) -> int | None:
+    """The first cover of :func:`_covers`: one of size <= k, or None."""
+    return next(_covers(adj, active, k, stats), None)
 
 
 def _conflict(adj: tuple[int, ...], taken: int, cliques: list[int]) -> int:
@@ -398,36 +393,28 @@ def _improve(adj: tuple[int, ...], active: int, cover: int) -> int:
 
 
 def _min_cover(
-    adj: tuple[int, ...],
-    active: int,
-    stats: SolveStats,
-    refuted: dict[int, int],
-    upper: int | None = None,
+    adj: tuple[int, ...], active: int, stats: SolveStats, upper: int | None = None
 ) -> int | None:
     """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
-    Searches downward from the cover of :func:`_greedy_cover`, polished by
-    :func:`_improve` when it is above the clique-partition bound, or from
-    one bounded search at ``upper`` when that is smaller, and each further
-    search asks for a cover one smaller than the best so far.  Searches
-    above tau stop at their first leaf, so only the last one, which fails at
-    tau - 1, has to refute.  When the best cover reaches the clique-partition
-    bound no smaller cover exists, and that refutation is skipped too.  All
-    the searches share ``refuted``.
+    Starts from the cover of :func:`_greedy_cover`, polished by
+    :func:`_improve` when it is above the clique-partition bound, and takes
+    the last cover of one :func:`_covers` pass from one below its size, or
+    from ``upper`` when that is smaller.  A cover at the bound ends the pass,
+    since no smaller one exists.
     """
     best = _greedy_cover(adj, active)
     floor = _clique_lb(adj, active)
     if best.bit_count() > floor:
         best = _improve(adj, active, best)
-    if upper is not None and upper < best.bit_count():
-        best = _bounded_cover(adj, active, upper, stats, refuted)
-        if best is None:
-            return None
-    while best.bit_count() > floor:
-        smaller = _bounded_cover(adj, active, best.bit_count() - 1, stats, refuted)
-        if smaller is None:
+    k = best.bit_count() - 1
+    if upper is not None and upper <= k:
+        best, k = None, upper
+    if k < floor:
+        return best
+    for best in _covers(adj, active, k, stats):
+        if best.bit_count() == floor:
             break
-        best = smaller
     return best
 
 
@@ -438,12 +425,11 @@ class _Component:
     id, ``ids`` gives each label's id, ``order`` lists the labels in
     ascending id order and ``full`` is the mask of all of them.  ``least``
     is a minimum cover in labels, found by :func:`_min_cover` (None when
-    tau exceeds ``upper``), and ``refuted`` is the table of refuted
-    subproblems that every search on the component shares.  The cap is
-    checked before anything is relabeled.
+    tau exceeds ``upper``).  The cap is checked before anything is
+    relabeled.
     """
 
-    __slots__ = ("adj", "ids", "order", "full", "least", "refuted", "_label_bit", "_lo")
+    __slots__ = ("adj", "ids", "order", "full", "least", "_label_bit", "_lo")
 
     def __init__(
         self,
@@ -472,8 +458,7 @@ class _Component:
         self.ids = ids
         self.order = sorted(range(len(ids)), key=ids.__getitem__)
         self.full = (1 << len(ids)) - 1
-        self.refuted: dict[int, int] = {}
-        self.least = _min_cover(self.adj, self.full, stats, self.refuted, upper)
+        self.least = _min_cover(self.adj, self.full, stats, upper)
         self._label_bit, self._lo = label_bit, lo
 
     def to_labels(self, mask: int) -> int:
@@ -514,7 +499,7 @@ def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
             forced = (cover & decided) | (1 << v) | out_nb
             rest = comp.full & ~decided & ~forced
             budget = tau - forced.bit_count()
-            found = _bounded_cover(adj, rest, budget, stats, comp.refuted)
+            found = _bounded_cover(adj, rest, budget, stats)
             if found is None:
                 out_nb |= adj[v]
             else:
@@ -650,7 +635,7 @@ def _cover_leaves(
     is below 2m is a leaf.  Each entry carries its parent's keys and the
     vertices it removed, applied to a copy once it survives its search.
     """
-    adj, refuted = comp.adj, comp.refuted
+    adj = comp.adj
     k = cover.bit_count()
     m = len(comp.ids)
     keys = [-1] * m
@@ -661,7 +646,7 @@ def _cover_leaves(
     while stack:
         active, forced, cover, keys, removed = stack.pop()
         if cover < 0:
-            found = _bounded_cover(adj, active, k - forced.bit_count(), stats, refuted)
+            found = _bounded_cover(adj, active, k - forced.bit_count(), stats)
             if found is None:
                 continue
             cover = found

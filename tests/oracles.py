@@ -399,7 +399,9 @@ def pruned_branch_leaves(n, edges, tau):
 # children of each branching frame by unit propagation over the clique
 # partition.  The filter may only drop children that hold no cover within
 # budget, so both return the same first cover, or None; only the nodes they
-# visit differ.  Its body is the old search, unchanged.
+# visit differ.  Its body is the old search, unchanged, with the table of
+# refuted subproblems the package's search has since dropped: the table only
+# skips subtrees that hold no cover within budget.
 
 _REFUTED_CAP = 1 << 18
 
@@ -524,7 +526,8 @@ def unfiltered_bounded_cover(
 # vertex into the cover it holds: one bounded search per vertex outside that
 # cover, here the unfiltered search above.  The lexicographically smallest
 # minimum cover is unique, so both walks return it.  Its body is the old
-# walk, unchanged but for its name and the search it calls.
+# walk, unchanged but for its name, the search it calls and the table of
+# refuted subproblems that search shares, which the walk makes itself.
 
 
 def unswapped_lex_min_cover(comp, stats) -> int:
@@ -539,6 +542,7 @@ def unswapped_lex_min_cover(comp, stats) -> int:
     """
     adj, cover = comp.adj, comp.least
     tau = cover.bit_count()
+    refuted: dict[int, int] = {}
     out_nb = decided = 0  # neighbours of the vertices decided out; all decided
     for v in comp.order:
         decided |= 1 << v
@@ -547,7 +551,7 @@ def unswapped_lex_min_cover(comp, stats) -> int:
         forced = (cover & decided) | (1 << v) | out_nb
         rest = comp.full & ~decided & ~forced
         found = unfiltered_bounded_cover(
-            adj, rest, tau - forced.bit_count(), stats, comp.refuted
+            adj, rest, tau - forced.bit_count(), stats, refuted
         )
         if found is None:
             out_nb |= adj[v]

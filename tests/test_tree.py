@@ -219,12 +219,10 @@ def _members(mask):
 def _searched(t, least, include, exclude):
     """The cover-search verdict that graphs other than trees get.
 
-    The search starts from the minimum cover least, by id, on an empty
-    table of refuted subproblems.
+    The search starts from the minimum cover least, by id.
     """
     comp = pauvc.vertex_cover._Component(t.adj, t.full_mask, SolveStats(), None)
     comp.least = comp.to_labels(least)
-    comp.refuted.clear()
     ok, cover, reason = pauvc.solvers._check_pre_assignment(
         comp, comp.to_labels(include), comp.to_labels(exclude), SolveStats()
     )

@@ -169,7 +169,7 @@ class TestAgainstBruteForce:
             if len(classify(g).components) != 1 or g.m < n:
                 continue
             graphs += 1
-            least = vertex_cover._min_cover(g.adj, g.full_mask, SolveStats(), {})
+            least = vertex_cover._min_cover(g.adj, g.full_mask, SolveStats())
             covers = brute_min_covers(n, edges)
             for chosen in covers:
                 outside = [v for v in range(n) if v not in chosen]
@@ -373,13 +373,15 @@ class TestPerComponentProbe:
     def test_one_tau_search_per_component(self):
         # The uniqueness test starts from the cover the tau search found,
         # with no second search for one: the probe costs exactly the tau
-        # search on the relabeled component and one _consistent call sharing
-        # one table of refuted subproblems.  The greedy first cover counts
-        # no nodes.  207 nodes before the first cover was polished by swaps,
-        # 185 after; 148 once one search per out-vertex of the cover
-        # replaced the leaf walk; 86 once unit propagation over the clique
-        # partition dropped children of the bounded search, and 74 once the
-        # dropped vertices of one tail clique shared one conflict group.
+        # search on the relabeled component and one _consistent call.  The
+        # greedy first cover counts no nodes.  207 nodes before the first
+        # cover was polished by swaps, 185 after; 148 once one search per
+        # out-vertex of the cover replaced the leaf walk; 86 once unit
+        # propagation over the clique partition dropped children of the
+        # bounded search, and 74 once the dropped vertices of one tail
+        # clique shared one conflict group.  86 again once the tau search
+        # became one pass and no search shared a table of refuted
+        # subproblems any more.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -392,7 +394,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 74
+        assert probed.nodes_explored == steps.nodes_explored == 86
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)
@@ -402,7 +404,7 @@ class TestPerComponentProbe:
             g = Graph(n, edges)
             sol = min_vertex_cover(g)
             # The reference starts from the lexicographic cover, not the
-            # probe's tau search, on an empty table each time.
+            # probe's tau search.
             comp = vertex_cover._Component(g.adj, g.full_mask, SolveStats(), None)
             comp.least = comp.to_labels(sol.cover.mask)
             inside = list(sol.cover)
@@ -421,7 +423,6 @@ class TestPerComponentProbe:
             for inc, exc in pin_sets:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
-                comp.refuted.clear()
                 ok, cover, reason = _check_pre_assignment(
                     comp, comp.to_labels(pa.include.mask),
                     comp.to_labels(pa.exclude.mask), SolveStats(),
@@ -476,8 +477,7 @@ class TestPerComponentProbe:
 
 
 def _walk_count(comp, inc, exc):
-    """(count, cover) of _consistent from the leaf walk alone, on an empty table."""
-    comp.refuted.clear()
+    """(count, cover) of _consistent from the leaf walk alone."""
     adj, least = comp.adj, comp.least
     forced = inc
     for v in range(len(comp.ids)):
@@ -487,7 +487,7 @@ def _walk_count(comp, inc, exc):
     cover = least & active
     if inc & ~least or exc & least:
         target = least.bit_count() - forced.bit_count()
-        cover = vertex_cover._bounded_cover(adj, active, target, SolveStats(), {})
+        cover = vertex_cover._bounded_cover(adj, active, target, SolveStats())
         if cover is None:
             return 0, None
     leaves = list(vertex_cover._cover_leaves(comp, active, cover, SolveStats()))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms import bipartite
 
+import oracles
 from oracles import (
     all_graphs,
     brute_min_covers,
@@ -22,7 +23,6 @@ from oracles import (
 from pauvc import (
     Graph,
     LimitExceeded,
-    PreAssignment,
     SolveStats,
     VertexSet,
     branch_to_matchings,
@@ -31,12 +31,10 @@ from pauvc import (
     enumerate_min_vertex_covers,
     gnp_graph,
     has_unique_min_vc,
-    is_feasible,
     is_vertex_cover,
     min_vertex_cover,
     min_vertex_cover_bipartite,
     random_tree,
-    solve,
     vertex_cover,
 )
 from pauvc.graph import _components
@@ -132,11 +130,29 @@ class TestMinVertexCover:
         assert sol.cover.mask == want
         assert want == sum(1 << v for v in range(300) if v % 3 != 2)
 
-    def test_swaps_keep_the_lexicographic_cover(self):
+    def test_swaps_keep_the_lexicographic_cover(self, monkeypatch):
         # A vertex outside the cover held joins it in place of a cover
         # vertex whose one neighbour outside the cover it is; the walk that
-        # searches for every such vertex returns the same cover.
-        nodes = {"unswapped": 0, "swapped": 0}
+        # searches for every such vertex returns the same cover, with more
+        # bounded searches.  Node totals do not compare: the reference walk's
+        # search keeps a table of refuted subproblems, and the package's
+        # does not.
+        searches = {"unswapped": 0, "swapped": 0}
+
+        def counted(walk, search):
+            def run(*args):
+                searches[walk] += 1
+                return search(*args)
+            return run
+
+        monkeypatch.setattr(
+            oracles, "unfiltered_bounded_cover",
+            counted("unswapped", oracles.unfiltered_bounded_cover),
+        )
+        monkeypatch.setattr(
+            vertex_cover, "_bounded_cover",
+            counted("swapped", vertex_cover._bounded_cover),
+        )
         for n, p, seed in itertools.product(
             range(2, 31), (0.05, 0.1, 0.2, 0.35, 0.5, 0.7), (0, 1, 2)
         ):
@@ -148,9 +164,7 @@ class TestMinVertexCover:
                     comp = vertex_cover._Component(g.adj, mask, old, None)
                     want |= comp.to_ids(unswapped_lex_min_cover(comp, old))
             assert min_vertex_cover(g, stats=new).cover.mask == want, (n, p, seed)
-            nodes["unswapped"] += old.nodes_explored
-            nodes["swapped"] += new.nodes_explored
-        assert nodes["swapped"] < nodes["unswapped"]
+        assert searches["swapped"] < searches["unswapped"]
 
     def test_long_triangle_chain_is_fast(self):
         # 400 triangles took 80,202 nodes and 12 s with one search per
@@ -289,7 +303,7 @@ class TestFirstCover:
                     for v in inside:
                         assert v == u or g.adj[u] >> v & 1 or g.adj[v] & out != x
         tau = subset_tau(*_subgraph(g.n, g.edges(), active))
-        assert vertex_cover._min_cover(g.adj, active, SolveStats(), {}).bit_count() == tau
+        assert vertex_cover._min_cover(g.adj, active, SolveStats()).bit_count() == tau
 
 
 class TestSearchKernel:
@@ -304,74 +318,23 @@ class TestSearchKernel:
                 lb = vertex_cover._clique_lb(g.adj, active)
                 assert lb <= brute_tau(*_subgraph(n, edges, active)), (seed, active)
 
-    def test_prefilled_table_returns_the_same_cover(self):
-        rng = random.Random(223)
-        saved = 0
-        for seed in range(80):
-            g = gnp_graph(rng.randint(6, 22), rng.uniform(0.15, 0.6), seed)
-            tau = min_vertex_cover(g).tau
-            actives = [g.full_mask, g.full_mask & ~rng.getrandbits(g.n)]
-            for active, k in itertools.product(actives, (tau - 2, tau - 1, tau)):
-                fresh_stats = SolveStats()
-                fresh = vertex_cover._bounded_cover(
-                    g.adj, active, k, fresh_stats, {}
-                )
-                refuted = {}
-                for earlier in (k + 1, tau - 1):
-                    vertex_cover._bounded_cover(
-                        g.adj, active, earlier, SolveStats(), refuted
-                    )
-                stats = SolveStats()
-                got = vertex_cover._bounded_cover(g.adj, active, k, stats, refuted)
-                assert got == fresh, (seed, active, k)
-                saved += fresh_stats.nodes_explored - stats.nodes_explored
-        assert saved > 0
-
-    @pytest.mark.parametrize("cap", [0, 1])
-    def test_answers_do_not_depend_on_the_cap(self, monkeypatch, cap):
-        rng = random.Random(227)
-        cases = []
-        for seed in range(40):
-            n = rng.randint(6, 16)
-            g = gnp_graph(n, rng.uniform(0.2, 0.6), seed)
-            chosen = VertexSet(n, [v for v in range(n) if rng.random() < 0.3])
-            cases.append((g, PreAssignment.including(chosen)))
-
-        def answers():
-            out = []
-            for g, pa in cases:
-                report = is_feasible(g, pa)
-                out.append((report.feasible, report.witness, report.reason))
-                for model in ("include", "exclude"):
-                    r = solve(g, model)
-                    out.append((r.pre.include, r.pre.exclude, r.unique_cover))
-            return out
-        expected = answers()
-        monkeypatch.setattr(vertex_cover, "_REFUTED_CAP", cap)
-        assert answers() == expected
-        g = gnp_graph(40, 0.4, 0)
-        refuted = {}
-        vertex_cover._min_cover(g.adj, g.full_mask, SolveStats(), refuted)
-        assert len(refuted) <= cap
-
     def test_differential_against_subset_table(self):
-        # The tau search finds a minimum cover, and one table shared by
-        # bounded searches at every budget, in shuffled order, refutes
-        # exactly the budgets below tau.  Near-trees, searched in their own
-        # labels, fold vertices the partition pass has already placed, so
-        # their folds cascade backwards.
+        # The tau search finds a minimum cover, and bounded searches at
+        # every budget, in shuffled order, refute exactly the budgets below
+        # tau.  Near-trees, searched in their own labels, fold vertices the
+        # partition pass has already placed, so their folds cascade
+        # backwards.
         rng = random.Random(229)
 
         def check(g, active, seed):
             tau = subset_tau(*_subgraph(g.n, g.edges(), active))
-            least = vertex_cover._min_cover(g.adj, active, SolveStats(), {})
+            least = vertex_cover._min_cover(g.adj, active, SolveStats())
             assert least.bit_count() == tau, (seed, active)
             assert _covers(g, active, least), (seed, active)
-            refuted = {}
             budgets = list(range(-1, tau + 2))
             rng.shuffle(budgets)
             for k in budgets:
-                got = vertex_cover._bounded_cover(g.adj, active, k, SolveStats(), refuted)
+                got = vertex_cover._bounded_cover(g.adj, active, k, SolveStats())
                 if k < tau:
                     assert got is None, (seed, active, k)
                 else:
@@ -400,11 +363,11 @@ class TestSearchKernel:
             n = rng.randint(2, 26)
             g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
             for active in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
-                tau = vertex_cover._min_cover(g.adj, active, SolveStats(), {}).bit_count()
+                tau = vertex_cover._min_cover(g.adj, active, SolveStats()).bit_count()
                 for k in range(tau - 2, tau + 2):
                     old, new = SolveStats(), SolveStats()
                     want = unfiltered_bounded_cover(g.adj, active, k, old, {})
-                    got = vertex_cover._bounded_cover(g.adj, active, k, new, {})
+                    got = vertex_cover._bounded_cover(g.adj, active, k, new)
                     assert got == want, (seed, active, k)
                     nodes["unfiltered"] += old.nodes_explored
                     nodes["filtered"] += new.nodes_explored
@@ -421,7 +384,7 @@ class TestSearchKernel:
             tau = min_vertex_cover(t).tau
             for k in (tau, tau - 1):
                 stats = SolveStats()
-                got = vertex_cover._bounded_cover(adj, t.full_mask, k, stats, {})
+                got = vertex_cover._bounded_cover(adj, t.full_mask, k, stats)
                 assert (got is None) == (k < tau), (s, k)
                 assert stats.nodes_explored == 1, (s, k)
 
@@ -440,7 +403,8 @@ class TestSearchKernel:
         # whole tail in ascending-degree order 11,261; with one
         # fold-and-partition pass per node, 11,334; with unit propagation
         # dropping children, 4,582; with one conflict group per tail clique
-        # and swaps in the lexicographic walk, 3,731.
+        # and swaps in the lexicographic walk, 3,731; in one pass with no
+        # table of refuted subproblems, 3,778.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
         assert stats.nodes_explored < 4_500
@@ -450,12 +414,53 @@ class TestSearchKernel:
         # near 2n/3 and prunes only deep in the tree.  1,302 nodes with the
         # greedy first cover counted, 1,261 without it, 544 once unit
         # propagation dropped children, 465 with one conflict group per
-        # tail clique.
+        # tail clique, 482 in one pass with no table of refuted subproblems.
         g = gnp_graph(80, 0.25, 2)
         stats = SolveStats()
-        cover = vertex_cover._min_cover(g.adj, g.full_mask, stats, {})
+        cover = vertex_cover._min_cover(g.adj, g.full_mask, stats)
         assert cover.bit_count() == 65
         assert stats.nodes_explored < 4_500
+
+    def test_covers_shrink_to_tau(self):
+        # One pass yields covers within the budget, each smaller than the
+        # last: the first is the unfiltered search's, and the last has tau
+        # vertices, or none comes when the budget is below tau.  The tau
+        # search from an upper bound fails exactly when tau exceeds it.
+        rng = random.Random(239)
+        for seed in range(150):
+            n = rng.randint(2, 22)
+            g = gnp_graph(n, rng.uniform(0.1, 0.7), seed)
+            for active in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                tau = subset_tau(*_subgraph(g.n, g.edges(), active))
+                for k in range(tau - 2, tau + 3):
+                    got = list(vertex_cover._covers(g.adj, active, k, SolveStats()))
+                    sizes = [c.bit_count() for c in got]
+                    case = (seed, active, k, sizes)
+                    assert all(_covers(g, active, c) for c in got), case
+                    assert all(a > b for a, b in zip([k + 1] + sizes, sizes)), case
+                    first = unfiltered_bounded_cover(g.adj, active, k, SolveStats(), {})
+                    assert got[:1] == ([] if first is None else [first]), case
+                    assert sizes[-1:] == ([tau] if k >= tau else []), case
+                    least = vertex_cover._min_cover(g.adj, active, SolveStats(), k)
+                    if k < tau:
+                        assert least is None, case
+                    else:
+                        assert least.bit_count() == tau, case
+                        assert _covers(g, active, least), case
+
+    def test_tau_search_memory(self):
+        # The pass keeps only its stack: 25 KB at the peak here, where the
+        # searches down from the first cover, with a table of the
+        # subproblems they refuted, peaked at 185 KB.
+        g = gnp_graph(100, 0.1, 0)
+        tracemalloc.start()
+        try:
+            sol = min_vertex_cover(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.tau == 71
+        assert peak < 64 * 2**10
 
 
 class TestBipartite:
