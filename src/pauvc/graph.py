@@ -405,23 +405,37 @@ def _components(adj: tuple[int, ...]) -> Iterator[tuple[int, Rooting | None]]:
     each vertex's new neighbours in ascending order.  The rooting is that
     walk's (order, parent), parent[i] being the position of order[i]'s
     parent (-1 at the root), when the component is a tree, else None: in a
-    tree the walk meets no reached neighbour but the parent.
+    tree the walk meets no reached neighbour but the parent.  Once it meets
+    another, the rest of the component is taken by layers, with no order,
+    until a layer adds nothing or every vertex left is reached.
     """
     rest = (1 << len(adj)) - 1
     while rest:
         comp = rest & -rest
-        order, parent, tree = [comp.bit_length() - 1], [-1], True
+        order, parent = [comp.bit_length() - 1], [-1]
         for i, v in enumerate(order):
-            nb = adj[v]
-            known = nb & comp
-            tree = tree and known.bit_count() < 2
-            fresh = nb ^ known
+            known = adj[v] & comp
+            if known & (known - 1):
+                layer = sum(1 << u for u in order[i:])
+                while layer:
+                    reach = comp
+                    for u in _bits(layer):
+                        reach |= adj[u]
+                        if reach == rest:
+                            break  # every vertex left is reached
+                    layer = reach & ~comp
+                    comp = reach
+                rooted = None
+                break
+            fresh = adj[v] ^ known
             if fresh:
                 comp |= fresh
                 parent += [i] * fresh.bit_count()
                 order += _bits(fresh)
+        else:
+            rooted = (order, parent)
         rest ^= comp
-        yield comp, (order, parent) if tree else None
+        yield comp, rooted
 
 
 def classify(g: Graph) -> Classification:

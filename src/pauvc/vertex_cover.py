@@ -7,7 +7,8 @@ each component through one record, :class:`_Component`, which checks the
 vertex cap, relabels the component in ascending degree, finds its minimum
 cover and maps masks between ids and labels.  :func:`_covers` yields
 ever smaller covers within a budget, and :func:`_bounded_cover` takes its
-first.  In one pass per node it grows a greedy clique partition
+first, unless the clique bound refutes the budget with no search.  In one
+pass per node the search grows a greedy clique partition
 (:func:`_clique_lb` is its bound) and folds isolated and degree-1
 vertices on the way; it prunes by the partition and branches over every
 vertex of its last cliques, one of which every cover within budget leaves
@@ -18,8 +19,9 @@ vertex of the clique, and the groups of different cliques are disjoint.
 Grown from the lowest degrees, the partition leaves the high degrees in
 that tail, as in the colouring order of Tomita and Seki's MCQ.
 :func:`_min_cover` runs it once, from below a greedy cover
-(:func:`_greedy_cover`) polished by (1,2)-swaps (:func:`_improve`) when
-above the bound.
+(:func:`_greedy_cover`, the complement of the independent set taken in
+label order) polished by (1,2)-swaps (:func:`_improve`) when above the
+bound.
 :func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
@@ -271,7 +273,14 @@ def _covers(
 def _bounded_cover(
     adj: tuple[int, ...], active: int, k: int, stats: SolveStats
 ) -> int | None:
-    """The first cover of :func:`_covers`: one of size <= k, or None."""
+    """The first cover of :func:`_covers`: one of size <= k, or None.
+
+    A budget below :func:`_clique_lb` is refuted before any search: the
+    call counts one node, as the search's root would, and returns None.
+    """
+    if _clique_lb(adj, active) > k:
+        _node(stats)
+        return None
     return next(_covers(adj, active, k, stats), None)
 
 
@@ -314,49 +323,18 @@ def _dropped_tail(adj: tuple[int, ...], cliques: list[int], need: int) -> int:
 def _greedy_cover(adj: tuple[int, ...], active: int) -> int:
     """A cover of the active subgraph, taken greedily with no search.
 
-    Folds the lowest isolated or degree-1 vertex while one is left, taking
-    its neighbour, and otherwise takes a lowest maximum-degree vertex, until
-    no vertex is left.  A degree list (-1 once a vertex leaves) and the mask
-    of degrees below 2 are kept current as vertices leave, so each step
-    costs only the leaving vertex's neighbours and one ``max``.
+    The complement of the independent set taken in label order: the
+    lowest free vertex joins the set and its free neighbours the cover.
+    On a component's labels, in ascending degree, low degrees join the set
+    first, as in the colouring order of Tomita and Seki's MCQ.
     """
-    deg = [-1] * len(adj)
-    low = 0  # active vertices of degree < 2
-    scan = active
-    while scan:
-        bit = scan & -scan
-        scan ^= bit
-        v = bit.bit_length() - 1
-        deg[v] = (adj[v] & active).bit_count()
-        if deg[v] < 2:
-            low |= bit
     cover = 0
-    while active:
-        if low:
-            bit = low & -low
-            v = bit.bit_length() - 1
-            deg[v] = -1
-            active ^= bit
-            low ^= bit
-            bit = adj[v] & active  # its neighbour, if any, covers at least as much
-            if not bit:
-                continue
-            v = bit.bit_length() - 1
-        else:
-            v = deg.index(max(deg))
-            bit = 1 << v
-        cover |= bit
-        deg[v] = -1
-        active ^= bit
-        low &= active
-        nb = adj[v] & active
-        while nb:
-            bit = nb & -nb
-            nb ^= bit
-            u = bit.bit_length() - 1
-            deg[u] -= 1
-            if deg[u] < 2:
-                low |= bit
+    free = active
+    while free:
+        low = free & -free
+        nb = adj[low.bit_length() - 1] & free
+        cover |= nb
+        free &= ~(low | nb)
     return cover
 
 
@@ -397,11 +375,11 @@ def _min_cover(
 ) -> int | None:
     """A minimum cover of the active subgraph, whose size is tau; None if tau > upper.
 
-    Starts from the cover of :func:`_greedy_cover`, polished by
-    :func:`_improve` when it is above the clique-partition bound, and takes
-    the last cover of one :func:`_covers` pass from one below its size, or
-    from ``upper`` when that is smaller.  A cover at the bound ends the pass,
-    since no smaller one exists.
+    Starts from the cover of :func:`_greedy_cover`, one sweep over the
+    labels, polished by :func:`_improve` when it is above the
+    clique-partition bound, and takes the last cover of one :func:`_covers`
+    pass from one below its size, or from ``upper`` when that is smaller.
+    A cover at the bound ends the pass, since no smaller one exists.
     """
     best = _greedy_cover(adj, active)
     floor = _clique_lb(adj, active)

@@ -558,3 +558,37 @@ def unswapped_lex_min_cover(comp, stats) -> int:
         else:
             cover = found | forced
     return cover
+
+
+# ---------------------------------------------------------------------------
+# The package's component walk as it was before it took the rest of a
+# component by layers once it met a cycle: it walks every component vertex
+# by vertex, in breadth-first order.  Both yield the same (mask, rooting)
+# pairs.  Its body is the old walk, unchanged but for its name and the bit
+# iterator of this module.
+
+
+def vertex_walk_components(adj):
+    """Connected components as (mask, rooting), lowest vertex first.
+
+    One breadth-first walk per component, from its lowest vertex, taking
+    each vertex's new neighbours in ascending order.  The rooting is that
+    walk's (order, parent), parent[i] being the position of order[i]'s
+    parent (-1 at the root), when the component is a tree, else None: in a
+    tree the walk meets no reached neighbour but the parent.
+    """
+    rest = (1 << len(adj)) - 1
+    while rest:
+        comp = rest & -rest
+        order, parent, tree = [comp.bit_length() - 1], [-1], True
+        for i, v in enumerate(order):
+            nb = adj[v]
+            known = nb & comp
+            tree = tree and known.bit_count() < 2
+            fresh = nb ^ known
+            if fresh:
+                comp |= fresh
+                parent += [i] * fresh.bit_count()
+                order += _mask_bits(fresh)
+        rest ^= comp
+        yield comp, (order, parent) if tree else None

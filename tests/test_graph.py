@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import random_union
+from oracles import random_union, vertex_walk_components
 
 from pauvc import (
     Classification,
@@ -263,7 +263,7 @@ class TestClassify:
 
 
 def _walk_inputs():
-    """Seeded inputs for the walk: sparse gnp, disjoint unions, corner cases."""
+    """Seeded inputs for the walk: gnp, disjoint unions, corner cases."""
     triangle = [(0, 1), (1, 2), (0, 2)]
     yield Graph(0)
     yield Graph(5)
@@ -283,6 +283,8 @@ def _walk_inputs():
             offset += size
         yield Graph(offset, edges)
         yield Graph(*random_union(30, 10, rng))  # trees, cycles, gnp, isolated
+    for n in range(2, 120, 3):
+        yield gnp_graph(n, rng.choice((0.2, 0.4, 0.7)), n)
 
 
 def _reference_bfs(ref, root):
@@ -299,11 +301,14 @@ def _reference_bfs(ref, root):
 
 class TestComponents:
     def test_agrees_with_networkx(self):
+        # Also the same pairs as the walk that takes each cyclic component
+        # vertex by vertex, not by layers once it meets a cycle.
         trees = cyclic = 0
         for g in _walk_inputs():
             ref = nx.Graph(g.edges())
             ref.add_nodes_from(range(g.n))
             walked = list(_components(g.adj))
+            assert walked == list(vertex_walk_components(g.adj))
             want = sorted(sorted(comp) for comp in nx.connected_components(ref))
             assert [list(_bits(comp)) for comp, _ in walked] == want
             for (_, rooted), members in zip(walked, want):

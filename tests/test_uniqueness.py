@@ -283,7 +283,8 @@ class TestIsFeasible:
     def test_dense_feasible_probe_work(self):
         # tau 36; the upward tau search plus one bounded search per cover
         # vertex explored 1,041 nodes here, the downward search and the
-        # single walk 285.
+        # single walk 285, and 23 before the label-order first cover, 55
+        # with it.
         g = gnp_graph(50, 0.25, 0)
         pa = PreAssignment.including(VertexSet(50, [22, 27, 34, 41, 42]))
         stats = SolveStats()
@@ -294,7 +295,8 @@ class TestIsFeasible:
         # Searched in id order with a tail of at most 3 vertices, this took
         # 6,041 nodes; relabeled in ascending degree, 3,176; with the greedy
         # first cover no longer counted and one fold-and-partition pass per
-        # node, 3,308.
+        # node, 3,308, and 839 before the label-order first cover, 963 with
+        # it.
         stats = SolveStats()
         has_unique_min_vc(gnp_graph(100, 0.1, 0), stats=stats)
         assert stats.nodes_explored < 4_500
@@ -381,7 +383,9 @@ class TestPerComponentProbe:
         # bounded search, and 74 once the dropped vertices of one tail
         # clique shared one conflict group.  86 again once the tau search
         # became one pass and no search shared a table of refuted
-        # subproblems any more.
+        # subproblems any more; 97 once the greedy first cover became the
+        # complement of the independent set taken in label order, and every
+        # bounded search the clique bound refutes counted one node.
         g = gnp_graph(60, 0.3, 1)
         assert len(classify(g).components) == 1
         probed = SolveStats()
@@ -394,7 +398,7 @@ class TestPerComponentProbe:
         assert sol.tau == least.bit_count()
         assert sol.cover.mask == vertex_cover._remap(least, ids)
         assert probed.uvc_calls == steps.uvc_calls == 1
-        assert probed.nodes_explored == steps.nodes_explored == 86
+        assert probed.nodes_explored == steps.nodes_explored == 97
 
     def test_agrees_with_whole_graph_search(self):
         rng = random.Random(1009)

@@ -193,7 +193,7 @@ class TestMinVertexCover:
             min_vertex_cover(g, vertex_limit=9)
 
     def test_stats_counted(self):
-        # Four chained 5-cycles still take a search (11 nodes).  K6 took 1
+        # Four chained 5-cycles still take a search (14 nodes).  K6 took 1
         # node, and none once the lexicographic walk swapped in each vertex
         # the cover it held left out.
         edges = [(b + j, b + (j + 1) % 5) for b in range(0, 20, 5) for j in range(5)]
@@ -209,7 +209,8 @@ class TestMinVertexCover:
         # 24 of them took about 8,200 nodes (7,893 later) and 16 only about
         # 1,100; once unit propagation dropped children, 24 took 271 and
         # these 96 took 3,673, and 1,415 once the lexicographic walk swapped
-        # vertices into the cover it held.
+        # vertices into the cover it held (1,417 from the label-order first
+        # cover).
         edges = []
         for i in range(96):
             b = 5 * i
@@ -290,6 +291,15 @@ class TestFirstCover:
         g, active = drawn
         greedy = vertex_cover._greedy_cover(g.adj, active)
         assert _covers(g, active, greedy)
+        # Its complement is a maximal independent set, the one taken in
+        # label order: a vertex is in it exactly when no lower neighbour is.
+        indep = active & ~greedy
+        for v in range(g.n):
+            if active >> v & 1:
+                assert not g.adj[v] & indep or not indep >> v & 1, v
+                assert g.adj[v] & indep or indep >> v & 1, v
+                lower = g.adj[v] & indep & ((1 << v) - 1)
+                assert bool(indep >> v & 1) == (not lower), v
         for start in (greedy, active):
             polished = vertex_cover._improve(g.adj, active, start)
             assert _covers(g, active, polished)
@@ -373,6 +383,30 @@ class TestSearchKernel:
                     nodes["filtered"] += new.nodes_explored
         assert nodes["filtered"] < nodes["unfiltered"]
 
+    def test_clique_bound_gate_keeps_the_first_cover(self):
+        # A budget below the clique bound is refuted with no search, and
+        # counts one node; every other call is the search's first cover,
+        # with the search's nodes.
+        rng = random.Random(241)
+        gated = searched = 0
+        for seed in range(400):
+            n = rng.randint(2, 24)
+            g = gnp_graph(n, rng.uniform(0.1, 0.8), seed)
+            for active in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                tau = vertex_cover._min_cover(g.adj, active, SolveStats()).bit_count()
+                lb = vertex_cover._clique_lb(g.adj, active)
+                for k in range(tau - 2, tau + 3):
+                    got, want = SolveStats(), SolveStats()
+                    first = next(vertex_cover._covers(g.adj, active, k, want), None)
+                    assert vertex_cover._bounded_cover(g.adj, active, k, got) == first
+                    if lb > k:
+                        gated += 1
+                        assert got.nodes_explored == 1, (seed, active, k)
+                    else:
+                        searched += 1
+                        assert got.nodes_explored == want.nodes_explored
+        assert gated > 1_000 and searched > 3_000, (gated, searched)
+
     def test_trees_fold_whole_in_one_node(self):
         # A forest folds to nothing, so at tau the search returns from its
         # root, and at tau - 1 its folds overrun the budget there.  Without
@@ -392,7 +426,10 @@ class TestSearchKernel:
         # 146 nodes once the dropped vertices of one tail clique shared a
         # conflict group, 163 before, 269 before unit propagation dropped
         # children; 695 when the vertices that lost a neighbour to a fold
-        # are not tested again after the partition pass.
+        # are not tested again after the partition pass.  155 in one pass
+        # with no table of refuted subproblems; 263 from the label-order
+        # first cover, which starts further above tau here than the
+        # max-degree greedy cover did.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(200, 0.015, 0), stats=stats).tau == 95
         assert stats.nodes_explored < 400
@@ -404,7 +441,8 @@ class TestSearchKernel:
         # fold-and-partition pass per node, 11,334; with unit propagation
         # dropping children, 4,582; with one conflict group per tail clique
         # and swaps in the lexicographic walk, 3,731; in one pass with no
-        # table of refuted subproblems, 3,778.
+        # table of refuted subproblems, 3,778; from the label-order first
+        # cover, with the clique bound before every bounded search, 3,617.
         stats = SolveStats()
         assert min_vertex_cover(gnp_graph(100, 0.2, 1), stats=stats).tau == 81
         assert stats.nodes_explored < 4_500
