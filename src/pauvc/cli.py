@@ -7,7 +7,7 @@ and bench (CSV timing table over a directory of instances).
 
 Exit codes: 0 success / feasible / decision-yes, 1 infeasible or
 decision-no, 2 malformed input, 3 a size, time, memory or recursion limit
-was hit.
+was hit (a vertex count too large for an index is one).
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{result.opt_size},{result.stats.nodes_explored},"
                 f"{result.stats.elapsed * 1000.0:.3f},{agrees}"
             )
-        except (ParseError, ValueError, LimitExceeded, OSError):
+        except (ParseError, ValueError, LimitExceeded, OSError, OverflowError):
             print(f"{name},,,,{args.model},{args.algo},,,,error")
     return 0
 
@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: resource limit hit ({type(exc).__name__})", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

@@ -20,7 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParseError
-from .graph import Graph, VertexSet, is_independent_set, is_vertex_cover
+from .graph import (
+    Graph, VertexSet, classify, is_independent_dominating_set, is_vertex_cover
+)
 from .limits import DEFAULT_BRUTE_LIMIT, check_vertex_limit
 
 __all__ = [
@@ -300,8 +302,6 @@ def build_bipartite_gadget(g: Graph) -> Graph:
     correspondence is meaningful for bipartite inputs, so others trigger a
     warning.
     """
-    from .graph import classify
-
     if g.n and classify(g).parts is None:
         warnings.warn("gadget applied to a non-bipartite graph")
     edges = list(g.edges()) + [(v, g.n + v) for v in range(g.n)]
@@ -316,15 +316,9 @@ def min_independent_dominating_set(
     Ties break toward the lexicographically smallest vertex list.
     """
     check_vertex_limit(g.n, vertex_limit)
-    closed = [g.neighbors_mask(v) | (1 << v) for v in range(g.n)]
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
             d = VertexSet(g.n, combo)
-            if not is_independent_set(g, d):
-                continue
-            reach = 0
-            for v in combo:
-                reach |= closed[v]
-            if reach == g.full_mask:
+            if is_independent_dominating_set(g, d):
                 return d
     raise AssertionError("every graph has an independent dominating set")

@@ -22,15 +22,15 @@ that tail, as in the colouring order of Tomita and Seki's MCQ.
 (:func:`_greedy_cover`, the complement of the independent set taken in
 label order) polished by (1,2)-swaps (:func:`_improve`) when above the
 bound.
-:func:`_cover_leaves` is the one walker of the take-v / take-N(v) tree
+:func:`_branch_leaves` is the one walker of the take-v / take-N(v) tree
 down to isolated edges: it hands a minimum cover down the branch the
 cover takes and searches each other branch once, when it is popped, so it
 visits only nodes that hold a leaf.  Every minimum cover extends one
-leaf, so it folds no degree-1 vertex.  A leaf is its forced mask and its
-edges as two-bit masks; :func:`_branch_leaves` maps them to ids and adds
-their union, the row the fixed-parameter solver decides on, and
-:func:`_selections` lists a leaf's 2^p choices of one endpoint per edge,
-for that solver and :func:`enumerate_min_vertex_covers`.
+leaf, so it folds no degree-1 vertex.  A leaf is the row the
+fixed-parameter solver decides on: its forced set, its edges as two-bit
+masks and their union, all in ids.  :func:`_selections` lists a leaf's
+2^p choices of one endpoint per edge, for that solver and
+:func:`enumerate_min_vertex_covers`.
 :func:`branch_to_matchings` returns the leaves as vertex pairs.  The
 uniqueness test needs no leaves and runs :func:`_bounded_cover` directly.
 """
@@ -43,7 +43,9 @@ from itertools import product
 from typing import Iterator
 
 from .errors import LimitExceeded
-from .graph import Graph, VertexSet, _bits, _components, _list_order
+from .graph import (
+    Graph, VertexSet, _bits, _components, _list_order, is_independent_set
+)
 from .limits import DEFAULT_RESULT_LIMIT, check_vertex_limit, general_vertex_limit
 
 __all__ = [
@@ -118,11 +120,6 @@ def _node(stats: SolveStats) -> None:
 def _check_deadline(stats: SolveStats) -> None:
     if stats.deadline is not None and time.perf_counter() > stats.deadline:
         raise LimitExceeded("time cap exceeded")
-
-
-def _remap(mask: int, to: list[int] | dict[int, int]) -> int:
-    """The mask with each bit v moved to bit to[v]."""
-    return sum(1 << to[v] for v in _bits(mask))
 
 
 def _clique_lb(adj: tuple[int, ...], active: int) -> int:
@@ -407,7 +404,7 @@ class _Component:
     relabeled.
     """
 
-    __slots__ = ("adj", "ids", "order", "full", "least", "_label_bit", "_lo")
+    __slots__ = ("adj", "ids", "order", "full", "least", "_label_bit")
 
     def __init__(
         self,
@@ -419,33 +416,31 @@ class _Component:
     ) -> None:
         check_vertex_limit(comp.bit_count(), vertex_limit)
         ids = sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
-        lo = max((comp & -comp).bit_length() - 1, 0)  # the lowest id
-        label_bit = [0] * (comp.bit_length() - lo)  # by id - lo; 0 outside
-        for r, v in enumerate(ids):
-            label_bit[v - lo] = 1 << r
+        label_bit = {v: 1 << r for r, v in enumerate(ids)}  # id -> label bit
+        lo = max((comp & -comp).bit_length() - 1, 0)  # lowest id: keeps masks short
         rows = []
         for v in ids:
             row = 0
             nb = (adj[v] & comp) >> lo
             while nb:
-                low = nb & -nb
-                nb ^= low
-                row |= label_bit[low.bit_length() - 1]
+                top = nb.bit_length() - 1
+                nb ^= 1 << top
+                row |= label_bit[lo + top]
             rows.append(row)
         self.adj = tuple(rows)
         self.ids = ids
         self.order = sorted(range(len(ids)), key=ids.__getitem__)
         self.full = (1 << len(ids)) - 1
         self.least = _min_cover(self.adj, self.full, stats, upper)
-        self._label_bit, self._lo = label_bit, lo
+        self._label_bit = label_bit
 
     def to_labels(self, mask: int) -> int:
         """The id mask, a part of the component, in labels."""
-        return sum(self._label_bit[v] for v in _bits(mask >> self._lo))
+        return sum(self._label_bit[v] for v in _bits(mask))
 
     def to_ids(self, mask: int) -> int:
         """The label mask in ids."""
-        return _remap(mask, self.ids)
+        return sum(1 << self.ids[v] for v in _bits(mask))
 
 
 def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
@@ -572,9 +567,8 @@ def min_vertex_cover_bipartite(
         raise ValueError("parts universe does not match graph")
     if left.mask & right.mask or left.mask | right.mask != g.full_mask:
         raise ValueError("parts do not partition the vertices")
-    for side in (left.mask, right.mask):
-        if any(g.adj[v] & side for v in _bits(side)):
-            raise ValueError("parts are not a valid bipartition")
+    if not (is_independent_set(g, left) and is_independent_set(g, right)):
+        raise ValueError("parts are not a valid bipartition")
 
     mate = _max_matching(g.adj, left.mask)
     nu = (g.n - mate.count(-1)) // 2
@@ -593,34 +587,35 @@ def min_vertex_cover_bipartite(
     return VcSolution(nu, VertexSet.from_mask(g.n, cover_mask))
 
 
-def _cover_leaves(
-    comp: _Component, active: int, cover: int, stats: SolveStats
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Leaves (forced mask, two-bit edge masks) of the take-v / take-N(v) tree.
+def _branch_leaves(
+    comp: _Component, stats: SolveStats
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Leaves (forced, matched, edges) of the take-v / take-N(v) tree, by id.
 
-    ``active`` is a subset of the component's labels and ``cover`` a
-    minimum cover of its subgraph, of size k.  The walk is depth-first and
-    branches on a maximum-degree vertex v of lowest id (so relabeling
-    keeps the tree), the take-v child first, until only isolated edges
-    remain.  Each stack entry carries a cover of its residual within budget
-    k - |forced|, or -1: the child the cover takes inherits it, and the
-    other gets one :func:`_bounded_cover` search when popped, and is
-    dropped if that finds none.  So every node visited holds a leaf, and
-    each leaf's forced set plus one endpoint per edge is a minimum cover.
+    Walks the component's labels from its minimum cover ``least``, of size
+    k, depth-first, and branches on a maximum-degree vertex v of lowest id
+    (so relabeling keeps the tree), the take-v child first, until only
+    isolated edges remain.  Each stack entry carries a cover of its
+    residual within budget k - |forced|, or -1: the child the cover takes
+    inherits it, and the other gets one :func:`_bounded_cover` search when
+    popped, and is dropped if that finds none.  So every node visited holds
+    a leaf, and each leaf's forced set plus one endpoint per edge is a
+    minimum cover.  A leaf yields its forced set in ids, its edges as
+    two-bit id masks by ascending lower endpoint, and ``matched``, their
+    union.
 
     v is ``keys.index(max(keys))`` over a key per label, degree * m plus
     its id's rank from the top (-1 once it leaves), so a node whose top key
     is below 2m is a leaf.  Each entry carries its parent's keys and the
     vertices it removed, applied to a copy once it survives its search.
     """
-    adj = comp.adj
-    k = cover.bit_count()
-    m = len(comp.ids)
+    adj, ids = comp.adj, comp.ids
+    k = comp.least.bit_count()
+    m = len(ids)
     keys = [-1] * m
     for rank, v in enumerate(reversed(comp.order)):
-        if active >> v & 1:
-            keys[v] = (adj[v] & active).bit_count() * m + rank
-    stack = [(active, 0, cover, keys, 0)]
+        keys[v] = adj[v].bit_count() * m + rank
+    stack = [(comp.full, 0, comp.least, keys, 0)]
     while stack:
         active, forced, cover, keys, removed = stack.pop()
         if cover < 0:
@@ -643,8 +638,13 @@ def _cover_leaves(
                     keys[low.bit_length() - 1] -= m
         top = max(keys, default=-1)
         if top < 2 * m:
-            nbs = ((1 << v, adj[v] & active) for v in _bits(active))
-            yield forced, tuple(bit | nb for bit, nb in nbs if nb > bit)
+            edges = []
+            for v in _bits(active):
+                nb = adj[v] & active
+                if nb > 1 << v:  # the edge, once, from its lower label
+                    edges.append(1 << ids[v] | 1 << ids[nb.bit_length() - 1])
+            edges.sort(key=lambda e: e & -e)
+            yield comp.to_ids(forced), sum(edges), tuple(edges)
             continue
         v = keys.index(top)
         bit = 1 << v
@@ -655,20 +655,6 @@ def _cover_leaves(
             nb_cover, v_cover = cover & ~nb, -1
         stack.append((active & ~(nb | bit), forced | nb, nb_cover, keys, nb | bit))
         stack.append((active ^ bit, forced | bit, v_cover, keys, bit))
-
-
-def _branch_leaves(
-    comp: _Component, stats: SolveStats
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Leaves (forced, matched, edges) of the take-v / take-N(v) tree, by id.
-
-    Walks the component's leaves from its minimum cover
-    (:func:`_cover_leaves`).  Each edge maps back to a two-bit id mask, by
-    ascending lower endpoint, and ``matched`` is their union.
-    """
-    for forced, edges in _cover_leaves(comp, comp.full, comp.least, stats):
-        edges = sorted(map(comp.to_ids, edges), key=lambda e: e & -e)
-        yield comp.to_ids(forced), sum(edges), tuple(edges)
 
 
 def _selections(base: int, edges: tuple[int, ...]) -> Iterator[int]:

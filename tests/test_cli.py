@@ -1,5 +1,7 @@
+import collections
 import json
 import os
+import random
 
 import pytest
 
@@ -391,3 +393,110 @@ class TestBench:
         assert main(["bench", str(d)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+
+_HUGE = "99999999999999999999"  # a vertex count that fits no index
+_TOKENS = ["0", "1", "2", "3", "-1", "x", "1.5", "", "e", "p", "edge", "cnf", "\x00", "é"]
+
+
+def _mutate(text, rng, tokens):
+    """text with one to three random edits to its lines or tokens."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        op = rng.randrange(5)
+        if op == 0 and lines:
+            del lines[min(i, len(lines) - 1)]
+        elif op == 1:
+            lines.insert(i, " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 4))))
+        elif op == 2 and lines:
+            j = min(i, len(lines) - 1)
+            words = lines[j].split() or [""]
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            lines[j] = " ".join(words)
+        elif op == 3 and lines:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        else:
+            cut = "\n".join(lines)
+            lines = cut[: rng.randrange(len(cut) + 1)].splitlines()
+    return "\n".join(lines) + "\n"
+
+
+def _graph_text(rng):
+    if rng.random() < 0.05:
+        return f"p edge {_HUGE} {rng.choice([0, 1])}\n"
+    n = rng.randint(0, 9)
+    text = render_dimacs(gnp_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1000)))
+    return text if rng.random() < 0.3 else _mutate(text, rng, _TOKENS + [_HUGE])
+
+
+def _cnf_text(rng):
+    # A problem line with a huge variable count allocates until memory
+    # runs out, so the huge number never reaches a CNF text.
+    n = rng.randint(1, 6)
+    clauses = rng.randint(0, 4)
+    lines = [f"p cnf {n} {clauses}"]
+    for _ in range(clauses):
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    text = "\n".join(lines) + "\n"
+    return text if rng.random() < 0.3 else _mutate(text, rng, _TOKENS)
+
+
+def _pre_text(rng):
+    if rng.random() < 0.5:  # well formed, with vertices that may be out of range
+        data = {
+            "model": rng.choice(["include", "exclude", "mixed"]),
+            "include": rng.sample(range(6), rng.randint(0, 2)),
+            "exclude": rng.sample(range(6), rng.randint(0, 2)),
+        }
+        return json.dumps(data)
+    values = [[], [0], [1, 2], [-1], [99], [1.5], [True], ["1"], None, "12", {}, 7]
+    data = {
+        "model": rng.choice(["include", "exclude", "mixed", "other", 1, None]),
+        "include": rng.choice(values),
+        "exclude": rng.choice(values),
+    }
+    for key in list(data):
+        if rng.random() < 0.2:
+            del data[key]
+    text = json.dumps(rng.choice([data, data, [data], "exclude", 3]))
+    return text[: rng.randrange(len(text) + 1)] if rng.random() < 0.2 else text
+
+
+class TestFuzz:
+    """Random and near-DIMACS inputs end in an exit code, never a traceback."""
+
+    @pytest.mark.filterwarnings("ignore:collapsed", "ignore:gadget applied")
+    def test_commands_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(3001)
+        graph, pre = str(tmp_path / "in.col"), str(tmp_path / "pre.json")
+        cnf, out = str(tmp_path / "in.cnf"), str(tmp_path / "out.col")
+        cap = ["--time-cap", "5"]
+        texts = [f"p edge {_HUGE} 0\n"] + [_graph_text(rng) for _ in range(320)]
+        codes = collections.Counter()
+        for text in texts:
+            write(graph, text)
+            write(pre, _pre_text(rng))
+            write(cnf, _cnf_text(rng))
+            for argv in (
+                ["solve", graph, "--model", rng.choice(["include", "exclude", "mixed"])] + cap,
+                ["check", graph, pre] + cap,
+                ["generate", "--input", graph, "--output", out] + cap,
+                ["reduce", "ids", graph, "--output", out],
+                ["reduce", "fcp", cnf, "--output", out],
+            ):
+                rc = main(argv)  # an exception escaping main fails the test
+                err = capsys.readouterr().err
+                assert rc in (0, 1, 2, 3), (argv, text)
+                assert "Traceback" not in err, (argv, text, err)
+                codes[rc] += 1
+        # Not all malformed: hundreds of runs get past the parsers.
+        assert codes[0] > 300 and codes[3] > 0, codes
+        write(graph, texts[0])
+        write(pre, json.dumps({"model": "exclude"}))
+        for argv in (["solve", graph], ["check", graph, pre],
+                     ["generate", "--input", graph, "--output", out],
+                     ["reduce", "ids", graph, "--output", out]):
+            assert main(argv) == 3
+            assert "error: resource limit hit (OverflowError)" in capsys.readouterr().err

@@ -329,13 +329,16 @@ class TestRelabeling:
             g = gnp_graph(n, rng.uniform(0.05, 0.6), seed)
             sol = min_vertex_cover(g)
             unique, _ = has_unique_min_vc(g)
-            # The rows equal their definition, _remap of each row, also on
+            # The rows equal their definition, each row relabeled, also on
             # a subgraph.
             for active in (g.full_mask, g.full_mask & ~random.Random(seed).getrandbits(n)):
                 comp = vertex_cover._Component(g.adj, active, SolveStats(), None)
                 adj, ids = comp.adj, comp.ids
                 label = {v: r for r, v in enumerate(ids)}
-                rows = tuple(vertex_cover._remap(g.adj[v] & active, label) for v in ids)
+                rows = tuple(
+                    sum(1 << label[w] for w in vertex_cover._bits(g.adj[v] & active))
+                    for v in ids
+                )
                 assert adj == rows, (seed, active)
             inside = list(sol.cover)
             outside = [v for v in range(n) if v not in sol.cover]
@@ -396,7 +399,7 @@ class TestPerComponentProbe:
         count, cover = _consistent(comp, 0, 0, steps)
         assert unique == (count == 1) and least == cover
         assert sol.tau == least.bit_count()
-        assert sol.cover.mask == vertex_cover._remap(least, ids)
+        assert sol.cover.mask == sum(1 << ids[v] for v in vertex_cover._bits(least))
         assert probed.uvc_calls == steps.uvc_calls == 1
         assert probed.nodes_explored == steps.nodes_explored == 97
 
@@ -494,8 +497,9 @@ def _walk_count(comp, inc, exc):
         cover = vertex_cover._bounded_cover(adj, active, target, SolveStats())
         if cover is None:
             return 0, None
-    leaves = list(vertex_cover._cover_leaves(comp, active, cover, SolveStats()))
-    return 1 if len(leaves) == 1 and not leaves[0][1] else 2, cover | forced
+    residual = vertex_cover._Component(adj, active, SolveStats(), None)
+    leaves = list(vertex_cover._branch_leaves(residual, SolveStats()))
+    return 1 if len(leaves) == 1 and not leaves[0][2] else 2, cover | forced
 
 
 class TestSwapCertificate:

@@ -235,15 +235,19 @@ class TestMinVertexCover:
         assert set(sol.cover) == {3 * i + j for i in range(k) for j in (0, 1)}
 
     def test_label_map_spans_the_component(self):
-        # The id -> label list runs from the component's lowest id to its
-        # highest, so a small component of a large graph gets a short one:
-        # one len(adj) long per component made many triangles quadratic.
-        g = Graph(60_000, triangle(30_000))
-        tri = 0b111 << 30_000
-        comp = vertex_cover._Component(g.adj, tri, SolveStats(), None)
-        assert len(comp._label_bit) == 3
-        assert comp.to_ids(comp.to_labels(tri)) == tri
-        assert comp.to_ids(comp.least).bit_count() == 2
+        # A small component of a large graph gets a short id -> label map,
+        # also when its ids lie far apart: one len(adj) long per component,
+        # or one from its lowest id to its highest, made many triangles
+        # quadratic.
+        for tri in (0b111 << 30_000, 1 | 1 << 30_000 | 1 << 59_999):
+            u, v, w = vertex_cover._bits(tri)
+            g = Graph(60_000, [(u, v), (v, w), (u, w)])
+            comp = vertex_cover._Component(g.adj, tri, SolveStats(), None)
+            assert len(comp._label_bit) == 3
+            assert comp.to_labels(tri) == comp.full
+            assert comp.to_ids(comp.to_labels(tri)) == tri
+            assert comp.to_ids(comp.to_labels(1 << v)) == 1 << v
+            assert comp.to_ids(comp.least).bit_count() == 2
 
     def test_bound_below_tau_refuted_by_whole_graph(self):
         # Three components: searched one at a time, a bound of tau - 1 is
