@@ -430,8 +430,11 @@ def _components(adj: tuple[int, ...]) -> Iterator[tuple[int, Rooting | None]]:
             fresh = adj[v] ^ known
             if fresh:
                 comp |= fresh
-                parent += [i] * fresh.bit_count()
-                order += _bits(fresh)
+                while fresh:
+                    low = fresh & -fresh
+                    order.append(low.bit_length() - 1)
+                    parent.append(i)
+                    fresh ^= low
         else:
             rooted = (order, parent)
         rest ^= comp

@@ -36,20 +36,21 @@ root, tau = min(m_0, m_1), and a pin set is feasible exactly when the sum of
 c_b over the b with m_b = tau is 1; the cheapest such entry is the optimum.
 
 A table has at most eight entries, so merging a child takes O(1) table
-steps and the pass is linear in table steps; a witness is a bit mask, so
-each union also costs O(n/64) machine words.  A leaf's projected table is
-always {4: (0, 0)} plus its pinned entry, so it is written directly.  The
-fresh table {4: (0, 0)} merges as the identity, so a vertex adopts its
-first child's projected table in place of a merge.  A table is released
-once merged: only vertices with a merged child, not yet merged themselves,
-hold one.  Among entries with equal pin counts the table keeps the
-lexicographically smaller sorted vertex list: the lowest vertex two masks
-do not share lies in the smaller one.  Two candidates for one entry that
-agree outside a subtree compare as their parts inside it do, so keeping
-the smaller part is exact in whatever order children merge, and the
-answer is the lexicographically smallest optimum.
-Mixed-model instances are answered in the exclude model, which has the
-same optimum.
+steps.  An entry is one integer, pins * 2^w - rev: w is the tree's highest
+id plus one, rounded up to whole bytes, and rev is the pin mask with v
+moved to bit w - 1 - v.  As rev < 2^w, the smaller integer has fewer pins
+or, with as many, the lowest vertex the masks do not share: the smaller
+sorted vertex list, so one < is the whole tie-break.  Disjoint subtrees'
+pins add (0 is the empty set), pinning v adds 2^w - 2^(w-1-v), and the
+root's mask is the bit reversal of -entry mod 2^w.  Candidates for one
+entry that agree outside a subtree compare as their parts inside it do, so
+keeping the smaller part is exact in any merge order, and the answer is
+the lexicographically smallest optimum.  A pinned entry is w bits wide
+wherever its pins lie, so a pass costs O(n w/64) machine words, and a sum,
+which carries, costs about three times an OR of that width: big trees pay
+for the encoding.  The fresh table {4: 0} merges as the identity, and a
+table is released once merged, so only vertices with a merged child and
+no merge of their own hold one.
 :func:`count_tree_covers` counts the covers of one pin set with no tables,
 so ``solve`` checks the tables' witnesses with it, on the rooting the
 tables used.  Both passes read only that rooting, the (order, parent) that
@@ -60,8 +61,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, Model, PreAssignment, Rooting, VertexSet, _components
-from .vertex_cover import SolveStats, _node
+from .graph import (
+    Graph, Model, PreAssignment, Rooting, VertexSet, _REVERSED_BYTES, _components
+)
+from .vertex_cover import SolveStats, _check_deadline
 
 __all__ = ["TreeAnswer", "count_tree_covers", "pau_tree"]
 
@@ -73,22 +76,6 @@ class TreeAnswer:
     tau: int
     opt: int
     witness: PreAssignment
-
-
-def _offer(table: dict, key: int, cost: int, mask: int) -> None:
-    """Store (cost, mask) at key unless the entry there is at least as good.
-
-    Fewer pins win; with as many pins, the smaller sorted vertex list wins,
-    which is the mask holding the lowest vertex the two do not share.
-    """
-    old = table.get(key)
-    if old is not None:
-        if cost > old[0]:
-            return
-        diff = mask ^ old[1]
-        if cost == old[0] and not mask & diff & -diff:
-            return
-    table[key] = (cost, mask)
 
 
 # Transitions of the state s = 3 c_0 + c_1: _PIN[include][s] pins the vertex,
@@ -121,60 +108,61 @@ def count_tree_covers(
     """
     order, parent = rooted
     stats.uvc_calls += 1
-    n = len(order)
+    n, size = len(order), max(order) // 8 + 1
     m0, m1 = [0] * n, [1] * n
-    c0 = [0 if include >> v & 1 else 1 for v in order]
-    # Pinning before the merge: the capped products keep a 0.
-    c1 = [0 if exclude >> v & 1 else 1 for v in order]
+    # Pins are read as bytes and set before the merge: capped products keep a 0.
+    c0, c1 = [1] * n, [1] * n
+    for c, pins in ((c0, include), (c1, exclude)):
+        if pins:
+            bits = pins.to_bytes(size, "little")
+            c[:] = [0 if bits[v >> 3] >> (v & 7) & 1 else 1 for v in order]
     for i in range(n - 1, 0, -1):
         p, b0, b1 = parent[i], m0[i], m1[i]
         m0[p] += b1
         c = c0[p] * c1[i]
         c0[p] = c if c < 2 else 2
-        if b0 < b1:
-            m1[p] += b0
-            c = c1[p] * c0[i]
-        elif b1 < b0:
-            m1[p] += b1
-            c = c1[p] * c1[i]
-        else:
-            m1[p] += b0
-            c = c1[p] * (c0[i] + c1[i])
+        m1[p] += b0 if b0 < b1 else b1
+        c = c1[p] * ((c0[i] if b0 <= b1 else 0) + (c1[i] if b1 <= b0 else 0))
         c1[p] = c if c < 2 else 2
     tau = min(m0[0], m1[0])
     count = min(2, (c0[0] if m0[0] == tau else 0) + (c1[0] if m1[0] == tau else 0))
-    cover = 0
+    # The cover's bytes, and a flag per position: no w-bit int per vertex.
+    cover, held = bytearray(size), [False] * n
     for i, v in enumerate(order):
-        if (i and not cover >> order[parent[i]] & 1) or not (c0[i] and m0[i] <= m1[i]):
-            cover |= 1 << v
-    return tau, count, cover if count else None
+        if (i and not held[parent[i]]) or not (c0[i] and m0[i] <= m1[i]):
+            held[i] = True
+            cover[v >> 3] |= 1 << (v & 7)
+    return tau, count, int.from_bytes(cover, "little") if count else None
 
 
 def _tree_pass(rooted: Rooting, include: bool, stats: SolveStats) -> tuple[int, int]:
     """tau and the optimum pin mask of a rooted tree, by the tables.
 
-    rooted is a tree component's (order, parent), as for
-    :func:`count_tree_covers`.  Each table maps a state index to (pins,
-    mask); the pins are include vertices when include is set, else exclude
-    vertices.  A slot holds None until the vertex's first child adopts it,
-    so a slot still None is a leaf's, with m_0 = 0 < m_1 = 1 and the table
-    {4: (0, 0)}.
+    rooted is as for :func:`count_tree_covers`.  Each table maps a state
+    index to one entry (see the module docstring), of include pins when
+    include is set, else of exclude pins.  A slot holds None until the
+    vertex's first child adopts it, so a slot still None is a leaf's, with
+    m_0 = 0 < m_1 = 1 and the table {4: 0}.
     """
     order, parent = rooted
-    n = len(order)
+    n, size = len(order), max(order) // 8 + 1
+    top, one = 8 * size - 1, 1 << 8 * size
     pinned = _PINNED[include]
     leaf_key = pinned[2][4]
     m0, m1 = [0] * (n + 1), [1] * (n + 1)
     # Slot n, which the root's parent -1 reaches, is a parent in state
     # (0, 1): merging the root into it keeps s(root), so its entry 1 holds
     # the cheapest pin set counting exactly one minimum cover.
-    tables: list[dict | None] = [None] * n + [{1: (0, 0)}]
+    tables: list[dict | None] = [None] * n + [{1: 0}]
+    stats.nodes_explored += n
     for i in range(n - 1, -1, -1):
-        _node(stats)
-        p, bit, table, tables[i] = parent[i], 1 << order[i], tables[i], None
+        if not i & 1023:
+            _check_deadline(stats)
+        p, table, tables[i] = parent[i], tables[i], None
+        pin_cost = one - (1 << top - order[i])
         if table is None:
             m0[p] += 1
-            projected = {4: (0, 0), leaf_key: (1, bit)}
+            projected = {4: 0, leaf_key: pin_cost}
         else:
             b0, b1 = m0[i], m1[i]
             m0[p] += b1
@@ -182,24 +170,33 @@ def _tree_pass(rooted: Rooting, include: bool, stats: SolveStats) -> tuple[int, 
             case = 2 * (b0 <= b1) + (b1 <= b0)
             project, pin = _PROJECT[case], pinned[case]
             projected = {}
-            for s, (cost, mask) in table.items():
-                if project[s]:
-                    _offer(projected, project[s], cost, mask)
-                if pin[s]:
-                    _offer(projected, pin[s], cost + 1, mask | bit)
+            for s, val in table.items():
+                key = project[s]
+                if key and (key not in projected or val < projected[key]):
+                    projected[key] = val
+                key = pin[s]
+                if key:
+                    val = val + pin_cost if val else pin_cost
+                    if key not in projected or val < projected[key]:
+                        projected[key] = val
         if tables[p] is None:
             tables[p] = projected
             continue
         merged: dict = {}
-        for a, (cost, mask) in tables[p].items():
+        for a, val in tables[p].items():
             row = _MERGE[a]
-            for b, (wcost, wmask) in projected.items():
-                if row[b]:
-                    _offer(merged, row[b], cost + wcost, mask | wmask)
+            for b, wval in projected.items():
+                key = row[b]
+                if key:
+                    # 0 is the empty pin set: a sum with it would copy w bits.
+                    both = val + wval if val and wval else val or wval
+                    if key not in merged or both < merged[key]:
+                        merged[key] = both
         tables[p] = merged
     # Pinning a minimum cover (include) or its complement (exclude) is
     # always feasible, so some entry counts exactly one cover.
-    return min(m0[0], m1[0]), tables[n][1][1]
+    rev = (-tables[n][1] % one).to_bytes(size, "little")
+    return min(m0[0], m1[0]), int.from_bytes(rev.translate(_REVERSED_BYTES), "big")
 
 
 def pau_tree(
@@ -219,11 +216,10 @@ def pau_tree(
     ``stats`` is honoured.
     """
     model = Model(model)
-    st = stats if stats is not None else SolveStats()
     comp, rooted = next(_components(t.adj), (0, None))
     if rooted is None or comp != t.full_mask:
         raise ValueError("input graph is not a connected tree")
-    tau, pins = _tree_pass(rooted, model is Model.INCLUDE, st)
+    tau, pins = _tree_pass(rooted, model is Model.INCLUDE, stats or SolveStats())
     members, empty = VertexSet.from_mask(t.n, pins), VertexSet(t.n)
     if model is Model.INCLUDE:
         return TreeAnswer(tau, len(members), PreAssignment(model, members, empty))

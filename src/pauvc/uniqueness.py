@@ -83,7 +83,9 @@ def _consistent(
     degree and then label, takes one search for a cover of the rest minus
     w within the cover's size less one, where the rest and that budget
     have lost the earlier out-vertices and their neighbours.  A hit, plus w
-    and those neighbours, is a second cover.
+    and those neighbours, is a second cover; a w with no neighbour left in
+    the rest takes no search, since a hit plus those neighbours would be a
+    cover below the minimum.
     """
     stats.uvc_calls += 1
     adj, least = comp.adj, comp.least
@@ -111,10 +113,9 @@ def _consistent(
     for minus_degree, w in order:
         if budget < 0 or not minus_degree:
             break
-        bit = 1 << w
-        if _bounded_cover(adj, rest & ~bit, budget, stats) is not None:
+        bit, nb = 1 << w, adj[w] & rest
+        if nb and _bounded_cover(adj, rest & ~bit, budget, stats) is not None:
             return 2, cover | forced
-        nb = adj[w] & rest
         rest &= ~(nb | bit)
         budget -= nb.bit_count()
     return 1, cover | forced

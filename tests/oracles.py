@@ -592,3 +592,93 @@ def vertex_walk_components(adj):
                 order += _mask_bits(fresh)
         rest ^= comp
         yield comp, (order, parent) if tree else None
+
+
+# ---------------------------------------------------------------------------
+# The package's tree pass as it was when each table entry was a (pins, mask)
+# tuple and _offer broke ties by the lowest vertex two masks do not share.
+# Both return the same (tau, mask).  Its body is the old pass, unchanged but
+# for its name, with its own copies of the transition tables.
+
+
+def _offer(table: dict, key: int, cost: int, mask: int) -> None:
+    """Store (cost, mask) at key unless the entry there is at least as good.
+
+    Fewer pins win; with as many pins, the smaller sorted vertex list wins,
+    which is the mask holding the lowest vertex the two do not share.
+    """
+    old = table.get(key)
+    if old is not None:
+        if cost > old[0]:
+            return
+        diff = mask ^ old[1]
+        if cost == old[0] and not mask & diff & -diff:
+            return
+    table[key] = (cost, mask)
+
+
+# Transitions of the state s = 3 c_0 + c_1: _PIN[include][s] pins the vertex,
+# _PROJECT[2 (m_0 = lo) + (m_1 = lo)][s] is 3 c_1 + s(w), _MERGE[parent][child],
+# and _PINNED[include][case][s] is _PROJECT[case][_PIN[include][s]].
+_PIN = ([s - s % 3 for s in range(9)], [s % 3 for s in range(9)])
+_PROJECT = [
+    [3 * (s % 3) + min(2, e0 * (s // 3) + e1 * (s % 3)) for s in range(9)]
+    for e0 in (0, 1) for e1 in (0, 1)
+]
+_MERGE = [
+    [3 * min(2, a // 3 * (b // 3)) + min(2, a % 3 * (b % 3)) for b in range(9)]
+    for a in range(9)
+]
+_PINNED = [[[row[s] for s in pin] for row in _PROJECT] for pin in _PIN]
+
+
+def tuple_tree_pass(rooted, include: bool, stats) -> tuple[int, int]:
+    """tau and the optimum pin mask of a rooted tree, by the tables.
+
+    rooted is a tree component's (order, parent), as for
+    :func:`count_tree_covers`.  Each table maps a state index to (pins,
+    mask); the pins are include vertices when include is set, else exclude
+    vertices.  A slot holds None until the vertex's first child adopts it,
+    so a slot still None is a leaf's, with m_0 = 0 < m_1 = 1 and the table
+    {4: (0, 0)}.
+    """
+    order, parent = rooted
+    n = len(order)
+    pinned = _PINNED[include]
+    leaf_key = pinned[2][4]
+    m0, m1 = [0] * (n + 1), [1] * (n + 1)
+    # Slot n, which the root's parent -1 reaches, is a parent in state
+    # (0, 1): merging the root into it keeps s(root), so its entry 1 holds
+    # the cheapest pin set counting exactly one minimum cover.
+    tables: list[dict | None] = [None] * n + [{1: (0, 0)}]
+    for i in range(n - 1, -1, -1):
+        _node(stats)
+        p, bit, table, tables[i] = parent[i], 1 << order[i], tables[i], None
+        if table is None:
+            m0[p] += 1
+            projected = {4: (0, 0), leaf_key: (1, bit)}
+        else:
+            b0, b1 = m0[i], m1[i]
+            m0[p] += b1
+            m1[p] += b0 if b0 < b1 else b1
+            case = 2 * (b0 <= b1) + (b1 <= b0)
+            project, pin = _PROJECT[case], pinned[case]
+            projected = {}
+            for s, (cost, mask) in table.items():
+                if project[s]:
+                    _offer(projected, project[s], cost, mask)
+                if pin[s]:
+                    _offer(projected, pin[s], cost + 1, mask | bit)
+        if tables[p] is None:
+            tables[p] = projected
+            continue
+        merged: dict = {}
+        for a, (cost, mask) in tables[p].items():
+            row = _MERGE[a]
+            for b, (wcost, wmask) in projected.items():
+                if row[b]:
+                    _offer(merged, row[b], cost + wcost, mask | wmask)
+        tables[p] = merged
+    # Pinning a minimum cover (include) or its complement (exclude) is
+    # always feasible, so some entry counts exactly one cover.
+    return min(m0[0], m1[0]), tables[n][1][1]

@@ -15,6 +15,7 @@ from oracles import (
     brute_tau,
     consistent,
     count_rooted_i_subtrees,
+    tuple_tree_pass,
 )
 import pauvc.solvers
 from pauvc import (
@@ -428,6 +429,42 @@ class TestTreeScale:
         for model in ("include", "exclude"):
             with pytest.raises(LimitExceeded):
                 pau_tree(t, model, stats=SolveStats(time.perf_counter() - 1))
+
+
+class TestIntegerEntries:
+    """One integer per table entry gives the (pins, mask) tuples' answer."""
+
+    @staticmethod
+    def _agree(t):
+        rooted = _rooting(t)
+        for include in (True, False):
+            want = tuple_tree_pass(rooted, include, SolveStats())
+            stats = SolveStats()
+            assert _tree_pass(rooted, include, stats) == want, (t.n, include)
+            assert stats.nodes_explored == t.n
+
+    def test_random_trees(self):
+        for s in range(400):
+            self._agree(random_tree(1 + s % 300, s))
+
+    def test_paths_stars_and_caterpillars(self):
+        shapes = []
+        for n in (1, 2, 3, 4, 5, 8, 13, 64, 65, 200):
+            shapes.append([(v, v + 1) for v in range(n - 1)])
+            shapes.append([(0, v) for v in range(1, n)])
+        for spine in (1, 2, 5, 30):
+            for legs in (1, 2, 3):
+                edges = [(v, v + 1) for v in range(spine - 1)]
+                edges += [(v, spine + legs * v + k) for v in range(spine) for k in range(legs)]
+                shapes.append(edges)
+        # The tie-break reads labels, so each shape is also solved relabeled.
+        rng = random.Random(31)
+        for edges in shapes:
+            n = len(edges) + 1
+            perm = list(range(n))
+            for _ in range(2):
+                self._agree(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+                rng.shuffle(perm)
 
 
 class TestRootedISubtrees:
