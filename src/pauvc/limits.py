@@ -23,12 +23,14 @@ DEFAULT_BRUTE_LIMIT = 24
 def general_vertex_limit(limit: int | None = None) -> int:
     """The vertex cap for exponential solvers: limit, else the env override, else 512.
 
-    As with ``--vertex-limit``, 0 is a cap, and an override that is not a
-    non-negative integer raises ValueError.  Public calls that cap
-    components one by one resolve it on entry, so a malformed override is
-    refused before any work, whatever the graph.
+    As with ``--vertex-limit``, 0 is a cap, and a negative limit or an
+    override that is not a non-negative integer raises ValueError.  Public
+    calls that cap components one by one resolve it on entry, so a malformed
+    cap is refused before any work, whatever the graph.
     """
     if limit is not None:
+        if limit < 0:
+            raise ValueError(f"vertex limit must not be negative: {limit}")
         return limit
     raw = os.environ.get(ENV_VERTEX_LIMIT)
     if raw is None:

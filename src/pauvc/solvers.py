@@ -66,32 +66,32 @@ endpoints in I, or F' plus the endpoints outside E.
 So the first feasible candidate has the optimum size and is the witness
 :func:`solve_enum` returns for the same graph.  Mixed-model questions are
 answered in the exclude model; the two are equivalent instance by
-instance.  Every route works on neighbour masks over an active mask, so
-:func:`solve`, which both wrappers call, runs it per connected component.
-The enumeration and the leaf walk search a component through its record
-(``vertex_cover._Component``), which checks the vertex cap it is given
-before any search.
+instance.  :func:`_routes` picks each connected component's route, for
+:func:`solve`, which both wrappers call, and for the uniqueness probe; the
+enumeration and the leaf walk search a component through its record
+(``vertex_cover._Component``), which checks its vertex cap before any search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import (
     Graph, Model, PreAssignment, Rooting, VertexSet, _components, _list_order
 )
 from .limits import DEFAULT_ENUM_VERTEX_LIMIT, general_vertex_limit
 from .tree import _tree_pass, count_tree_covers
-from .uniqueness import _check_pre_assignment
 from .vertex_cover import (
     SolveStats,
     _bits,
     _branch_leaves,
     _check_deadline,
     _Component,
+    _consistent,
     _node,
     _selections,
 )
@@ -153,17 +153,14 @@ def _result(
     return PauResult(model, pre.size(), pre, cover, stats)
 
 
-def _solve_enum(
-    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats, cap: int | None
-) -> _Pins:
-    """The first feasible pre-assignment of the active subgraph by size.
+def _solve_enum(comp: _Component, model: Model, stats: SolveStats) -> _Pins:
+    """The first feasible pre-assignment of the component by size.
 
     Within a size, include sets come in lexicographic order, each followed
     by its exclude sets in lexicographic order.  The include model takes
     only include sets of the whole size, the exclude model only the empty one.
     """
-    comp = _Component(adj, active, stats, cap)
-    vertices = comp.order
+    adj, vertices = comp.adj, comp.order
     for k in range(len(vertices) + 1):
         if model is Model.INCLUDE:
             prefixes = combinations(vertices, k)
@@ -176,8 +173,10 @@ def _solve_enum(
             rest = [v for v in vertices if not inc_mask >> v & 1]
             for exc in combinations(rest, k - len(inc)):
                 exc_mask = sum(1 << v for v in exc)
-                ok, cover, _ = _check_pre_assignment(comp, inc_mask, exc_mask, stats)
-                if ok:
+                if any(adj[v] & exc_mask for v in exc):
+                    continue  # no cover avoids both ends of an edge
+                count, cover = _consistent(comp, inc_mask, exc_mask, stats)
+                if count == 1:
                     return tuple(comp.to_ids(m) for m in (inc_mask, exc_mask, cover))
     raise AssertionError("no feasible pre-assignment found, which cannot happen")
 
@@ -198,8 +197,8 @@ def solve_enum(
     model = Model(model)
     stats = SolveStats(deadline)
     started = time.perf_counter()
-    pins = _solve_enum(g.adj, g.full_mask, model, stats, vertex_limit)
-    return _result(g, model, pins, stats, started)
+    comp = _Component(g.adj, g.full_mask, stats, vertex_limit)
+    return _result(g, model, _solve_enum(comp, model, stats), stats, started)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +303,13 @@ def _decide(table: list[tuple], model: Model, cand: int) -> int | None:
     return found
 
 
-def _solve_fpt(
-    adj: tuple[int, ...], active: int, model: Model, stats: SolveStats, cap: int | None
-) -> _Pins:
-    """The first feasible candidate of the active subgraph's stream.
+def _solve_fpt(comp: _Component, model: Model, stats: SolveStats) -> _Pins:
+    """The first feasible candidate of the component's stream.
 
     The mixed model is answered in the exclude model.
     """
-    table = list(_branch_leaves(_Component(adj, active, stats, cap), stats))
-    for cand in _candidate_stream(adj, active, model, table, stats):
+    table = list(_branch_leaves(comp, stats))
+    for cand in _candidate_stream(comp.graph_adj, comp.mask, model, table, stats):
         stats.uvc_calls += 1
         if stats.uvc_calls & 1023 == 0:
             _check_deadline(stats)
@@ -389,7 +386,7 @@ def mixed_to_exclude(g: Graph, pa: PreAssignment, ustar: VertexSet) -> VertexSet
 
 
 # ---------------------------------------------------------------------------
-# The dispatcher.
+# The router.
 
 
 def _solve_tree(rooted: Rooting, model: Model, stats: SolveStats) -> _Pins:
@@ -400,6 +397,27 @@ def _solve_tree(rooted: Rooting, model: Model, stats: SolveStats) -> _Pins:
     if count != 1:
         raise AssertionError("tree solver produced an infeasible witness")
     return (*pins, cover)
+
+
+def _routes(
+    adj: tuple[int, ...], algo: str, cap: int, stats: SolveStats
+) -> Iterator[tuple[int, Callable, Callable]]:
+    """(mask, count, optimum) per component, routed as :func:`solve` describes.
+
+    count(inc, exc, stats) answers as ``count_tree_covers`` does, for
+    conflict-free pins by id; optimum(model, stats) gives (include,
+    exclude, cover) by id.  Trees are rooted by the component walk.
+    """
+    for mask, rooted in _components(adj):
+        if rooted and algo in ("auto", "tree"):
+            yield mask, partial(count_tree_covers, rooted), partial(_solve_tree, rooted)
+            continue
+        if algo == "tree":
+            lowest = (mask & -mask).bit_length() - 1
+            raise ValueError(f"component of vertex {lowest} is not a tree")
+        comp = _Component(adj, mask, stats, cap)
+        search = _solve_enum if algo == "enum" else _solve_fpt
+        yield mask, comp.count, partial(search, comp)
 
 
 def solve(
@@ -413,36 +431,27 @@ def solve(
 ) -> PauResult:
     """Solve one instance with the chosen strategy.
 
-    One walk (``graph._components``) splits g into connected components
-    and roots the trees.  Each component is solved in place, on g's own
-    neighbour masks with the component as the active set, and the answers
-    are united: sizes add, witnesses and covers merge, and the counters of
-    one ``SolveStats`` add up.  algo "auto" routes tree components to the
-    tree solver and every other component to the fixed-parameter solver
-    for the model; "enum", "fpt", and "tree" force a strategy, and "tree"
-    refuses a component that is not a tree, naming its lowest vertex.
-    Mixed-model instances take the exclude model on those two routes and
-    are reported with an empty include set.  vertex_limit caps each
-    component on the fixed-parameter route and enum_vertex_limit on the
-    enumeration; the linear tree route has no cap.
+    Each connected component is solved on the route :func:`_routes`
+    gives it, and the answers are united: sizes add, witnesses and covers
+    merge, and the counters of one ``SolveStats`` add up.  algo "auto"
+    routes tree components to the tree solver and every other component
+    to the fixed-parameter solver for the model; "enum", "fpt", and "tree"
+    force a strategy, and "tree" refuses a component that is not a tree,
+    naming its lowest vertex.  Mixed-model instances take the exclude
+    model on those two routes and are reported with an empty include set.
+    vertex_limit caps each component on the fixed-parameter route and
+    enum_vertex_limit on the enumeration, both resolved on entry; the
+    linear tree route has no cap.
     """
     model = Model(model)
     if algo not in ("auto", "enum", "fpt", "tree"):
         raise ValueError(f"unknown algo {algo!r}")
-    vertex_limit = general_vertex_limit(vertex_limit)
+    caps = general_vertex_limit(vertex_limit), general_vertex_limit(enum_vertex_limit)
     started = time.perf_counter()
     stats = SolveStats(deadline)
     inc = exc = cover = 0
-    for comp, rooted in _components(g.adj):
-        if algo == "enum":
-            pins = _solve_enum(g.adj, comp, model, stats, enum_vertex_limit)
-        elif rooted and algo != "fpt":
-            pins = _solve_tree(rooted, model, stats)
-        elif algo == "tree":
-            lowest = (comp & -comp).bit_length() - 1
-            raise ValueError(f"component of vertex {lowest} is not a tree")
-        else:
-            pins = _solve_fpt(g.adj, comp, model, stats, vertex_limit)
+    for _, _, optimum in _routes(g.adj, algo, caps[algo == "enum"], stats):
+        pins = optimum(model, stats)
         inc |= pins[0]
         exc |= pins[1]
         cover |= pins[2]

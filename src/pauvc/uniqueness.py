@@ -13,9 +13,9 @@ it holds, w, splits the other covers: such a cover leaves the out-vertices
 before w out, so it takes their neighbours, and the rest of it covers what
 is left minus w within the budget left.  One bounded search per
 out-vertex decides each part, taken in descending residual degree until
-the budget runs out, so a unique cover costs one failed search each.  Each
-component is searched through its record (``vertex_cover._Component``),
-which caps and relabels it.
+the budget runs out, so a unique cover costs one failed search each.  The
+router ``solvers._routes`` counts each component: linearly on a tree, else
+on its record (``vertex_cover._Component``), which caps and relabels it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, PreAssignment, VertexSet, _components, delete
+from .graph import Graph, PreAssignment, VertexSet, delete
 from .limits import general_vertex_limit
-from .tree import count_tree_covers
-from .vertex_cover import SolveStats, VcSolution, _bits, _bounded_cover, _Component
+from .solvers import _routes
+from .vertex_cover import SolveStats, VcSolution, _bits
 
 __all__ = [
     "Reason",
@@ -69,70 +69,7 @@ def _pin_conflict(adj: tuple[int, ...], inc_mask: int, exc_mask: int) -> Reason 
     return None
 
 
-def _consistent(
-    comp: _Component, inc_mask: int, exc_mask: int, stats: SolveStats
-) -> tuple[int, int | None]:
-    """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
-
-    Pins and cover are in the component's labels.  The residual cover is
-    the part of its minimum cover off the forced vertices when that fits
-    the pins, else one search finds one.  A vertex u of it with exactly
-    one residual neighbour w outside it (never none, in a minimum cover)
-    proves a second cover, it minus u plus w, with no search.
-    Otherwise each out-vertex w with a residual neighbour, by descending
-    degree and then label, takes one search for a cover of the rest minus
-    w within the cover's size less one, where the rest and that budget
-    have lost the earlier out-vertices and their neighbours.  A hit, plus w
-    and those neighbours, is a second cover; a w with no neighbour left in
-    the rest takes no search, since a hit plus those neighbours would be a
-    cover below the minimum.
-    """
-    stats.uvc_calls += 1
-    adj, least = comp.adj, comp.least
-    forced = inc_mask
-    for v in _bits(exc_mask):
-        forced |= adj[v]
-    active = comp.full & ~forced & ~exc_mask
-    cover = least & active
-    if inc_mask & ~least or exc_mask & least:
-        target = least.bit_count() - forced.bit_count()
-        cover = _bounded_cover(adj, active, target, stats)
-        if cover is None:
-            return 0, None
-    out = active & ~cover
-    scan = cover
-    while scan:
-        bit = scan & -scan
-        scan ^= bit
-        nb = adj[bit.bit_length() - 1] & out
-        if nb and not nb & (nb - 1):
-            return 2, cover | forced  # bit swapped for nb: a second cover
-    rest = active
-    budget = cover.bit_count() - 1
-    order = sorted((-(adj[w] & active).bit_count(), w) for w in _bits(out))
-    for minus_degree, w in order:
-        if budget < 0 or not minus_degree:
-            break
-        bit, nb = 1 << w, adj[w] & rest
-        if nb and _bounded_cover(adj, rest & ~bit, budget, stats) is not None:
-            return 2, cover | forced
-        rest &= ~(nb | bit)
-        budget -= nb.bit_count()
-    return 1, cover | forced
-
-
 _REASON_BY_COUNT = (Reason.NOT_MINIMUM_CONSISTENT, None, Reason.NOT_UNIQUE)
-
-
-def _check_pre_assignment(
-    comp: _Component, inc: int, exc: int, stats: SolveStats
-) -> tuple[bool, int | None, Reason | None]:
-    """Feasibility of (include, exclude) masks; the rest as in :func:`_consistent`."""
-    conflict = _pin_conflict(comp.adj, inc, exc)
-    if conflict is not None:
-        return False, None, conflict
-    count, cover = _consistent(comp, inc, exc, stats)
-    return count == 1, cover if count == 1 else None, _REASON_BY_COUNT[count]
 
 
 def _probe(
@@ -140,10 +77,10 @@ def _probe(
 ) -> tuple[Reason | None, int | None]:
     """Why the pins fail (None when feasible) and a consistent minimum cover.
 
-    A pin conflict is answered with no cover and no search.  Otherwise one
-    walk splits g into components; a tree component takes the linear count
-    on the walk's rooting, any other the search on its record, which caps
-    it.  Counts multiply (capped at 2) and covers unite.
+    A pin conflict is answered with no cover and no search.  Otherwise
+    each component's route counts its part of the pins: a tree linearly,
+    any other by the search on its record, which caps it.  Counts multiply
+    (capped at 2) and covers unite.
     """
     vertex_limit = general_vertex_limit(vertex_limit)
     st = stats if stats is not None else SolveStats()
@@ -152,14 +89,8 @@ def _probe(
         return conflict, None
     cover = 0
     count = 1
-    for mask, rooted in _components(g.adj):
-        if rooted:
-            _, ways, part = count_tree_covers(rooted, inc & mask, exc & mask, st)
-        else:
-            comp = _Component(g.adj, mask, st, vertex_limit)
-            pins = comp.to_labels(inc & mask), comp.to_labels(exc & mask)
-            ways, part = _consistent(comp, *pins, st)
-            part = comp.to_ids(part or 0)
+    for mask, count_covers, _ in _routes(g.adj, "auto", vertex_limit, st):
+        _, ways, part = count_covers(inc & mask, exc & mask, st)
         count = min(2, count * ways)
         cover |= part or 0
     return _REASON_BY_COUNT[count], cover if count else None

@@ -400,11 +400,11 @@ class _Component:
     id, ``ids`` gives each label's id, ``order`` lists the labels in
     ascending id order and ``full`` is the mask of all of them.  ``least``
     is a minimum cover in labels, found by :func:`_min_cover` (None when
-    tau exceeds ``upper``).  The cap is checked before anything is
-    relabeled.
+    tau exceeds ``upper``).  ``mask`` and ``graph_adj`` are the component
+    and the graph's neighbour masks by id.  The cap is checked first.
     """
 
-    __slots__ = ("adj", "ids", "order", "full", "least", "_label_bit")
+    __slots__ = ("adj", "ids", "order", "full", "least", "mask", "graph_adj", "_label_bit")
 
     def __init__(
         self,
@@ -432,6 +432,7 @@ class _Component:
         self.order = sorted(range(len(ids)), key=ids.__getitem__)
         self.full = (1 << len(ids)) - 1
         self.least = _min_cover(self.adj, self.full, stats, upper)
+        self.mask, self.graph_adj = comp, adj
         self._label_bit = label_bit
 
     def to_labels(self, mask: int) -> int:
@@ -441,6 +442,11 @@ class _Component:
     def to_ids(self, mask: int) -> int:
         """The label mask in ids."""
         return sum(1 << self.ids[v] for v in _bits(mask))
+
+    def count(self, inc: int, exc: int, stats: SolveStats) -> tuple[int, int, int | None]:
+        """``tree.count_tree_covers``'s answer, by id, from :func:`_consistent`."""
+        ways, cover = _consistent(self, self.to_labels(inc), self.to_labels(exc), stats)
+        return self.least.bit_count(), ways, cover and self.to_ids(cover)
 
 
 def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
@@ -478,6 +484,58 @@ def _lex_min_cover(comp: _Component, stats: SolveStats) -> int:
             else:
                 cover = found | forced
     return cover
+
+
+def _consistent(
+    comp: _Component, inc_mask: int, exc_mask: int, stats: SolveStats
+) -> tuple[int, int | None]:
+    """Count (capped at 2) and one of the minimum covers fitting conflict-free pins.
+
+    Pins and cover are in the component's labels.  The residual cover is
+    the part of its minimum cover off the forced vertices when that fits
+    the pins, else one search finds one.  A vertex u of it with exactly
+    one residual neighbour w outside it (never none, in a minimum cover)
+    proves a second cover, it minus u plus w, with no search.
+    Otherwise each out-vertex w with a residual neighbour, by descending
+    degree and then label, takes one search for a cover of the rest minus
+    w within the cover's size less one, where the rest and that budget
+    have lost the earlier out-vertices and their neighbours.  A hit, plus w
+    and those neighbours, is a second cover; a w with no neighbour left in
+    the rest takes no search, since a hit plus those neighbours would be a
+    cover below the minimum.
+    """
+    stats.uvc_calls += 1
+    adj, least = comp.adj, comp.least
+    forced = inc_mask
+    for v in _bits(exc_mask):
+        forced |= adj[v]
+    active = comp.full & ~forced & ~exc_mask
+    cover = least & active
+    if inc_mask & ~least or exc_mask & least:
+        target = least.bit_count() - forced.bit_count()
+        cover = _bounded_cover(adj, active, target, stats)
+        if cover is None:
+            return 0, None
+    out = active & ~cover
+    scan = cover
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        nb = adj[bit.bit_length() - 1] & out
+        if nb and not nb & (nb - 1):
+            return 2, cover | forced  # bit swapped for nb: a second cover
+    rest = active
+    budget = cover.bit_count() - 1
+    order = sorted((-(adj[w] & active).bit_count(), w) for w in _bits(out))
+    for minus_degree, w in order:
+        if budget < 0 or not minus_degree:
+            break
+        bit, nb = 1 << w, adj[w] & rest
+        if nb and _bounded_cover(adj, rest & ~bit, budget, stats) is not None:
+            return 2, cover | forced
+        rest &= ~(nb | bit)
+        budget -= nb.bit_count()
+    return 1, cover | forced
 
 
 def min_vertex_cover(

@@ -5,9 +5,11 @@ import tracemalloc
 import pytest
 
 from oracles import brute_pau_opt, random_edges, random_union
+from pinned import check_pre_assignment
 from record_answers import bipartite_part
 import pauvc.solvers
 from pauvc import (
+    Cnf1in3,
     Graph,
     GraphKind,
     LimitExceeded,
@@ -19,11 +21,13 @@ from pauvc import (
     build_bipartite_gadget,
     classify,
     delete,
+    enumerate_1in3,
     enumerate_min_vertex_covers,
     gnp_graph,
     has_unique_min_vc,
     include_to_exclude,
     is_feasible,
+    min_independent_dominating_set,
     min_vertex_cover,
     mixed_to_exclude,
     pau_tree,
@@ -241,7 +245,7 @@ class TestFptSolvers:
                 masks = [rng.getrandbits(n) for _ in range(20)]
                 for cand in [*stream, *masks]:
                     inc, exc = (cand, 0) if model is Model.INCLUDE else (0, cand)
-                    ok, cover, _ = solvers._check_pre_assignment(
+                    ok, cover, _ = check_pre_assignment(
                         comp, comp.to_labels(inc), comp.to_labels(exc), stats
                     )
                     got = solvers._decide(table, model, cand)
@@ -349,6 +353,48 @@ class TestDispatcher:
             for call in calls:
                 with pytest.raises(ValueError, match="PAUVC_VERTEX_LIMIT"):
                     call(g)
+
+    def test_negative_limits_refused(self):
+        # A negative cap was a cap every searched component exceeds, so a
+        # triangle hit it while a path, routed to the uncapped tree solver
+        # or never searched, was answered.  Every call now refuses it.
+        pins = PreAssignment.including(VertexSet(3, [1]))
+        calls = [
+            lambda g: solve(g, "include", vertex_limit=-1),
+            lambda g: solve(g, "include", enum_vertex_limit=-1),
+            lambda g: solve(g, "exclude", "enum", enum_vertex_limit=-1),
+            lambda g: solve_fpt_include(g, vertex_limit=-1),
+            lambda g: solve_fpt_exclude(g, vertex_limit=-1),
+            lambda g: solve_enum(g, "mixed", vertex_limit=-1),
+            lambda g: is_feasible(g, pins, vertex_limit=-1),
+            lambda g: reduce_instance(g, pins, vertex_limit=-1),
+            lambda g: has_unique_min_vc(g, vertex_limit=-1),
+            lambda g: min_vertex_cover(g, vertex_limit=-1),
+            lambda g: branch_to_matchings(g, vertex_limit=-1),
+            lambda g: enumerate_min_vertex_covers(g, vertex_limit=-1),
+            lambda g: min_independent_dominating_set(g, vertex_limit=-1),
+            lambda g: enumerate_1in3(Cnf1in3(g.n, ((1, 2, 3),)), var_limit=-1),
+        ]
+        for g in (Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (1, 2), (0, 2)])):
+            for call in calls:
+                with pytest.raises(ValueError, match="must not be negative"):
+                    call(g)
+
+    def test_tree_refusal_and_caps_follow_the_route(self):
+        # A 600-vertex path plus a disjoint K4.  "tree" refuses K4 before
+        # building its record, whose cap of 0 would fire first otherwise;
+        # the path is over the default cap of 512 only on a searched route.
+        path = [(v, v + 1) for v in range(599)]
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        g = Graph(604, path + [(u + 600, v + 600) for u, v in k4])
+        for model in MODELS:
+            with pytest.raises(ValueError, match="component of vertex 600 "):
+                solve(g, model, "tree", vertex_limit=0)
+            with pytest.raises(LimitExceeded):
+                solve(g, model, "fpt")
+            parts = solve(Graph(600, path), model).opt_size
+            parts += solve(Graph(4, k4), model).opt_size
+            assert solve(g, model, "auto").opt_size == parts
 
     def test_disconnected_composition(self):
         rng = random.Random(359)

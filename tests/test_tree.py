@@ -38,6 +38,7 @@ from pauvc import (
 )
 from pauvc.graph import _components
 from pauvc.tree import _tree_pass, count_tree_covers
+from pauvc.uniqueness import _REASON_BY_COUNT, _pin_conflict
 
 MODELS = ("include", "exclude", "mixed")
 
@@ -220,14 +221,21 @@ def _members(mask):
 def _searched(t, least, include, exclude):
     """The cover-search verdict that graphs other than trees get.
 
-    The search starts from the minimum cover least, by id.
+    The search starts from the minimum cover least, by id.  Past the pin
+    conflicts, the record's count must answer as the tree's count does:
+    the same tau and ways, and the same cover when it is unique.
     """
+    conflict = _pin_conflict(t.adj, include, exclude)
+    if conflict is not None:
+        return None, conflict
     comp = pauvc.vertex_cover._Component(t.adj, t.full_mask, SolveStats(), None)
     comp.least = comp.to_labels(least)
-    ok, cover, reason = pauvc.solvers._check_pre_assignment(
-        comp, comp.to_labels(include), comp.to_labels(exclude), SolveStats()
-    )
-    return (comp.to_ids(cover) if ok else None), reason
+    tau, ways, cover = comp.count(include, exclude, SolveStats())
+    counted = count_tree_covers(_rooting(t), include, exclude, SolveStats())
+    assert (tau, ways) == counted[:2], (t.edges(), include, exclude)
+    if ways == 1:
+        assert cover == counted[2], (t.edges(), include, exclude)
+    return (cover if ways == 1 else None), _REASON_BY_COUNT[ways]
 
 
 def _counted(t, include, exclude):

@@ -34,7 +34,8 @@ from pauvc import (
     solve,
     vertex_cover,
 )
-from pauvc.uniqueness import _check_pre_assignment, _consistent
+from pauvc.vertex_cover import _consistent
+from pinned import check_pre_assignment
 
 
 def all_pre_assignments(n):
@@ -431,7 +432,7 @@ class TestPerComponentProbe:
             for inc, exc in pin_sets:
                 pa = PreAssignment.mixed(VertexSet(n, inc), VertexSet(n, exc))
                 report = is_feasible(g, pa)
-                ok, cover, reason = _check_pre_assignment(
+                ok, cover, reason = check_pre_assignment(
                     comp, comp.to_labels(pa.include.mask),
                     comp.to_labels(pa.exclude.mask), SolveStats(),
                 )
